@@ -1,20 +1,29 @@
 """Exact Choquet integration of non-negative step functions.
 
 For a step function the Riemann integrand t -> mu([f > t]) is itself a step
-function, so the sorted-threshold sum
+function.  With the cells sorted by value, v_1 >= v_2 >= ... >= v_n and
+v_{n+1} = 0, the sorted-threshold sum
 
-    sum_k (v_k - v_{k+1}) * mu([f >= v_k]),   v_1 > v_2 > ... > v_m, v_{m+1} = 0
+    sum_j (v_j - v_{j+1}) * mu(first j cells)
 
-is exact.  The evaluation below never materializes superlevel sets: for a
-distorted measure only the superlevel *length* matters, and a sectioned
-measure is additive over cells, so cumulative sums over value-sorted cells
-suffice.  :func:`riemann_choquet` is the deliberately independent brute-force
+is exact; a run of equal values only adds zero drops.  Every measure here is
+mu(A) = G(sum of per-cell keys over the cells of A).  A distorted measure
+has the cell lengths as keys and its distortion as G.  A sectioned one has
+the cell masses as keys (a cells x blocks overlap matrix times the weights)
+and G = identity.  So one private kernel, :func:`_choquet_block`, integrates
+a whole (rows x cells) block of functions that share one partition: one
+stable argsort per row, one cumulative sum of the keys and one vectorised G.
+It returns the integrals together with the threshold table.  :func:`choquet`
+runs it with one row per component; ``product.integrate_product`` and
+``product.fubini_check`` run it with one row per y-node.  Keys come from the
+partition's interval end points, so no superlevel set is ever built.
+:func:`riemann_choquet` is the deliberately independent brute-force
 companion built on explicit interval-set unions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +50,8 @@ class StepFunction:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != len(cells):
             raise StructuralError("one value (row) per cell required")
-        if values.size and values.min() < 0:
-            raise StructuralError("step function values must be non-negative")
+        if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails both
+            raise StructuralError("step function values must be finite and non-negative")
         if validate:
             pieces = sorted(iv for c in cells for iv in c.intervals)
             cursor = 0.0
@@ -157,33 +166,82 @@ def superlevel_set(f: StepFunction, t: float) -> IntervalSet:
     return out
 
 
-def _cell_keys(f: StepFunction, mu: FuzzyMeasure) -> tuple[np.ndarray, bool]:
-    """Per-cell accumulation keys: lengths (distorted) or measures (sectioned)."""
-    if mu.mode == "distorted":
-        return np.array([c.lebesgue for c in f.cells]), True
-    return np.array([mu(c) for c in f.cells]), False
+# -- the sorted-threshold kernel ---------------------------------------------
 
 
-def threshold_table(f: StepFunction, mu: FuzzyMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values u (ascending) and S[k] = mu([f >= u_k]).
+def _pieces(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owning cell, left end and right end of every interval of ``cells``."""
+    table = np.array(
+        [(i, a, b) for i, cell in enumerate(cells) for a, b in cell.intervals], dtype=float
+    ).reshape(-1, 3)
+    return table[:, 0].astype(np.intp), table[:, 1], table[:, 2]
 
-    mu([f > t]) = S[searchsorted(u, t, 'right')] with S[m] = 0 appended.
+
+def _block_fractions(pieces, ncells: int, blocks) -> np.ndarray:
+    """(cells, blocks) matrix of lebesgue(cell ∩ E_i) / lebesgue(E_i)."""
+    owner, lo, hi = pieces
+    b_owner, b_lo, b_hi = _pieces(blocks)
+    width = np.clip(np.minimum(hi[:, None], b_hi) - np.maximum(lo[:, None], b_lo), 0.0, None)
+    pair = owner[:, None] * len(blocks) + b_owner
+    overlap = np.bincount(pair.ravel(), width.ravel(), ncells * len(blocks))
+    return overlap.reshape(ncells, len(blocks)) / np.bincount(b_owner, b_hi - b_lo)
+
+
+def _measure_rows(measures, pieces, ncells: int):
+    """Cell keys and level map of rows measured by ``measures`` (one per row,
+    or one for all rows) on the cells of one partition.
+
+    Every measure here is mu(A) = G(sum of the keys of the cells in A): a
+    distorted measure has the cell lengths as keys and its distortion as G, a
+    sectioned one has the cell masses as keys and G = identity (``None``).
+    Keys are (cells,) when all rows share them and (rows, cells) otherwise;
+    the level map takes the (rows, cells) cumulative keys.
     """
-    keys, needs_g = _cell_keys(f, mu)
-    vals = f.values
-    order = np.argsort(-vals, kind="stable")
-    sv = vals[order]
-    ck = np.cumsum(keys[order])
-    ends = np.nonzero(np.diff(sv, append=sv[-1] - 1.0))[0]
-    v_desc = sv[ends]
-    lvl = ck[ends]
-    if needs_g:
-        meas_desc = np.array([mu.distortion(x) for x in lvl])
-    else:
-        meas_desc = lvl
-    u = v_desc[::-1].copy()
-    S = np.append(meas_desc[::-1], 0.0)
-    return u, S
+    owner, lo, hi = pieces
+    first = measures[0]
+    if all(mu.mode == "distorted" for mu in measures):
+        lengths = np.bincount(owner, hi - lo, ncells)
+        g = first.distortion
+        if all(mu.distortion == g for mu in measures):
+            return lengths, g.elementwise
+        if all(mu.distortion.same_shape(g) for mu in measures):
+            scales = np.array([mu.distortion.scale for mu in measures])[:, None]
+            shape = replace(g, scale=1.0)
+            return lengths, lambda cum: scales * shape.elementwise(cum)
+    elif all(mu.mode == "sectioned" and mu.blocks == first.blocks for mu in measures):
+        fractions = _block_fractions(pieces, ncells, first.blocks)
+        keys = np.array([mu.weights for mu in measures]) @ fractions.T
+        return (keys[0] if len(measures) == 1 else keys), None
+    rows = [_measure_rows((mu,), pieces, ncells) for mu in measures]  # mixed modes or shapes
+    keys = np.array([k for k, _ in rows]).reshape(len(rows), ncells)
+
+    def levels(cum):
+        return np.array([c if g is None else g(c) for c, (_, g) in zip(cum, rows)])
+
+    return keys, levels
+
+
+def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
+    """Sorted-threshold pass over the rows of ``values`` (rows, cells); all
+    rows live on the cells of one partition.
+
+    Row r measures a union A of cells as levels(sum of keys[r] over A), with
+    ``levels`` None for additive measures.  One stable argsort per row puts
+    the cells in descending value order v[r, 0] >= v[r, 1] >= ...; L[r, j] is
+    the measure of the first j+1 of them.  (v, L) is the threshold table:
+    mu_r([f_r > t]) = L[r, j] for v[r, j+1] <= t < v[r, j], with v[r, n] = 0,
+    and the Choquet integral of row r is sum_j (v[r, j] - v[r, j+1]) L[r, j].
+
+    Returns (integrals per row, v, L).
+    """
+    rows = np.arange(values.shape[0])[:, None]
+    order = np.argsort(-values, axis=1, kind="stable")
+    v = values[rows, order]
+    cum = np.cumsum(keys[order] if keys.ndim == 1 else keys[rows, order], axis=1)
+    L = cum if levels is None else levels(cum)
+    drops = v.copy()
+    drops[:, :-1] -= v[:, 1:]
+    return np.sum(drops * L, axis=1), v, L
 
 
 def choquet(f: StepFunction, mu: FuzzyMeasure):
@@ -191,24 +249,10 @@ def choquet(f: StepFunction, mu: FuzzyMeasure):
 
     Returns a float for scalar f, an ndarray (componentwise) for vector f.
     """
-    if f.is_vector:
-        return np.array([choquet(f.component(i), mu) for i in range(f.values.shape[1])])
-    if f.values.size == 0:
-        return 0.0
-    keys, needs_g = _cell_keys(f, mu)
-    vals = f.values
-    order = np.argsort(-vals, kind="stable")
-    sv = vals[order]
-    ck = np.cumsum(keys[order])
-    ends = np.nonzero(np.diff(sv, append=sv[-1] - 1.0))[0]
-    v = sv[ends]
-    lvl = ck[ends]
-    if needs_g:
-        meas = np.array([mu.distortion(x) for x in lvl])
-    else:
-        meas = lvl
-    vnext = np.append(v[1:], 0.0)
-    return float(np.sum((v - vnext) * meas))
+    rows = f.values.T if f.is_vector else f.values[None, :]
+    ncells = len(f.cells)
+    integrals, _, _ = _choquet_block(rows, *_measure_rows((mu,), _pieces(f.cells), ncells))
+    return integrals if f.is_vector else float(integrals[0])
 
 
 def choquet_restricted(f: StepFunction, mu: FuzzyMeasure, A: IntervalSet):

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .choquet import StepFunction, choquet, choquet_restricted
 from .errors import InvalidPriceError, StructuralError
 from .intervals import IntervalSet, random_interval_set
+from .lp import linprog
 from .measures import filtering_family
 from .product import (
     ProductSet,
@@ -555,12 +555,6 @@ class ImprovementWitness:
             "source": self.source,
             "coalition_sections": [s.to_pairs() for s in self.coalition.sections],
         }
-
-
-def _as_product_allocation(eco: Economy, g) -> ProductStepFunction:
-    if isinstance(g, ProductStepFunction):
-        return g
-    return ProductStepFunction.sectional(_allocation(eco, g))
 
 
 def verify_improvement(

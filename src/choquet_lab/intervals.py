@@ -20,12 +20,6 @@ from .errors import StructuralError
 GRID_BITS = 20  # default dyadic resolution for generated sets
 
 
-def snap(x: float, bits: int = GRID_BITS) -> float:
-    """Round to the dyadic grid 2**-bits."""
-    scale = float(1 << bits)
-    return round(x * scale) / scale
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     """Finite union of disjoint half-open subintervals of [0,1]."""

@@ -15,7 +15,7 @@ from .economy import Economy, Preferences
 from .errors import ConfigError, StructuralError
 from .intervals import IntervalSet
 from .measures import Distortion, FuzzyMeasure
-from .product import ProductSet, ProductStepFunction, SectionFamily
+from .product import ProductStepFunction, SectionFamily
 
 
 def _check_keys(obj: dict, what: str, required: set, optional: set = frozenset()):
@@ -39,20 +39,6 @@ def _pairs(data, what: str) -> list[tuple[float, float]]:
             raise ConfigError(f"{what}: expected [a, b] pairs")
         out.append((float(item[0]), float(item[1])))
     return out
-
-
-# -- interval sets -----------------------------------------------------------
-
-
-def interval_set_to_json(s: IntervalSet) -> list:
-    return s.to_pairs()
-
-
-def interval_set_from_json(data, what: str = "interval set") -> IntervalSet:
-    try:
-        return IntervalSet(_pairs(data, what))
-    except StructuralError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
 
 
 # -- distortions & measures ----------------------------------------------------
@@ -235,20 +221,6 @@ def family_from_json(data) -> SectionFamily:
     except StructuralError as exc:
         raise ConfigError(f"family: {exc}") from exc
     raise ConfigError(f"family: unknown mode {mode!r}")
-
-
-# -- product sets -------------------------------------------------------------------
-
-
-def product_set_to_json(H: ProductSet) -> dict:
-    return {"sections": [s.to_pairs() for s in H.sections]}
-
-
-def product_set_from_json(data) -> ProductSet:
-    _check_keys(data, "product set", {"sections"})
-    return ProductSet(
-        tuple(interval_set_from_json(s, "product-set section") for s in data["sections"])
-    )
 
 
 # -- economies -----------------------------------------------------------------------

@@ -14,6 +14,7 @@ chain A_t with mu(A_t) = t * mu(A), realized by left prefixes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +38,15 @@ class Distortion:
     alpha: float | None = None
     knots: tuple[tuple[float, float], ...] | None = None
     scale: float = 1.0
+    _xs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _ys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise StructuralError("distortion scale must be positive")
+        if not math.isfinite(self.scale) or self.scale <= 0:
+            raise StructuralError("distortion scale must be positive and finite")
         if self.kind == "power":
-            if self.alpha is None or self.alpha <= 0:
-                raise StructuralError("power distortion needs alpha > 0")
+            if self.alpha is None or not math.isfinite(self.alpha) or self.alpha <= 0:
+                raise StructuralError("power distortion needs a finite alpha > 0")
         elif self.kind == "identity":
             pass
         elif self.kind == "pwl":
@@ -51,12 +54,16 @@ class Distortion:
                 raise StructuralError("pwl distortion needs at least two knots")
             xs = [k[0] for k in self.knots]
             ys = [k[1] for k in self.knots]
+            if not all(math.isfinite(c) for c in xs + ys):
+                raise StructuralError("pwl knots must be finite")
             if xs[0] != 0.0 or ys[0] != 0.0 or xs[-1] != 1.0:
                 raise StructuralError("pwl knots must run from (0,0) to (1, g(1))")
             if any(b <= a for a, b in zip(xs, xs[1:])) or any(
                 b <= a for a, b in zip(ys, ys[1:])
             ):
                 raise StructuralError("pwl knots must be strictly increasing")
+            object.__setattr__(self, "_xs", np.array(xs))
+            object.__setattr__(self, "_ys", np.array(ys))
         else:
             raise StructuralError(f"unknown distortion kind {self.kind!r}")
 
@@ -72,15 +79,27 @@ class Distortion:
     def piecewise_linear(knots, scale: float = 1.0) -> "Distortion":
         return Distortion("pwl", knots=tuple((float(a), float(b)) for a, b in knots), scale=scale)
 
+    def same_shape(self, other: "Distortion") -> bool:
+        """True when the two differ at most in ``scale``."""
+        return (self.kind, self.alpha, self.knots) == (other.kind, other.alpha, other.knots)
+
     def __call__(self, s: float) -> float:
         if self.kind == "power":
             base = float(s) ** self.alpha
         elif self.kind == "identity":
             base = float(s)
         else:
-            xs = np.array([k[0] for k in self.knots])
-            ys = np.array([k[1] for k in self.knots])
-            base = float(np.interp(s, xs, ys))
+            base = float(np.interp(s, self._xs, self._ys))
+        return self.scale * base
+
+    def elementwise(self, s: np.ndarray) -> np.ndarray:
+        """g over a whole array; the scalar call stays a float path."""
+        if self.kind == "power":
+            base = s**self.alpha
+        elif self.kind == "identity":
+            base = s
+        else:
+            base = np.interp(s, self._xs, self._ys)
         return self.scale * base
 
     def inverse(self, u: float) -> float:
@@ -90,9 +109,7 @@ class Distortion:
             return v ** (1.0 / self.alpha)
         if self.kind == "identity":
             return v
-        xs = np.array([k[0] for k in self.knots])
-        ys = np.array([k[1] for k in self.knots])
-        return float(np.interp(v, ys, xs))
+        return float(np.interp(v, self._ys, self._xs))
 
     @property
     def is_concave(self) -> bool:
@@ -125,6 +142,8 @@ class FuzzyMeasure:
         elif self.mode == "sectioned":
             if not self.blocks or not self.weights or len(self.blocks) != len(self.weights):
                 raise StructuralError("sectioned measure needs matching blocks and weights")
+            if not all(math.isfinite(w) for w in self.weights):
+                raise StructuralError("weights must be finite")
             if any(w < 0 for w in self.weights) or not any(w > 0 for w in self.weights):
                 raise StructuralError("weights must be >= 0 with at least one positive")
             cover = IntervalSet.empty()

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .choquet import StepFunction, choquet, threshold_table
+from .choquet import StepFunction, _choquet_block, _measure_rows, _pieces
 from .errors import StructuralError, UnsupportedFamilyError
 from .intervals import IntervalSet
+from .lp import linprog
 from .measures import Distortion, FuzzyMeasure
 
 DEFAULT_K = 100
@@ -69,8 +69,8 @@ class SectionFamily:
             measures = (FuzzyMeasure.distorted(distortion),) * K
         else:
             scales = np.asarray(scales, dtype=float)
-            if scales.shape != (K,) or scales.min() <= 0:
-                raise StructuralError("scales must be K positive reals")
+            if scales.shape != (K,) or not np.isfinite(scales).all() or scales.min() <= 0:
+                raise StructuralError("scales must be K positive finite reals")
             measures = tuple(
                 FuzzyMeasure.distorted(replace(distortion, scale=distortion.scale * s))
                 for s in scales
@@ -83,6 +83,8 @@ class SectionFamily:
         W = np.asarray(node_weights, dtype=float)
         if W.ndim != 2 or W.shape[1] != len(blocks):
             raise StructuralError("node_weights must be (K, #blocks)")
+        if not np.isfinite(W).all():
+            raise StructuralError("weights must be finite")
         if W.min() < 0 or not np.all(W.sum(axis=1) > 0):
             raise StructuralError("weights must be >= 0 with positive row sums")
         if normalized:
@@ -258,11 +260,41 @@ def product_measure(fam: SectionFamily, H: ProductSet) -> float:
     return float(np.mean([mu(s) for mu, s in zip(fam.measures, H.sections)]))
 
 
+def _node_tables(fam: SectionFamily, f: ProductStepFunction):
+    """Run the Choquet kernel over every node of f.
+
+    Nodes whose sections share one partition object (as ``uniform``,
+    ``separable`` and ``StepFunction.on_grid`` sections do) go through the
+    kernel as one (nodes x cells) block; a section with a partition of its
+    own is a block of one.  A vector f has one row per node and component.
+
+    Returns the per-node integrals (K, components) and, per block, the
+    threshold table (v, L) of :func:`choquet._choquet_block`, rows in
+    node-major, component-minor order.
+    """
+    dims = f.sections[0].values.shape[1] if f.is_vector else 1
+    groups: dict[int, list[int]] = {}
+    for k, section in enumerate(f.sections):
+        groups.setdefault(id(section.cells), []).append(k)
+    integrals = np.empty((f.K, dims))
+    tables = []
+    for nodes in groups.values():
+        cells = f.sections[nodes[0]].cells
+        values = np.array([f.sections[k].values for k in nodes])
+        rows = values.reshape(len(nodes), len(cells), dims).transpose(0, 2, 1)
+        measures = [fam.measures[k] for k in nodes for _ in range(dims)]
+        keys, levels = _measure_rows(measures, _pieces(cells), len(cells))
+        out, v, L = _choquet_block(rows.reshape(len(measures), len(cells)), keys, levels)
+        integrals[nodes] = out.reshape(len(nodes), dims)
+        tables.append((v, L))
+    return integrals, tables
+
+
 def integrate_product(fam: SectionFamily, f: ProductStepFunction):
     """Iterated integral (1/K) sum_k choquet(f(., y_k), mu_k)."""
     _check_sections(fam, f.K)
-    vals = [choquet(s, mu) for mu, s in zip(fam.measures, f.sections)]
-    return np.mean(np.asarray(vals), axis=0) if f.is_vector else float(np.mean(vals))
+    integrals, _ = _node_tables(fam, f)
+    return np.mean(integrals, axis=0) if f.is_vector else float(np.mean(integrals))
 
 
 def integrate_sectional_over(fam: SectionFamily, phi, H: ProductSet):
@@ -300,33 +332,32 @@ def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_00
 
     The left side integrates t -> (1/K) sum_k mu_k([f_k > t]) by midpoint
     quadrature on [0, max f]; the right side is :func:`integrate_product`.
+    Both come from one kernel pass per node: a t-node in [v_{j+1}, v_j) of a
+    node's threshold table sees that node's level L_j, so the quadrature sum
+    counts the t-nodes below each v_j instead of visiting every node.  A
+    vector f reports its component with the largest deviation.
     """
     _check_sections(fam, f.K)
     if tnodes < 100:
         raise StructuralError("tnodes must be >= 100")
-    if f.is_vector:
-        reports = [
-            fubini_check(
-                fam,
-                ProductStepFunction(tuple(s.component(i) for s in f.sections)),
-                tnodes,
-            )
-            for i in range(f.sections[0].values.shape[1])
-        ]
-        worst = max(reports, key=lambda r: r.deviation)
-        return worst
-    M = f.max_value
-    rhs = integrate_product(fam, f)
-    if M <= 0:
-        return FubiniReport(0.0, rhs, tnodes)
-    dt = M / tnodes
-    ts = (np.arange(tnodes) + 0.5) * dt
-    acc = np.zeros(tnodes)
-    for mu, section in zip(fam.measures, f.sections):
-        u, S = threshold_table(section, mu)
-        acc += S[np.searchsorted(u, ts, side="right")]
-    lhs = float(np.sum(acc) / fam.K * dt)
-    return FubiniReport(lhs, rhs, tnodes)
+    integrals, tables = _node_tables(fam, f)
+    dims = integrals.shape[1]
+    reports = []
+    for i in range(dims):
+        rhs = float(np.mean(integrals[:, i]))
+        M = max(v[i::dims, :1].max(initial=0.0) for v, _ in tables)
+        if M <= 0:
+            reports.append(FubiniReport(0.0, rhs, tnodes))
+            continue
+        dt = M / tnodes
+        ts = (np.arange(tnodes) + 0.5) * dt
+        total = 0.0
+        for v, L in tables:
+            below = np.searchsorted(ts, v[i::dims])  # t-nodes t < v_j
+            below[:, :-1] -= below[:, 1:]
+            total += np.sum(below * L[i::dims])
+        reports.append(FubiniReport(float(total / fam.K * dt), rhs, tnodes))
+    return max(reports, key=lambda r: r.deviation)
 
 
 @dataclass(frozen=True)

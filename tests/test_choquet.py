@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet_lab.choquet import (
     StepFunction,
@@ -213,3 +215,110 @@ class TestPropertyChecks:
                 for j in range(i + 1, len(fv)):
                     if fv[j] > fv[i]:
                         assert hv[j] >= hv[i]
+
+
+# -- differential test of the array kernel against the per-cell object path ----
+
+
+def reference_table(f, mu):
+    """Threshold table by the per-cell object path: mu(cell) per cell and
+    mu.distortion per distinct level.  Returns u (ascending distinct values)
+    and S with S[k] = mu([f >= u_k]) and S[len(u)] = 0."""
+    if f.values.size == 0:
+        return np.zeros(0), np.zeros(1)
+    distorted = mu.mode == "distorted"
+    keys = np.array([c.lebesgue if distorted else mu(c) for c in f.cells])
+    order = np.argsort(-f.values, kind="stable")
+    sv = f.values[order]
+    ck = np.cumsum(keys[order])
+    ends = np.nonzero(np.diff(sv, append=sv[-1] - 1.0))[0]
+    levels = [mu.distortion(x) for x in ck[ends]] if distorted else ck[ends]
+    return sv[ends][::-1].copy(), np.append(np.asarray(levels)[::-1], 0.0)
+
+
+def reference_choquet(f, mu):
+    if f.is_vector:
+        return np.array([reference_choquet(f.component(i), mu) for i in range(f.values.shape[1])])
+    u, S = reference_table(f, mu)
+    return float(np.sum(np.diff(u, prepend=0.0) * S[:-1]))
+
+
+def random_distortion(rng):
+    kind = int(rng.integers(3))
+    scale = float(rng.uniform(0.25, 3.0))
+    if kind == 0:
+        return Distortion.power(float(rng.uniform(0.3, 3.0)), scale=scale)
+    if kind == 1:
+        return Distortion.identity(scale=scale)
+    xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, size=2)), [1.0]])
+    ys = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, size=3))])
+    return Distortion.piecewise_linear(zip(xs, ys), scale=scale)
+
+
+def random_blocks(rng, nblocks):
+    """A block partition of [0,1) whose blocks are unions of several intervals."""
+    npieces = int(rng.integers(nblocks, 3 * nblocks + 1))
+    cuts = np.sort(rng.choice(np.arange(1, 1 << 10), size=npieces - 1, replace=False))
+    edges = np.concatenate(([0.0], cuts / float(1 << 10), [1.0]))
+    owner = rng.permutation(
+        np.concatenate([np.arange(nblocks), rng.integers(0, nblocks, npieces - nblocks)])
+    )
+    return [
+        IntervalSet([(edges[i], edges[i + 1]) for i in range(npieces) if owner[i] == b])
+        for b in range(nblocks)
+    ]
+
+
+def random_measure(rng):
+    if rng.random() < 0.5:
+        return FuzzyMeasure.distorted(random_distortion(rng))
+    nblocks = int(rng.integers(1, 5))
+    weights = rng.uniform(0.0, 2.0, size=nblocks) * (rng.random(nblocks) < 0.8)
+    weights[rng.integers(nblocks)] += 0.5
+    return FuzzyMeasure.sectioned(random_blocks(rng, nblocks), weights)
+
+
+def random_function(rng, vector: bool):
+    f = random_step_function(rng)
+    if vector:
+        dims = int(rng.integers(1, 4))
+        values = rng.uniform(0.0, 2.0, size=(len(f.cells), dims))
+        return StepFunction(f.cells, values, validate=False)
+    return f
+
+
+def close(a, b, tol=1e-12):
+    return np.all(np.abs(np.asarray(a) - np.asarray(b)) <= tol * np.maximum(1.0, np.abs(b)))
+
+
+class TestKernelAgainstObjectPath:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vector=st.booleans(), ties=st.booleans())
+    def test_choquet_matches_per_cell_reference(self, seed, vector, ties):
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng)
+        f = random_function(rng, vector)
+        if ties:  # repeated values exercise the runs of equal thresholds
+            f = StepFunction(f.cells, np.round(f.values * 2) / 2, validate=False)
+        got = choquet(f, mu)
+        assert isinstance(got, np.ndarray) == vector
+        assert close(got, reference_choquet(f, mu))
+        if not vector:
+            tnodes = 4000
+            ref = riemann_choquet(f, mu, tnodes=tnodes)
+            assert abs(got - ref) <= mu.total * max(f.max_value, 1e-9) / tnodes + 1e-12
+
+    def test_zero_cells(self):
+        for mu in (sq(), FuzzyMeasure.sectioned([IntervalSet([(0.0, 1.0)])], [2.0])):
+            assert choquet(StepFunction((), np.zeros(0), validate=False), mu) == 0.0
+            vec = choquet(StepFunction((), np.zeros((0, 3)), validate=False), mu)
+            assert vec.tolist() == [0.0, 0.0, 0.0]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_step_values_rejected(self, bad):
+        with pytest.raises(StructuralError):
+            StepFunction.on_grid([1.0, bad])
+        with pytest.raises(StructuralError):
+            StepFunction.on_grid(np.array([[1.0, 0.5], [bad, 0.0]]))

@@ -53,6 +53,62 @@ class TestIntegrate:
                      "--function", str(bad)]) == 1
 
 
+GOOD_MEASURE = '{"mode": "distorted", "distortion": {"kind": "power", "alpha": 2.0}}'
+GOOD_FUNCTION = '{"cells": [[0, 0.5], [0.5, 1]], "values": [1.0, 2.0]}'
+BLOCKS = '"blocks": [[0, 0.5], [0.5, 1]]'
+
+# Non-finite numbers in input files: every one is a configuration error.
+NON_FINITE = {
+    "power alpha NaN": ('{"mode": "distorted", "distortion": {"kind": "power", "alpha": NaN}}',
+                        GOOD_FUNCTION),
+    "power alpha Infinity": (
+        '{"mode": "distorted", "distortion": {"kind": "power", "alpha": Infinity}}', GOOD_FUNCTION),
+    "scale NaN": ('{"mode": "distorted", "distortion": {"kind": "identity", "scale": NaN}}',
+                  GOOD_FUNCTION),
+    "scale Infinity": (
+        '{"mode": "distorted", "distortion": {"kind": "identity", "scale": Infinity}}',
+        GOOD_FUNCTION),
+    "pwl knot NaN": (
+        '{"mode": "distorted", "distortion": {"kind": "pwl", '
+        '"knots": [[0, 0], [0.5, NaN], [1, 1]]}}', GOOD_FUNCTION),
+    "pwl knot Infinity": (
+        '{"mode": "distorted", "distortion": {"kind": "pwl", '
+        '"knots": [[0, 0], [0.5, 1], [1, Infinity]]}}', GOOD_FUNCTION),
+    "sectioned weight NaN": ('{"mode": "sectioned", ' + BLOCKS + ', "weights": [1.0, NaN]}',
+                             GOOD_FUNCTION),
+    "sectioned weight Infinity": (
+        '{"mode": "sectioned", ' + BLOCKS + ', "weights": [Infinity, 1.0]}', GOOD_FUNCTION),
+    "step value NaN": (GOOD_MEASURE, '{"cells": [[0, 0.5], [0.5, 1]], "values": [NaN, 2.0]}'),
+    "step value Infinity": (
+        GOOD_MEASURE, '{"cells": [[0, 0.5], [0.5, 1]], "values": [1.0, Infinity]}'),
+    "step value -Infinity": (
+        GOOD_MEASURE, '{"cells": [[0, 0.5], [0.5, 1]], "values": [-Infinity, 1.0]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_input_is_exit_1(case, tmp_path, capsys):
+    measure_text, function_text = NON_FINITE[case]
+    measure, function = tmp_path / "measure.json", tmp_path / "function.json"
+    measure.write_text(measure_text)
+    function.write_text(function_text)
+    code = main(["integrate", "--measure", str(measure), "--function", str(function)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert any(line.startswith("error:") for line in captured.err.splitlines())
+
+
+@pytest.mark.parametrize("weights", ["[[1.0, NaN]]", "[[Infinity, 1.0]]"])
+def test_non_finite_family_weights_are_exit_1(weights, tmp_path, capsys):
+    family, function = tmp_path / "family.json", tmp_path / "function.json"
+    family.write_text('{"K": 4, "mode": "sectioned", ' + BLOCKS + ', "weights": ' + weights + "}")
+    function.write_text('{"kind": "uniform", "function": ' + GOOD_FUNCTION + "}")
+    code = main(["fubini-check", "--config", str(family), "--function", str(function)])
+    assert code == 1
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
 class TestCheckMeasure:
     def test_convex_distortion_violates(self, tmp_path, capsys, square_measure_file):
         out = tmp_path / "report.json"

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_choquet import (
+    close,
+    random_blocks,
+    random_distortion,
+    random_measure,
+    reference_choquet,
+    reference_table,
+)
 
-from choquet_lab.choquet import StepFunction, comonotone_pair
+from choquet_lab.choquet import StepFunction, comonotone_pair, random_step_function
 from choquet_lab.errors import StructuralError, UnsupportedFamilyError
 from choquet_lab.intervals import IntervalSet, random_interval_set
 from choquet_lab.measures import Distortion, FuzzyMeasure
@@ -322,3 +332,120 @@ class TestRangeRealize:
                 res = range_realize(fam, phi, c * z1 + (1 - c) * z2)
                 assert res.feasible
                 assert res.deviation <= 1e-6
+
+
+# -- differential test of the array kernel against the per-cell object path ----
+
+
+def reference_fubini(fam, f, tnodes):
+    """Per-node tables and a t-node loop, as (lhs, rhs) per component."""
+    if f.is_vector:
+        dims = f.sections[0].values.shape[1]
+        return [
+            reference_fubini(fam, ProductStepFunction(tuple(s.component(i) for s in f.sections)),
+                             tnodes)[0]
+            for i in range(dims)
+        ]
+    rhs = float(np.mean([reference_choquet(s, mu) for mu, s in zip(fam.measures, f.sections)]))
+    M = f.max_value
+    if M <= 0:
+        return [(0.0, rhs)]
+    dt = M / tnodes
+    ts = (np.arange(tnodes) + 0.5) * dt
+    acc = np.zeros(tnodes)
+    for mu, section in zip(fam.measures, f.sections):
+        u, S = reference_table(section, mu)
+        acc += S[np.searchsorted(u, ts, side="right")]
+    return [(float(np.sum(acc) / fam.K * dt), rhs)]
+
+
+def random_family(rng, kind, K):
+    if kind == "homothetic":
+        return SectionFamily.homothetic(random_distortion(rng), K=K)
+    if kind == "homothetic-scaled":
+        scales = rng.uniform(0.2, 3.0, size=K)
+        return SectionFamily.homothetic(
+            random_distortion(rng), K=K, scales=scales, normalized=False
+        )
+    if kind == "sectioned":
+        nblocks = int(rng.integers(1, 4))
+        W = rng.uniform(0.0, 2.0, size=(K, nblocks))
+        W[np.arange(K), rng.integers(0, nblocks, K)] += 0.5
+        normalized = bool(rng.random() < 0.5)
+        return SectionFamily.sectioned(random_blocks(rng, nblocks), W, normalized=normalized)
+    return SectionFamily.heterogeneous([random_measure(rng) for _ in range(K)])
+
+
+TNODES = 1024
+
+
+def random_product_function(rng, layout, K, dims, on_nodes):
+    """Sections sharing one partition, each with its own, or a mix of both.
+
+    With ``on_nodes`` the maximum is 2 and every value is 2 or a t-node
+    (2i + 1) / TNODES of the quadrature on [0, 2], so values tie with nodes.
+    """
+    shape = (lambda n: (n,)) if dims == 0 else (lambda n: (n, dims))
+    shared = random_step_function(rng)
+    sections = []
+    for k in range(K):
+        own = layout == "distinct" or (layout == "mixed" and rng.random() < 0.5)
+        cells = random_step_function(rng).cells if own else shared.cells
+        values = rng.uniform(0.0, 2.0, size=shape(len(cells)))
+        if on_nodes:
+            values = (2 * np.floor(values * TNODES / 2) + 1) / TNODES
+            values[0] = 2.0
+        elif rng.random() < 0.3:
+            values = np.round(values * 2) / 2
+        sections.append(StepFunction(cells, values, validate=False))
+    return ProductStepFunction(tuple(sections))
+
+
+class TestKernelAgainstObjectPath:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["homothetic", "homothetic-scaled", "sectioned", "heterogeneous"]),
+        layout=st.sampled_from(["shared", "distinct", "mixed"]),
+        dims=st.sampled_from([0, 0, 1, 3]),
+        K=st.integers(1, 6),
+        on_nodes=st.booleans(),
+    )
+    def test_integrate_and_fubini_match_per_cell_reference(
+        self, seed, kind, layout, dims, K, on_nodes
+    ):
+        rng = np.random.default_rng(seed)
+        fam = random_family(rng, kind, K)
+        f = random_product_function(rng, layout, K, dims, on_nodes)
+        expected = np.mean(
+            [reference_choquet(s, mu) for mu, s in zip(fam.measures, f.sections)], axis=0
+        )
+        got = integrate_product(fam, f)
+        assert isinstance(got, np.ndarray) == (dims > 0)
+        assert close(got, expected)
+
+        rep = fubini_check(fam, f, tnodes=TNODES)
+        candidates = reference_fubini(fam, f, TNODES)
+        assert any(close(rep.lhs, lhs) and close(rep.rhs, rhs) for lhs, rhs in candidates)
+        worst = max(abs(lhs - rhs) for lhs, rhs in candidates)
+        assert rep.deviation == pytest.approx(worst, abs=1e-11)
+
+    def test_zero_cell_sections(self):
+        empty = StepFunction((), np.zeros(0), validate=False)
+        for fam in (square_family(K=3), intro_family(K=3)):
+            f = ProductStepFunction((empty,) * 3)
+            assert integrate_product(fam, f) == 0.0
+            rep = fubini_check(fam, f, tnodes=100)
+            assert (rep.lhs, rep.rhs) == (0.0, 0.0)
+
+
+class TestNonFiniteFamilies:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected(self, bad):
+        blocks = [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])]
+        with pytest.raises(StructuralError):
+            SectionFamily.sectioned(blocks, [[1.0, bad], [1.0, 1.0]])
+        with pytest.raises(StructuralError):
+            SectionFamily.homothetic(
+                Distortion.power(2.0), K=2, scales=[1.0, bad], normalized=False
+            )
