@@ -13,17 +13,19 @@ the cell masses as keys (a cells x blocks overlap matrix times the weights)
 and G = identity.  So one private kernel, :func:`_choquet_block`, integrates
 a whole (rows x cells) block of functions that share one partition: one
 stable argsort per row, one cumulative sum of the keys and one vectorised G.
-It returns the integrals together with the threshold table.  :func:`choquet`
-runs it with one row per component; ``product.integrate_product`` and
-``product.fubini_check`` run it with one row per y-node.  Keys come from the
-partition's interval end points, so no superlevel set is ever built.
+It returns the integrals together with the threshold table.
+:func:`_integrate_block` reads the keys off the partition's interval end
+points, so no superlevel set is ever built, and runs the kernel;
+:func:`choquet` calls it with one row per component,
+``product.integrate_product`` and ``product.fubini_check`` with one row per
+y-node.
 :func:`riemann_choquet` is the deliberately independent brute-force
 companion built on explicit interval-set unions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,12 +180,28 @@ def _pieces(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _block_fractions(pieces, ncells: int, blocks) -> np.ndarray:
-    """(cells, blocks) matrix of lebesgue(cell ∩ E_i) / lebesgue(E_i)."""
+    """(cells, blocks) matrix of lebesgue(cell ∩ E_i) / lebesgue(E_i).
+
+    Cell pieces are pairwise disjoint and so are block pieces, so a cell piece
+    and a block piece overlap in one interval that starts at the later of
+    their left ends, and no other piece starts inside it.  At every left end x
+    the last cell piece and the last block piece starting at or before x are
+    the only candidates, which keeps the work at O(cell pieces + block pieces).
+    """
     owner, lo, hi = pieces
+    if not lo.size:
+        return np.zeros((ncells, len(blocks)))
     b_owner, b_lo, b_hi = _pieces(blocks)
-    width = np.clip(np.minimum(hi[:, None], b_hi) - np.maximum(lo[:, None], b_lo), 0.0, None)
-    pair = owner[:, None] * len(blocks) + b_owner
-    overlap = np.bincount(pair.ravel(), width.ravel(), ncells * len(blocks))
+    left = np.union1d(lo, b_lo)
+
+    def last_start(starts):
+        order = np.argsort(starts, kind="stable")
+        return order[np.maximum(np.searchsorted(starts[order], left, side="right") - 1, 0)]
+
+    p, q = last_start(lo), last_start(b_lo)
+    start = np.maximum(lo[p], b_lo[q])
+    width = np.where(start == left, np.clip(np.minimum(hi[p], b_hi[q]) - start, 0.0, None), 0.0)
+    overlap = np.bincount(owner[p] * len(blocks) + b_owner[q], width, ncells * len(blocks))
     return overlap.reshape(ncells, len(blocks)) / np.bincount(b_owner, b_hi - b_lo)
 
 
@@ -203,16 +221,12 @@ def _measure_rows(measures, pieces, ncells: int):
         lengths = np.bincount(owner, hi - lo, ncells)
         g = first.distortion
         if all(mu.distortion == g for mu in measures):
-            return lengths, g.elementwise
-        if all(mu.distortion.same_shape(g) for mu in measures):
-            scales = np.array([mu.distortion.scale for mu in measures])[:, None]
-            shape = replace(g, scale=1.0)
-            return lengths, lambda cum: scales * shape.elementwise(cum)
+            return lengths, g
     elif all(mu.mode == "sectioned" and mu.blocks == first.blocks for mu in measures):
         fractions = _block_fractions(pieces, ncells, first.blocks)
         keys = np.array([mu.weights for mu in measures]) @ fractions.T
         return (keys[0] if len(measures) == 1 else keys), None
-    rows = [_measure_rows((mu,), pieces, ncells) for mu in measures]  # mixed modes or shapes
+    rows = [_measure_rows((mu,), pieces, ncells) for mu in measures]  # one row each
     keys = np.array([k for k, _ in rows]).reshape(len(rows), ncells)
 
     def levels(cum):
@@ -244,14 +258,21 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
     return np.sum(drops * L, axis=1), v, L
 
 
+def _integrate_block(values: np.ndarray, measures, cells):
+    """Integrals and threshold table (v, L) of the rows of ``values``
+    (rows, cells) on the partition ``cells``, row r measured by measures[r]
+    (or all rows by measures[0] when only one is given)."""
+    keys, levels = _measure_rows(measures, _pieces(cells), len(cells))
+    return _choquet_block(values, keys, levels)
+
+
 def choquet(f: StepFunction, mu: FuzzyMeasure):
     """Choquet integral of f against mu; exact for step functions.
 
     Returns a float for scalar f, an ndarray (componentwise) for vector f.
     """
     rows = f.values.T if f.is_vector else f.values[None, :]
-    ncells = len(f.cells)
-    integrals, _, _ = _choquet_block(rows, *_measure_rows((mu,), _pieces(f.cells), ncells))
+    integrals, _, _ = _integrate_block(rows, (mu,), f.cells)
     return integrals if f.is_vector else float(integrals[0])
 
 

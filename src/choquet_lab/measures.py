@@ -79,21 +79,8 @@ class Distortion:
     def piecewise_linear(knots, scale: float = 1.0) -> "Distortion":
         return Distortion("pwl", knots=tuple((float(a), float(b)) for a, b in knots), scale=scale)
 
-    def same_shape(self, other: "Distortion") -> bool:
-        """True when the two differ at most in ``scale``."""
-        return (self.kind, self.alpha, self.knots) == (other.kind, other.alpha, other.knots)
-
-    def __call__(self, s: float) -> float:
-        if self.kind == "power":
-            base = float(s) ** self.alpha
-        elif self.kind == "identity":
-            base = float(s)
-        else:
-            base = float(np.interp(s, self._xs, self._ys))
-        return self.scale * base
-
-    def elementwise(self, s: np.ndarray) -> np.ndarray:
-        """g over a whole array; the scalar call stays a float path."""
+    def __call__(self, s):
+        """g(s) for a float s or elementwise over an ndarray s."""
         if self.kind == "power":
             base = s**self.alpha
         elif self.kind == "identity":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .choquet import StepFunction, _choquet_block, _measure_rows, _pieces
+from .choquet import StepFunction, _integrate_block
 from .errors import StructuralError, UnsupportedFamilyError
 from .intervals import IntervalSet
 from .lp import linprog
@@ -269,7 +269,7 @@ def _node_tables(fam: SectionFamily, f: ProductStepFunction):
     own is a block of one.  A vector f has one row per node and component.
 
     Returns the per-node integrals (K, components) and, per block, the
-    threshold table (v, L) of :func:`choquet._choquet_block`, rows in
+    threshold table (v, L) of :func:`choquet._integrate_block`, rows in
     node-major, component-minor order.
     """
     dims = f.sections[0].values.shape[1] if f.is_vector else 1
@@ -283,8 +283,7 @@ def _node_tables(fam: SectionFamily, f: ProductStepFunction):
         values = np.array([f.sections[k].values for k in nodes])
         rows = values.reshape(len(nodes), len(cells), dims).transpose(0, 2, 1)
         measures = [fam.measures[k] for k in nodes for _ in range(dims)]
-        keys, levels = _measure_rows(measures, _pieces(cells), len(cells))
-        out, v, L = _choquet_block(rows.reshape(len(measures), len(cells)), keys, levels)
+        out, v, L = _integrate_block(rows.reshape(len(measures), len(cells)), measures, cells)
         integrals[nodes] = out.reshape(len(nodes), dims)
         tables.append((v, L))
     return integrals, tables
