@@ -187,6 +187,8 @@ def _block_fractions(pieces, ncells: int, blocks) -> np.ndarray:
     their left ends, and no other piece starts inside it.  At every left end x
     the last cell piece and the last block piece starting at or before x are
     the only candidates, which keeps the work at O(cell pieces + block pieces).
+    Blocks may leave gaps within the cover tolerance, so a candidate pair
+    counts only when its overlap starts at x itself.
     """
     owner, lo, hi = pieces
     if not lo.size:

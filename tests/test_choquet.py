@@ -308,6 +308,15 @@ class TestKernelAgainstObjectPath:
             ref = riemann_choquet(f, mu, tnodes=tnodes)
             assert abs(got - ref) <= mu.total * max(f.max_value, 1e-9) / tnodes + 1e-12
 
+    def test_blocks_with_gaps_inside_the_cover_tolerance(self):
+        # blocks need only cover [0,1) to 1e-12, so cells may start where no block does
+        mu = FuzzyMeasure.sectioned(
+            [IntervalSet([(1e-13, 0.3), (0.7, 1.0)]), IntervalSet([(0.3 + 1e-13, 0.7)])], [1.0, 2.5]
+        )
+        for values in ([3.0, 1.0, 2.0, 0.5], [[1.0, 0.0], [2.0, 1.0], [0.5, 3.0], [1.5, 1.5]]):
+            f = StepFunction.on_grid(values)
+            assert close(choquet(f, mu), reference_choquet(f, mu))
+
     def test_zero_cells(self):
         for mu in (sq(), FuzzyMeasure.sectioned([IntervalSet([(0.0, 1.0)])], [2.0])):
             assert choquet(StepFunction((), np.zeros(0), validate=False), mu) == 0.0
