@@ -38,10 +38,13 @@ def _cmd_integrate(args) -> int:
     mu = io.measure_from_json(io.load_json(args.measure))
     f = io.step_function_from_json(io.load_json(args.function))
     value = choquet(f, mu)
-    print(f"{value:.12g}")
+    components = np.atleast_1d(value)  # one per component of a vector f
+    print(" ".join(f"{v:.12g}" for v in components))
     if args.out:
         io.dump_json(
-            {"schema": SCHEMA, "command": "integrate", "value": value}, args.out
+            {"schema": SCHEMA, "command": "integrate",
+             "value": components.tolist() if f.is_vector else value},
+            args.out,
         )
     return 0
 
@@ -82,6 +85,8 @@ def _cmd_range_demo(args) -> int:
         raise ConfigError(f"bad --target: {exc}") from exc
     if target.size == 0:
         raise ConfigError("--target must list at least one number")
+    if not np.isfinite(target).all():
+        raise ConfigError("--target components must be finite")
     if args.config:
         fam = io.family_from_json(io.load_json(args.config))
     else:
@@ -258,7 +263,9 @@ _HANDLERS = {
 
 
 def _validate_positive(args) -> None:
-    for name in ("seed", "K", "cells", "tnodes", "trials", "samples", "budget"):
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative (got {args.seed})")
+    for name in ("K", "cells", "tnodes", "trials", "samples", "budget"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise ConfigError(f"--{name} must be positive (got {value})")

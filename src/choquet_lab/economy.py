@@ -35,21 +35,20 @@ from .product import (
     SectionFamily,
     as_sectional,
     integrate_sectional_over,
-    product_measure,
     product_set_from_levels,
+    section_measures,
 )
 
 FEASIBILITY_TOL = 1e-8
 PRICE_TOL = 1e-9
 DEMAND_TOL = 1e-6
 BUDGET_TOL = 1e-12
-MAXIMALITY_GRID = 200
 
 
 def normalize_price(p) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.min() < 0 or p.sum() <= 0:
-        raise InvalidPriceError("price must be non-negative and non-zero")
+    if not np.isfinite(p).all() or p.min() < 0 or p.sum() <= 0:
+        raise InvalidPriceError("price must be finite, non-negative and non-zero")
     return p / p.sum()
 
 
@@ -62,19 +61,25 @@ class Preferences:
     exponents: np.ndarray | None = None  # (K, n), rows interior to the simplex
     weights: np.ndarray | None = None  # (K, n), strictly positive
     jsets: tuple[tuple[int, ...], ...] | None = None  # 0-based good indices
+    # (K, n): True where good i is in J_k (coordinate dominance only)
+    _jmask: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "cobb_douglas":
             a = np.asarray(self.exponents, dtype=float)
             if a.ndim != 2 or a.shape[1] != self.n:
                 raise StructuralError("exponents must be (K, n)")
+            if not np.isfinite(a).all():
+                raise StructuralError("exponents must be finite")
             if a.min() <= 0 or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-9:
                 raise StructuralError("exponent rows must lie in the open simplex")
             object.__setattr__(self, "exponents", a)
         elif self.kind == "linear":
             w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 2 or w.shape[1] != self.n or w.min() <= 0:
-                raise StructuralError("weights must be (K, n) and strictly positive")
+            if w.ndim != 2 or w.shape[1] != self.n:
+                raise StructuralError("weights must be (K, n)")
+            if not np.isfinite(w).all() or w.min() <= 0:
+                raise StructuralError("weights must be finite and strictly positive")
             object.__setattr__(self, "weights", w)
         elif self.kind == "coordinate_dominance":
             if not self.jsets:
@@ -84,6 +89,10 @@ class Preferences:
                 if not js or min(js) < 0 or max(js) >= self.n:
                     raise StructuralError("index sets must be non-empty subsets of goods")
             object.__setattr__(self, "jsets", sets)
+            mask = np.zeros((len(sets), self.n), dtype=bool)
+            for k, js in enumerate(sets):
+                mask[k, list(js)] = True
+            object.__setattr__(self, "_jmask", mask)
         else:
             raise StructuralError(f"unknown preference kind {self.kind!r}")
 
@@ -122,21 +131,20 @@ class Preferences:
         return self.utility(k, u) >= self.utility(k, v) - tol
 
     # -- vectorized helpers across all nodes ------------------------------
+    #
+    # U and V are (K, n) allocations, or stacks (..., K, n) of them.
 
     def utilities(self, U: np.ndarray) -> np.ndarray:
         if self.kind == "cobb_douglas":
-            return np.prod(np.maximum(U, 0.0) ** self.exponents, axis=1)
+            return np.prod(np.maximum(U, 0.0) ** self.exponents, axis=-1)
         if self.kind == "linear":
-            return np.sum(self.weights * U, axis=1)
+            return np.sum(self.weights * U, axis=-1)
         raise StructuralError("coordinate dominance has no utility representation")
 
     def strict_rows(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """strictly_prefers per node, vectorized."""
         if self.kind == "coordinate_dominance":
-            out = np.empty(self.K, dtype=bool)
-            for k, js in enumerate(self.jsets):
-                out[k] = bool(np.all(U[k, list(js)] > V[k, list(js)]))
-            return out
+            return np.all((U > V) | ~self._jmask, axis=-1)
         return self.utilities(U) > self.utilities(V)
 
     # -- demand -------------------------------------------------------------
@@ -197,6 +205,35 @@ class Preferences:
             out[i] = max(0.0, ref[i] + delta)
         return out
 
+    def contour_rows(self, F: np.ndarray, axes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """``contour_boundary(k, F[k], axes[k], deltas[k])`` for every node k
+        as one (K, n) array; a node where that is None keeps its row F[k]."""
+        out = F.copy()
+        K, n = F.shape
+        if n == 1:
+            return out
+        if self.kind == "cobb_douglas":
+            ok = np.flatnonzero((F.min(axis=1) > 0) & (deltas > -1))
+            a = self.exponents[ok, axes[ok]]
+            grow = 1.0 + deltas[ok]
+            # Scalar pow per node, as contour_boundary computes it: numpy's
+            # array power differs from scalar pow in the last bit on some hosts.
+            r = np.array([g**x for g, x in zip(grow.tolist(), -a / (1.0 - a))])
+            keep = np.isfinite(r) & (r <= 1e6)  # the rebalance explodes as a -> 1
+            ok, grow, r = ok[keep], grow[keep], r[keep]
+            out[ok] = F[ok] * r[:, None]
+            out[ok, axes[ok]] = F[ok, axes[ok]] * grow
+            return out
+        if self.kind == "linear":
+            w, rows = self.weights, np.arange(K)
+            other = (axes + 1) % n
+            out[rows, axes] += deltas / w[rows, axes]
+            out[rows, other] -= deltas / w[rows, other]
+            off = ~(out.min(axis=1) >= 0)
+            out[off] = F[off]
+            return out
+        return np.where(self._jmask, F, np.maximum(0.0, F + deltas[:, None]))
+
 
 @dataclass(frozen=True)
 class Economy:
@@ -217,8 +254,8 @@ class Economy:
         e = np.asarray(self.endowment, dtype=float)
         if e.ndim != 2 or e.shape[0] != self.fam.K:
             raise StructuralError("endowment must be (K, n)")
-        if e.min() <= 0:
-            raise StructuralError("endowment must be strictly positive componentwise")
+        if not np.isfinite(e).all() or e.min() <= 0:
+            raise StructuralError("endowment must be finite and strictly positive componentwise")
         if self.prefs.K != self.fam.K or self.prefs.n != e.shape[1]:
             raise StructuralError("preference grid does not match the economy")
         object.__setattr__(self, "endowment", e)
@@ -271,33 +308,17 @@ def budget_check(eco: Economy, p, bundle, k: int) -> bool:
     return bool(p @ bundle <= eco.wealth(p, k) + BUDGET_TOL)
 
 
-def _budget_face_grid(p: np.ndarray, wealth: float, cap: float, resolution: int):
-    """Bundles on (a capped version of) the budget face p.x = wealth."""
-    n = p.shape[0]
-    axis_max = np.array([min(wealth / pi, cap) if pi > 0 else cap for pi in p])
-    if n == 1:
-        yield axis_max.copy()
-        return
-    steps = resolution if n == 2 else max(10, int(round(resolution ** (1.0 / (n - 1)))))
-    if n == 2:
-        for i in range(steps + 1):
-            lam = i / steps
-            yield np.array([lam * axis_max[0], (1 - lam) * axis_max[1]])
-        return
-    # n >= 3: compositions of `steps` among the n coordinates
-    for cuts in combinations(range(steps + n - 1), n - 1):
-        lam = np.diff((-1,) + cuts + (steps + n - 1,)) - 1
-        yield (lam / steps) * axis_max
-
-
-def is_maximal_in_budget(
-    eco: Economy, p, f, k: int, resolution: int = MAXIMALITY_GRID
-) -> tuple[bool, np.ndarray | None]:
+def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray | None]:
     """Is f(y_k) preference-maximal in the budget set at node k?
 
-    Cobb-Douglas compares against closed-form demand; the other families run
-    a grid search over the (coordinate-capped) budget face for an affordable
-    strictly preferred bundle.
+    Each family has a closed form.  Cobb-Douglas compares against its demand.
+    Linear utility w . x peaks over the budget set at the corner
+    e_i * wealth / p_i with i = argmax w / p, and is unbounded when some
+    p_i = 0, where bundle + e_i costs no more.  Coordinate dominance on J has
+    an affordable strictly preferred bundle iff sum_{j in J} p_j b_j < wealth:
+    raise the J-coordinates by half the slack per unit of their price and
+    drop the others.  A violator is returned only after ``strictly_prefers``
+    and :func:`budget_check` confirm it.
     """
     p = normalize_price(p)
     f = _allocation(eco, f)
@@ -319,10 +340,26 @@ def is_maximal_in_budget(
             return False, worse
         interior = np.full(eco.n, wealth / (2.0 * eco.n * max(p.max(), 1e-12)))
         return False, interior
-    cap = 4.0 * (np.max(eco.endowment) + np.max(f) + 1.0)
-    for cand in _budget_face_grid(p, wealth, cap, resolution):
-        if eco.prefs.strictly_prefers(k, cand, bundle):
-            return False, cand
+    prefs = eco.prefs
+    if prefs.kind == "linear":
+        free = np.flatnonzero(p == 0)
+        if free.size:
+            cand = bundle.copy()
+            cand[free[0]] += 1.0
+        else:
+            i = int(np.argmax(prefs.weights[k] / p))
+            cand = np.zeros(eco.n)
+            cand[i] = wealth / p[i]
+    else:
+        js = list(prefs.jsets[k])
+        spent = float(p[js] @ bundle[js])
+        if not spent < wealth:
+            return True, None
+        unit = float(np.sum(p[js]))
+        cand = np.zeros(eco.n)
+        cand[js] = bundle[js] + ((wealth - spent) / (2.0 * unit) if unit > 0 else 1.0)
+    if prefs.strictly_prefers(k, cand, bundle) and budget_check(eco, p, cand, k):
+        return False, cand
     return True, None
 
 
@@ -348,14 +385,14 @@ class WalrasReport:
         }
 
 
-def check_walras(eco: Economy, f, p, resolution: int = MAXIMALITY_GRID) -> WalrasReport:
+def check_walras(eco: Economy, f, p) -> WalrasReport:
     """(w1) feasibility and (w2) per-node budget maximality."""
     f = _allocation(eco, f)
     feasible, dev = is_feasible(eco, f)
     ok = np.empty(eco.K, dtype=bool)
     first = None
     for k in range(eco.K):
-        good, violator = is_maximal_in_budget(eco, p, f, k, resolution)
+        good, violator = is_maximal_in_budget(eco, p, f, k)
         ok[k] = good
         if not good and first is None:
             first = {
@@ -383,9 +420,11 @@ def _excess(eco: Economy, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.atleast_1d(np.mean((s - eco.endowment) * w[:, None], axis=0))
 
 
-def _sample_from(eco: Economy, s: np.ndarray, H: ProductSet, label: str) -> ExcessSample:
-    w = np.array([mu(sec) for mu, sec in zip(eco.fam.measures, H.sections)])
-    return ExcessSample(_excess(eco, s, w), s, H, w, label)
+def _sample_from(
+    eco: Economy, s: np.ndarray, H: ProductSet, w: np.ndarray, label: str
+) -> ExcessSample:
+    """The sample of selection s over H, whose node measures are w."""
+    return ExcessSample(_excess(eco, s, w), s, H, w.copy(), label)
 
 
 def sample_excess_points(
@@ -396,27 +435,32 @@ def sample_excess_points(
 
     Deterministic probes come first: unit-vector translations of f over the
     full space, then two-sided boundary nudges of f at every node; the
-    remainder is seeded-random.
+    remainder is seeded-random.  The node measures of a coalition are
+    evaluated once and shared by all its samples.  A random selection takes
+    its per-node draws in a fixed order and is then built as one
+    :meth:`Preferences.contour_rows` call.
     """
     f = _allocation(eco, f)
     rng = np.random.default_rng(seed)
     K, n = eco.K, eco.n
-    full = ProductSet.full(K)
+    full, empty = ProductSet.full(K), ProductSet.empty(K)
+    w_full = section_measures(eco.fam, full)
     out: list[ExcessSample] = []
 
     for i in range(n):
         s = f.copy()
         s[:, i] += 1.0
-        out.append(_sample_from(eco, s, full, f"probe-positive-{i}"))
-    out.append(_sample_from(eco, f + 1.0, full, "probe-ones"))
-    out.append(_sample_from(eco, f.copy(), ProductSet.empty(K), "probe-empty"))
-    out.append(_sample_from(eco, f.copy(), full, "probe-reflexive"))
+        out.append(_sample_from(eco, s, full, w_full, f"probe-positive-{i}"))
+    out.append(_sample_from(eco, f + 1.0, full, w_full, "probe-ones"))
+    out.append(_sample_from(eco, f.copy(), empty, section_measures(eco.fam, empty), "probe-empty"))
+    out.append(_sample_from(eco, f.copy(), full, w_full, "probe-reflexive"))
 
-    deltas = (2e-4, 2e-3, 2e-2, 0.2)
+    singles = []  # (coalition, node measures) of each single-node coalition
     for k in range(K):
-        sec = ProductSet(
-            tuple(IntervalSet.full() if j == k else IntervalSet.empty() for j in range(K))
-        )
+        H = ProductSet.single(K, k)
+        singles.append((H, section_measures(eco.fam, H)))
+    deltas = (2e-4, 2e-3, 2e-2, 0.2)
+    for k, (H, w) in enumerate(singles):
         for axis in range(n):
             for d in deltas:
                 for signed in (d, -d):
@@ -425,31 +469,33 @@ def sample_excess_points(
                         continue
                     s = f.copy()
                     s[k] = pt
-                    out.append(_sample_from(eco, s, sec, f"boundary-{k}-{axis}"))
+                    out.append(_sample_from(eco, s, H, w, f"boundary-{k}-{axis}"))
 
+    axes = np.empty(K, dtype=int)
+    nudges = np.empty(K)
+    shifts = np.empty((K, n))
     for _ in range(samples):
         kind = int(rng.integers(4))
-        s = f.copy()
+        shifted = np.zeros(K, dtype=bool)
         for k in range(K):
-            axis = int(rng.integers(n))
-            pt = eco.prefs.contour_boundary(k, f[k], axis, float(rng.uniform(-0.5, 1.0)))
-            if pt is None:
-                pt = f[k]
+            axes[k] = rng.integers(n)
+            nudges[k] = rng.uniform(-0.5, 1.0)
             if rng.random() < 0.5:
-                pt = pt + rng.uniform(0, 0.5, size=n)  # interior of the contour set
-            s[k] = pt
+                shifted[k] = True
+                shifts[k] = rng.uniform(0, 0.5, size=n)  # interior of the contour set
+        s = eco.prefs.contour_rows(f, axes, nudges)
+        s[shifted] += shifts[shifted]
         if kind == 0:
-            H = full
+            H, w = full, w_full
         elif kind == 1:
             H = product_set_from_levels(eco.fam, rng.uniform(0, 1, size=K))
+            w = section_measures(eco.fam, H)
         elif kind == 2:
             H = ProductSet(tuple(random_interval_set(rng, allow_empty=True) for _ in range(K)))
+            w = section_measures(eco.fam, H)
         else:
-            node = int(rng.integers(K))
-            H = ProductSet(
-                tuple(IntervalSet.full() if j == node else IntervalSet.empty() for j in range(K))
-            )
-        out.append(_sample_from(eco, s, H, "random"))
+            H, w = singles[int(rng.integers(K))]
+        out.append(_sample_from(eco, s, H, w, "random"))
     return out
 
 
@@ -572,13 +618,12 @@ def verify_improvement(
     g = witness.allocation
     if S.K != eco.K or g.K != eco.K:
         return False, {"reason": "section-count mismatch"}
-    if product_measure(eco.fam, S) <= 0:
+    w = section_measures(eco.fam, S)
+    if np.mean(w) <= 0:
         return False, {"reason": "null coalition"}
 
     section_int = np.zeros((eco.K, eco.n))
-    w = np.zeros(eco.K)
     for k, (mu, sec, gs) in enumerate(zip(eco.fam.measures, S.sections, g.sections)):
-        w[k] = mu(sec)
         if w[k] <= 0:
             continue
         for cell, value in zip(gs.cells, gs.values):
@@ -681,36 +726,87 @@ def _sectional_candidates(eco: Economy, demand_grid: int):
             yield np.array(rows), f"demand@{np.round(p, 4).tolist()}"
 
 
-def _two_level_candidates(eco: Economy, S: ProductSet, w: np.ndarray):
+def _screen_sectionals(
+    eco: Economy, G: np.ndarray, prefers: np.ndarray, w: np.ndarray, mode: str
+) -> np.ndarray:
+    """Which of the stacked sectional candidates G (P, K, n) balance with the
+    endowment over a coalition with node measures w (per node for
+    ``strongly_improve``, in the mean for ``improve``) and are strictly
+    preferred on every node of positive measure.  ``prefers`` is
+    ``strict_rows(G, f)``."""
+    E, wk = eco.endowment, w[:, None]
+    if mode == "strongly_improve":
+        gaps = np.max(np.abs((G - E) * wk), axis=(1, 2))
+    else:
+        target = np.mean(E * wk, axis=0)
+        gaps = np.max(np.abs(np.mean(G * wk, axis=1) - target), axis=1)
+    return ~(gaps > FEASIBILITY_TOL) & np.all(prefers[:, w > 0], axis=1)
+
+
+TWO_LEVEL_C1 = (1.1, 1.25, 1.5, 2.0)
+TWO_LEVEL_BETA = (0.25, 0.5)
+
+
+def _chain_split(eco: Economy, S: ProductSet, nodes: np.ndarray, beta: float):
+    """Per node of ``nodes``: the chain prefix D = filtering_family(mu, sec).at(beta),
+    the rest R = sec minus D, mu(D), and the measures mu(D ∩ sec), mu(R ∩ sec)
+    that the (i1) test of :func:`verify_improvement` evaluates.  Each distinct
+    (measure, section) pair is split once."""
+    seen: dict[tuple[int, int], tuple] = {}
+    parts = []
+    for k in nodes:
+        mu, sec = eco.fam.measures[k], S.sections[k]
+        key = (id(mu), id(sec))
+        if key not in seen:
+            D = filtering_family(mu, sec).at(beta)
+            R = sec.difference(D)
+            seen[key] = (D, R, mu(D), mu(D.intersection(sec)), mu(R.intersection(sec)))
+        parts.append(seen[key])
+    D, R, mD, mDs, mRs = zip(*parts)
+    return D, R, np.array(mD), np.array(mDs), np.array(mRs)
+
+
+def _two_level_candidates(eco: Economy, S: ProductSet, w: np.ndarray, f):
     """Two-level sections proportional to the endowment: u = c1 e on a chain
     prefix of the section, v = c2 e on the rest, balancing the section
-    integral exactly for any fuzzy section measure."""
-    for c1 in (1.1, 1.25, 1.5, 2.0):
-        for beta in (0.25, 0.5):
-            sections = []
-            ok = True
-            for k, (mu, sec) in enumerate(zip(eco.fam.measures, S.sections)):
-                if w[k] <= 0:
-                    sections.append(StepFunction.constant(eco.endowment[k]))
-                    continue
-                D = filtering_family(mu, sec).at(beta)
-                mD = mu(D)
-                if w[k] - mD <= 1e-12:
-                    ok = False
-                    break
-                c2 = (w[k] - c1 * mD) / (w[k] - mD)
-                if c2 < 0:
-                    ok = False
-                    break
-                cells = [D, sec.difference(D)]
-                vals = [c1 * eco.endowment[k], c2 * eco.endowment[k]]
-                rest = sec.complement()
+    integral exactly for any fuzzy section measure.
+
+    Yields ``(allocation, source)`` for every (c1, beta) whose levels are
+    valid.  The allocation is None when the candidate fails the (i1) test of
+    :func:`verify_improvement`: a level on a cell of positive measure that
+    is not strictly preferred to f.  Such a candidate is counted but never
+    built.
+    """
+    E = eco.endowment
+    nodes = np.flatnonzero(w > 0)
+    wn = w[nodes]
+    splits = {beta: _chain_split(eco, S, nodes, beta) for beta in TWO_LEVEL_BETA}
+    for c1 in TWO_LEVEL_C1:
+        c1_prefers = eco.prefs.strict_rows(c1 * E, f)
+        for beta in TWO_LEVEL_BETA:
+            D, R, mD, mDs, mRs = splits[beta]
+            if np.any(wn - mD <= 1e-12):
+                continue
+            c2 = (wn - c1 * mD) / (wn - mD)
+            if np.any(c2 < 0):
+                continue
+            src = f"two-level(c1={c1},beta={beta})"
+            U = E.copy()
+            U[nodes] = c2[:, None] * E[nodes]
+            c2_prefers = eco.prefs.strict_rows(U, f)[nodes]
+            if not np.all((c1_prefers[nodes] | ~(mDs > 0)) & (c2_prefers | ~(mRs > 0))):
+                yield None, src
+                continue
+            sections = [StepFunction.constant(row) for row in E]
+            for j, k in enumerate(nodes):
+                cells = [D[j], R[j]]
+                vals = [c1 * E[k], c2[j] * E[k]]
+                rest = S.sections[k].complement()
                 if not rest.is_empty:
                     cells.append(rest)
-                    vals.append(eco.endowment[k])
-                sections.append(StepFunction(tuple(cells), np.array(vals), validate=False))
-            if ok:
-                yield ProductStepFunction(tuple(sections)), f"two-level(c1={c1},beta={beta})"
+                    vals.append(E[k])
+                sections[k] = StepFunction(tuple(cells), np.array(vals), validate=False)
+            yield ProductStepFunction(tuple(sections)), src
 
 
 def search_improvement(
@@ -744,29 +840,24 @@ def search_improvement(
 
     checked = 0
     two_level_count = 0
-    E = eco.endowment
+    G = np.array([g for g, _ in sectionals])  # (P, K, n)
+    prefers = eco.prefs.strict_rows(G, f)  # (P, K)
     for S in coalitions:
-        w = np.array([mu(sec) for mu, sec in zip(eco.fam.measures, S.sections)])
-        active = w > 0
-        if not active.any():
+        w = section_measures(eco.fam, S)
+        if not np.any(w > 0):
             continue
-        target = np.mean(E * w[:, None], axis=0)
-        for G, src in sectionals:
-            checked += 1
-            if mode == "strongly_improve":
-                if np.max(np.abs((G - E) * w[:, None])) > FEASIBILITY_TOL:
-                    continue
-            elif np.max(np.abs(np.mean(G * w[:, None], axis=0) - target)) > FEASIBILITY_TOL:
-                continue
-            if not np.all(eco.prefs.strict_rows(G, f)[active]):
-                continue
-            witness = ImprovementWitness(mode, S, ProductStepFunction.sectional(G), src)
+        checked += len(sectionals)
+        for j in np.flatnonzero(_screen_sectionals(eco, G, prefers, w, mode)):
+            g, src = sectionals[j]
+            witness = ImprovementWitness(mode, S, ProductStepFunction.sectional(g), src)
             ok, _ = verify_improvement(eco, f, witness)
             if ok:
                 return witness
         if mode == "strongly_improve":
-            for g, src in _two_level_candidates(eco, S, w):
+            for g, src in _two_level_candidates(eco, S, w, f):
                 two_level_count += 1
+                if g is None:
+                    continue
                 witness = ImprovementWitness(mode, S, g, src)
                 ok, _ = verify_improvement(eco, f, witness)
                 if ok:
@@ -813,8 +904,8 @@ def sectionalize(eco: Economy, s: ProductStepFunction, A: ProductSet) -> np.ndar
     if s.K != eco.K or A.K != eco.K:
         raise StructuralError("section-count mismatch")
     rows = []
-    for mu, sec, fs in zip(eco.fam.measures, A.sections, s.sections):
-        m = mu(sec)
+    w = section_measures(eco.fam, A)
+    for mu, sec, fs, m in zip(eco.fam.measures, A.sections, s.sections, w):
         if m > 0:
             rows.append(np.atleast_1d(choquet_restricted(fs, mu, sec)) / m)
         else:
@@ -885,7 +976,7 @@ def check_excess_convexity(
                 member_fail += 1
                 break
         H = product_set_from_levels(eco.fam, np.clip(tau, 0.0, 1.0))
-        wH = np.array([mu(sec) for mu, sec in zip(eco.fam.measures, H.sections)])
+        wH = section_measures(eco.fam, H)
         dev_real = max(dev_real, float(np.max(np.abs(_excess(eco, sel, wH) - expected))))
     return ConvexityReport(trials, dev_mix, dev_real, member_fail)
 
@@ -913,7 +1004,7 @@ def endowment_is_walrasian(eco: Economy, seed: int = 42) -> EndowmentReport:
     """Is (e, p) a Walras equilibrium for some supporting p?
 
     Runs :func:`find_price` on the endowment and, if a price comes back,
-    :func:`check_walras` with per-node grid-search maximality.
+    :func:`check_walras` with its closed-form per-node maximality.
     """
     if eco.prefs.kind != "coordinate_dominance":
         raise StructuralError("endowment equilibrium check expects dominance preferences")
@@ -965,10 +1056,7 @@ def condition_c2_witness(fam: SectionFamily, f, g) -> OrderViolationWitness | No
     K = fam.K
     for k in range(K):
         if f[k] > g[k] + 1e-12:
-            sections = tuple(
-                IntervalSet.full() if j == k else IntervalSet.empty() for j in range(K)
-            )
-            H = ProductSet(sections)
+            H = ProductSet.single(K, k)
             lhs = integrate_sectional_over(fam, f, H)
             rhs = integrate_sectional_over(fam, g, H)
             return OrderViolationWitness(k, H, float(lhs), float(rhs))

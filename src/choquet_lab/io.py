@@ -310,8 +310,8 @@ def economy_from_json(data) -> Economy:
 def allocation_from_json(data, K: int, n: int) -> np.ndarray:
     _check_keys(data, "allocation", {"values"})
     M = _node_matrix(data["values"], K, n, "allocation values")
-    if M.min() < 0:
-        raise ConfigError("allocation: values must be non-negative")
+    if not np.isfinite(M).all() or M.min() < 0:
+        raise ConfigError("allocation: values must be finite and non-negative")
     return M
 
 
@@ -320,6 +320,8 @@ def price_from_json(data, n: int) -> np.ndarray:
     p = np.asarray(data["price"], dtype=float)
     if p.shape != (n,):
         raise ConfigError(f"price: expected {n} components")
+    if not np.isfinite(p).all():
+        raise ConfigError("price: components must be finite")
     return p
 
 

@@ -161,6 +161,14 @@ class ProductSet:
     def full(K: int) -> "ProductSet":
         return ProductSet((IntervalSet.full(),) * K)
 
+    @staticmethod
+    def single(K: int, k: int) -> "ProductSet":
+        """X on node k and the empty set on every other node."""
+        if not 0 <= k < K:
+            raise StructuralError(f"node {k} is outside 0..{K - 1}")
+        empty = IntervalSet.empty()
+        return ProductSet(tuple(IntervalSet.full() if j == k else empty for j in range(K)))
+
     @property
     def K(self) -> int:
         return len(self.sections)
@@ -254,10 +262,29 @@ def as_sectional(values, fam: SectionFamily) -> np.ndarray:
     return phi
 
 
+def section_measures(fam: SectionFamily, H: ProductSet) -> np.ndarray:
+    """The node-measure vector mu_k(H_k), k = 0..K-1.
+
+    Each distinct (measure, section) pair is evaluated once.  Homothetic
+    families share one measure object, and ``full``, ``single`` and level-set
+    coalitions share section objects, so such a coalition costs one scalar
+    evaluation per distinct section instead of one per node.  Every entry is
+    the scalar ``mu(section)``, so the vector equals the per-node loop.
+    """
+    _check_sections(fam, H.K)
+    seen: dict[tuple[int, int], float] = {}
+    out = np.empty(fam.K)
+    for k, (mu, sec) in enumerate(zip(fam.measures, H.sections)):
+        key = (id(mu), id(sec))
+        if key not in seen:
+            seen[key] = mu(sec)
+        out[k] = seen[key]
+    return out
+
+
 def product_measure(fam: SectionFamily, H: ProductSet) -> float:
     """m(H): midpoint-rule average of the per-node section measures."""
-    _check_sections(fam, H.K)
-    return float(np.mean([mu(s) for mu, s in zip(fam.measures, H.sections)]))
+    return float(np.mean(section_measures(fam, H)))
 
 
 def _node_tables(fam: SectionFamily, f: ProductStepFunction):
@@ -300,8 +327,7 @@ def integrate_sectional_over(fam: SectionFamily, phi, H: ProductSet):
     """Integral of the sectional function phi over H:
     (1/K) sum_k phi(y_k) * mu_k(H_k), componentwise."""
     phi = as_sectional(phi, fam)
-    _check_sections(fam, H.K)
-    w = np.array([mu(s) for mu, s in zip(fam.measures, H.sections)])
+    w = section_measures(fam, H)
     if phi.ndim == 1:
         return float(np.mean(phi * w))
     return np.mean(phi * w[:, None], axis=0)
@@ -397,12 +423,17 @@ def check_price_commutation(
 
 
 def product_set_from_levels(fam: SectionFamily, levels) -> ProductSet:
-    """H with mu_k(H_k) = levels[k] * mu_k(X), built on the uniform chain."""
+    """H with mu_k(H_k) = levels[k] * mu_k(X), built on the uniform chain.
+
+    Nodes with equal levels share one chain set, built once.
+    """
     levels = np.asarray(levels, dtype=float)
     _check_sections(fam, levels.shape[0])
-    if levels.min() < -1e-12 or levels.max() > 1 + 1e-12:
+    if not (levels.min() >= -1e-12 and levels.max() <= 1 + 1e-12):  # NaN fails too
         raise StructuralError("levels must lie in [0,1]")
-    return ProductSet(tuple(fam.uniform_chain(float(t)) for t in levels))
+    ts = levels.tolist()
+    chains = {t: fam.uniform_chain(t) for t in set(ts)}
+    return ProductSet(tuple(chains[t] for t in ts))
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,28 @@ class TestIntegrate:
 GOOD_MEASURE = '{"mode": "distorted", "distortion": {"kind": "power", "alpha": 2.0}}'
 GOOD_FUNCTION = '{"cells": [[0, 0.5], [0.5, 1]], "values": [1.0, 2.0]}'
 BLOCKS = '"blocks": [[0, 0.5], [0.5, 1]]'
+INTEGRATE = ["integrate", "--measure", "measure.json", "--function", "function.json"]
+WALRAS = ["economy-check", "--config", "economy.json", "--mode", "walras"]
+GOOD_PRICE = '{"price": [0.5, 0.5]}'
+
+
+def economy_text(endowment="[[1.0, 1.0]]", preferences='"kind": "cobb_douglas", "exponents": [[0.5, 0.5]]'):
+    return ('{"family": {"K": 4, "mode": "homothetic", "distortion": {"kind": "identity"}}, '
+            '"n": 2, "endowment": ' + endowment + ', "preferences": {' + preferences + '}}')
+
+
+def walras(economy=None, price=GOOD_PRICE, allocation=None):
+    files = {"economy.json": economy or economy_text(), "price.json": price}
+    args = WALRAS + ["--price", "price.json"]
+    if allocation is not None:
+        files["allocation.json"] = allocation
+        args += ["--allocation", "allocation.json"]
+    return files, args
+
 
 # Non-finite numbers in input files: every one is a configuration error.
+# A case is (measure text, function text) for ``integrate``, or
+# (files by name, arguments naming them).
 NON_FINITE = {
     "power alpha NaN": ('{"mode": "distorted", "distortion": {"kind": "power", "alpha": NaN}}',
                         GOOD_FUNCTION),
@@ -83,16 +103,28 @@ NON_FINITE = {
         GOOD_MEASURE, '{"cells": [[0, 0.5], [0.5, 1]], "values": [1.0, Infinity]}'),
     "step value -Infinity": (
         GOOD_MEASURE, '{"cells": [[0, 0.5], [0.5, 1]], "values": [-Infinity, 1.0]}'),
+    "price NaN": walras(price='{"price": [NaN, 0.5]}'),
+    "price Infinity": walras(price='{"price": [0.5, Infinity]}'),
+    "endowment NaN": walras(economy_text(endowment="[[NaN, 1.0]]")),
+    "endowment Infinity": walras(economy_text(endowment="[[1.0, Infinity]]")),
+    "exponent NaN": walras(economy_text(
+        preferences='"kind": "cobb_douglas", "exponents": [[NaN, 0.5]]')),
+    "linear weight Infinity": walras(economy_text(
+        preferences='"kind": "linear", "weights": [[1.0, Infinity]]')),
+    "allocation NaN": walras(allocation='{"values": [[NaN, 1.0]]}'),
+    "target NaN": ({}, ["range-demo", "--target", "nan"]),
+    "target Infinity": ({}, ["range-demo", "--target", "0.5,inf"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_non_finite_input_is_exit_1(case, tmp_path, capsys):
-    measure_text, function_text = NON_FINITE[case]
-    measure, function = tmp_path / "measure.json", tmp_path / "function.json"
-    measure.write_text(measure_text)
-    function.write_text(function_text)
-    code = main(["integrate", "--measure", str(measure), "--function", str(function)])
+    files, args = NON_FINITE[case]
+    if isinstance(files, str):  # an integrate case: (measure text, function text)
+        files, args = {"measure.json": files, "function.json": args}, INTEGRATE
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main([str(tmp_path / a) if a in files else a for a in args])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -107,6 +139,29 @@ def test_non_finite_family_weights_are_exit_1(weights, tmp_path, capsys):
     code = main(["fubini-check", "--config", str(family), "--function", str(function)])
     assert code == 1
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_vector_function_integrates_per_component(tmp_path, capsys):
+    measure, function = tmp_path / "measure.json", tmp_path / "function.json"
+    measure.write_text(GOOD_MEASURE)  # mu(A) = lebesgue(A)^2
+    function.write_text('{"cells": [[0, 0.5], [0.5, 1]], "values": [[1, 2], [0.5, 0.5]]}')
+    out = tmp_path / "report.json"
+    code = main(["integrate", "--measure", str(measure), "--function", str(function),
+                 "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == "0.625 0.875\n"
+    assert json.loads(out.read_text())["value"] == [0.625, 0.875]
+
+
+def test_scalar_integrate_report_keeps_a_number(tmp_path, capsys):
+    measure, function = tmp_path / "measure.json", tmp_path / "function.json"
+    measure.write_text(GOOD_MEASURE)
+    function.write_text(GOOD_FUNCTION)
+    out = tmp_path / "report.json"
+    assert main(["integrate", "--measure", str(measure), "--function", str(function),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "1.25\n"
+    assert json.loads(out.read_text())["value"] == 1.25
 
 
 class TestCheckMeasure:
@@ -199,6 +254,13 @@ class TestEconomyCheck:
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["core_search"]["witness"] is not None
+
+    def test_seed_zero_is_accepted(self, capsys, economy_file):
+        args = ["economy-check", "--config", economy_file, "--mode", "core", "--budget", "50"]
+        assert main(args + ["--seed", "0"]) == 2  # the endowment admits gains from trade
+        assert json.loads(capsys.readouterr().out)["core_search"]["witness"] is not None
+        assert main(args + ["--seed", "-1"]) == 1
+        assert "error: --seed must be non-negative" in capsys.readouterr().err
 
     def test_endowment_mode_on_split_fixture(self, tmp_path, capsys):
         eco = split_dominance_economy(K=40)
