@@ -313,12 +313,13 @@ def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray |
 
     Each family has a closed form.  Cobb-Douglas compares against its demand.
     Linear utility w . x peaks over the budget set at the corner
-    e_i * wealth / p_i with i = argmax w / p, and is unbounded when some
-    p_i = 0, where bundle + e_i costs no more.  Coordinate dominance on J has
-    an affordable strictly preferred bundle iff sum_{j in J} p_j b_j < wealth:
-    raise the J-coordinates by half the slack per unit of their price and
-    drop the others.  A violator is returned only after ``strictly_prefers``
-    and :func:`budget_check` confirm it.
+    e_i * wealth / p_i with i = argmax w / p; the violator is the point of
+    that axis halfway in utility between the bundle and the corner.  When
+    some p_i = 0 the utility is unbounded, and bundle + e_i costs no more.
+    Coordinate dominance on J has an affordable strictly preferred bundle iff
+    sum_{j in J} p_j b_j < wealth: raise the J-coordinates by half the slack
+    per unit of their price and drop the others.  A violator is returned only
+    after ``strictly_prefers`` and :func:`budget_check` confirm it.
     """
     p = normalize_price(p)
     f = _allocation(eco, f)
@@ -349,7 +350,9 @@ def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray |
         else:
             i = int(np.argmax(prefs.weights[k] / p))
             cand = np.zeros(eco.n)
-            cand[i] = wealth / p[i]
+            # halfway in utility between the bundle and the best corner, so
+            # rounding cannot push the violator over the budget
+            cand[i] = 0.5 * (wealth / p[i] + prefs.utility(k, bundle) / prefs.weights[k, i])
     else:
         js = list(prefs.jsets[k])
         spent = float(p[js] @ bundle[js])

@@ -185,6 +185,15 @@ class TestMaximality:
         ok_e, viol = is_maximal_in_budget(eco, [0.5, 0.5], np.ones((K, 2)), 3)
         assert not ok_e and viol is not None
 
+    def test_linear_violator_survives_rounding_at_large_wealth(self):
+        # The corner e_1 * wealth / p_1 itself rounds over the budget here.
+        fam = SectionFamily.homothetic(Distortion.identity(), K=1)
+        eco = Economy(fam, [[1e5, 1e5]], Preferences("linear", 2, weights=[[2.0, 1.0]]))
+        ok, violator = is_maximal_in_budget(eco, [0.3, 0.7], eco.endowment, 0)
+        assert not ok
+        assert eco.prefs.strictly_prefers(0, violator, eco.endowment[0])
+        assert budget_check(eco, [0.3, 0.7], violator, 0)
+
     def test_dominance_miss_of_the_budget_grid(self):
         # A 200-point grid over the budget face found no violator here:
         # bundle + 2e-5 is affordable and strictly dominates on J = {1, 2}.
