@@ -800,7 +800,7 @@ def _two_level_candidates(eco: Economy, S: ProductSet, w: np.ndarray, f):
             if not np.all((c1_prefers[nodes] | ~(mDs > 0)) & (c2_prefers | ~(mRs > 0))):
                 yield None, src
                 continue
-            sections = [StepFunction.constant(row) for row in E]
+            sections = [StepFunction.constant(row) for row in E]  # null nodes keep e
             for j, k in enumerate(nodes):
                 cells = [D[j], R[j]]
                 vals = [c1 * E[k], c2[j] * E[k]]
