@@ -21,7 +21,13 @@ from .economy import (
     find_price,
     search_improvement,
 )
-from .errors import ConfigError, DegenerateSetError, InvalidPriceError, StructuralError
+from .errors import (
+    ConfigError,
+    DegenerateSetError,
+    InvalidPriceError,
+    StructuralError,
+    UnsupportedFamilyError,
+)
 from .measures import check_measure_properties
 from .product import ProductStepFunction, fubini_check, range_realize
 
@@ -135,7 +141,7 @@ def _cmd_economy_check(args) -> int:
     elif args.mode in ("core", "large-core"):
         mode = "improve" if args.mode == "core" else "strongly_improve"
         res = search_improvement(eco, f, mode, budget=args.budget, seed=args.seed)
-        if hasattr(res, "coalition"):
+        if res.found:
             report["core_search"] = {"witness": res.to_dict(), "searched": None}
             code = 2
         else:
@@ -163,10 +169,10 @@ def _cmd_demo(args) -> int:
         report["walras"] = walras.to_dict()
         report["core_search"] = (
             {"witness": core.to_dict(), "searched": None}
-            if hasattr(core, "coalition")
+            if core.found
             else core.to_dict()
         )
-        ok = search.found and walras.verdict and not hasattr(core, "coalition")
+        ok = search.found and walras.verdict and not core.found
         _emit(report, args.out)
         return 0 if ok else 2
     if args.scenario == "sectioned-fubini":
@@ -183,7 +189,7 @@ def _cmd_demo(args) -> int:
         report["endowment"] = rep.to_dict()
         report["improvement_of_endowment"] = (
             {"witness": improvement.to_dict()}
-            if hasattr(improvement, "coalition")
+            if improvement.found
             else improvement.to_dict()
         )
         _emit(report, args.out)
@@ -277,7 +283,9 @@ def main(argv=None) -> int:
     try:
         _validate_positive(args)
         return _HANDLERS[args.command](args)
-    except (ConfigError, StructuralError, DegenerateSetError, InvalidPriceError) as exc:
+    except (
+        ConfigError, StructuralError, DegenerateSetError, InvalidPriceError, UnsupportedFamilyError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

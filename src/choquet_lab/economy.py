@@ -11,10 +11,10 @@ three concrete families:
 * ``coordinate_dominance``: x preferred to z iff x_j > z_j for every j in a
   per-node index set J_y (no utility representation).
 
-Core-style searches are necessarily incomplete (coalitions form a
-continuum); every negative answer reports the searched family sizes, and
-every positive witness is re-verified against the definitions before being
-returned.
+Strong improvement is decided in closed form; the improvement and price
+searches are budgeted, hence incomplete (coalitions form a continuum).
+Every negative answer reports the searched family sizes, and every positive
+witness is re-verified against the definitions before being returned.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .choquet import StepFunction, choquet, choquet_restricted
+from .choquet import choquet, choquet_restricted
 from .errors import InvalidPriceError, StructuralError
 from .intervals import IntervalSet, random_interval_set
 from .lp import linprog
-from .measures import filtering_family
 from .product import (
     ProductSet,
     ProductStepFunction,
@@ -597,6 +596,7 @@ class ImprovementWitness:
     coalition: ProductSet
     allocation: ProductStepFunction
     source: str
+    found = True  # a class attribute, not a dataclass field
 
     def to_dict(self) -> dict:
         return {
@@ -651,13 +651,15 @@ def verify_improvement(
 
 @dataclass(frozen=True)
 class ExhaustedReport:
-    """No verified witness in the enumerated family."""
+    """No verified witness: none exists (``strongly_improve``) or none is in
+    the searched family (``improve``).  ``two_level`` is always 0."""
 
     mode: str
     coalitions: int
     allocations: int
     two_level: int
     candidates_checked: int
+    found = False
 
     def to_dict(self) -> dict:
         return {
@@ -730,86 +732,15 @@ def _sectional_candidates(eco: Economy, demand_grid: int):
 
 
 def _screen_sectionals(
-    eco: Economy, G: np.ndarray, prefers: np.ndarray, w: np.ndarray, mode: str
+    eco: Economy, G: np.ndarray, prefers: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     """Which of the stacked sectional candidates G (P, K, n) balance with the
-    endowment over a coalition with node measures w (per node for
-    ``strongly_improve``, in the mean for ``improve``) and are strictly
-    preferred on every node of positive measure.  ``prefers`` is
+    endowment in the mean over a coalition with node measures w and are
+    strictly preferred on every node of positive measure.  ``prefers`` is
     ``strict_rows(G, f)``."""
-    E, wk = eco.endowment, w[:, None]
-    if mode == "strongly_improve":
-        gaps = np.max(np.abs((G - E) * wk), axis=(1, 2))
-    else:
-        target = np.mean(E * wk, axis=0)
-        gaps = np.max(np.abs(np.mean(G * wk, axis=1) - target), axis=1)
+    target = np.mean(eco.endowment * w[:, None], axis=0)
+    gaps = np.max(np.abs(np.mean(G * w[:, None], axis=1) - target), axis=1)
     return ~(gaps > FEASIBILITY_TOL) & np.all(prefers[:, w > 0], axis=1)
-
-
-TWO_LEVEL_C1 = (1.1, 1.25, 1.5, 2.0)
-TWO_LEVEL_BETA = (0.25, 0.5)
-
-
-def _chain_split(eco: Economy, S: ProductSet, nodes: np.ndarray, beta: float):
-    """Per node of ``nodes``: the chain prefix D = filtering_family(mu, sec).at(beta),
-    the rest R = sec minus D, mu(D), and the measures mu(D ∩ sec), mu(R ∩ sec)
-    that the (i1) test of :func:`verify_improvement` evaluates.  Each distinct
-    (measure, section) pair is split once."""
-    seen: dict[tuple[int, int], tuple] = {}
-    parts = []
-    for k in nodes:
-        mu, sec = eco.fam.measures[k], S.sections[k]
-        key = (id(mu), id(sec))
-        if key not in seen:
-            D = filtering_family(mu, sec).at(beta)
-            R = sec.difference(D)
-            seen[key] = (D, R, mu(D), mu(D.intersection(sec)), mu(R.intersection(sec)))
-        parts.append(seen[key])
-    D, R, mD, mDs, mRs = zip(*parts)
-    return D, R, np.array(mD), np.array(mDs), np.array(mRs)
-
-
-def _two_level_candidates(eco: Economy, S: ProductSet, w: np.ndarray, f):
-    """Two-level sections proportional to the endowment: u = c1 e on a chain
-    prefix of the section, v = c2 e on the rest, balancing the section
-    integral exactly for any fuzzy section measure.
-
-    Yields ``(allocation, source)`` for every (c1, beta) whose levels are
-    valid.  The allocation is None when the candidate fails the (i1) test of
-    :func:`verify_improvement`: a level on a cell of positive measure that
-    is not strictly preferred to f.  Such a candidate is counted but never
-    built.
-    """
-    E = eco.endowment
-    nodes = np.flatnonzero(w > 0)
-    wn = w[nodes]
-    splits = {beta: _chain_split(eco, S, nodes, beta) for beta in TWO_LEVEL_BETA}
-    for c1 in TWO_LEVEL_C1:
-        c1_prefers = eco.prefs.strict_rows(c1 * E, f)
-        for beta in TWO_LEVEL_BETA:
-            D, R, mD, mDs, mRs = splits[beta]
-            if np.any(wn - mD <= 1e-12):
-                continue
-            c2 = (wn - c1 * mD) / (wn - mD)
-            if np.any(c2 < 0):
-                continue
-            src = f"two-level(c1={c1},beta={beta})"
-            U = E.copy()
-            U[nodes] = c2[:, None] * E[nodes]
-            c2_prefers = eco.prefs.strict_rows(U, f)[nodes]
-            if not np.all((c1_prefers[nodes] | ~(mDs > 0)) & (c2_prefers | ~(mRs > 0))):
-                yield None, src
-                continue
-            sections = [StepFunction.constant(row) for row in E]  # null nodes keep e
-            for j, k in enumerate(nodes):
-                cells = [D[j], R[j]]
-                vals = [c1 * E[k], c2[j] * E[k]]
-                rest = S.sections[k].complement()
-                if not rest.is_empty:
-                    cells.append(rest)
-                    vals.append(E[k])
-                sections[k] = StepFunction(tuple(cells), np.array(vals), validate=False)
-            yield ProductStepFunction(tuple(sections)), src
 
 
 def search_improvement(
@@ -822,17 +753,36 @@ def search_improvement(
     demand_grid: int = 50,
     seed: int = 42,
 ):
-    """Search for a coalition and allocation improving f.
+    """Look for a coalition and allocation improving f: a verified
+    :class:`ImprovementWitness` or an :class:`ExhaustedReport`.
 
-    Returns a verified :class:`ImprovementWitness` or an
-    :class:`ExhaustedReport` listing the searched family sizes.  The search
-    is deliberately budgeted; exhaustion is evidence, not proof.
+    ``strongly_improve`` is a decision.  A witness exists iff some node k has
+    e_k strictly preferred to f_k, and then the single-node coalition at k
+    with allocation e is one.  If not, at each node a price p >= 0
+    separates e_k from the open convex set {x strictly preferred to f_k};
+    the Choquet integral of the submodular section measure is subadditive,
+    so any g preferred to f on an active section k has
+    p . integral g dmu_k > p . e_k mu_k(S_k), and that section cannot
+    balance.  The search arguments are unused.
+
+    ``improve`` is a budgeted search over level-set and random coalitions
+    and the endowment and demand candidates; exhaustion is evidence, not
+    proof.
     """
     if mode not in ("improve", "strongly_improve"):
         raise StructuralError(f"unknown improvement mode {mode!r}")
     if budget <= 0:
         raise StructuralError("search budget must be positive")
     f = _allocation(eco, f)
+    if mode == "strongly_improve":
+        endowment = ProductStepFunction.sectional(eco.endowment)
+        for k in np.flatnonzero(eco.prefs.strict_rows(eco.endowment, f)):
+            S = ProductSet.single(eco.K, int(k))
+            witness = ImprovementWitness(mode, S, endowment, "endowment")
+            if verify_improvement(eco, f, witness)[0]:
+                return witness
+        return ExhaustedReport(mode, eco.K, 1, 0, eco.K)
+
     rng = np.random.default_rng(seed)
     sectionals = list(_sectional_candidates(eco, demand_grid))
     coalitions = list(_block_level_coalitions(eco, levels, yblocks, rng, budget // 5))
@@ -842,7 +792,6 @@ def search_improvement(
         )
 
     checked = 0
-    two_level_count = 0
     G = np.array([g for g, _ in sectionals])  # (P, K, n)
     prefers = eco.prefs.strict_rows(G, f)  # (P, K)
     for S in coalitions:
@@ -850,22 +799,13 @@ def search_improvement(
         if not np.any(w > 0):
             continue
         checked += len(sectionals)
-        for j in np.flatnonzero(_screen_sectionals(eco, G, prefers, w, mode)):
+        for j in np.flatnonzero(_screen_sectionals(eco, G, prefers, w)):
             g, src = sectionals[j]
             witness = ImprovementWitness(mode, S, ProductStepFunction.sectional(g), src)
             ok, _ = verify_improvement(eco, f, witness)
             if ok:
                 return witness
-        if mode == "strongly_improve":
-            for g, src in _two_level_candidates(eco, S, w, f):
-                two_level_count += 1
-                if g is None:
-                    continue
-                witness = ImprovementWitness(mode, S, g, src)
-                ok, _ = verify_improvement(eco, f, witness)
-                if ok:
-                    return witness
-    return ExhaustedReport(mode, len(coalitions), len(sectionals), two_level_count, checked)
+    return ExhaustedReport(mode, len(coalitions), len(sectionals), 0, checked)
 
 
 def improvement_from_excess(

@@ -30,6 +30,13 @@ def _check_keys(obj: dict, what: str, required: set, optional: set = frozenset()
         raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: expected an integer ({exc})") from exc
+
+
 def _pairs(data, what: str) -> list[tuple[float, float]]:
     if not isinstance(data, list):
         raise ConfigError(f"{what}: expected a list of [a, b] pairs")
@@ -124,10 +131,9 @@ def step_function_to_json(f: StepFunction) -> dict:
 def step_function_from_json(data) -> StepFunction:
     _check_keys(data, "step function", {"cells", "values"})
     cells = tuple(IntervalSet([p]) for p in _pairs(data["cells"], "cells"))
-    values = np.asarray(data["values"], dtype=float)
     try:
-        return StepFunction(cells, values)
-    except StructuralError as exc:
+        return StepFunction(cells, np.asarray(data["values"], dtype=float))
+    except (TypeError, ValueError) as exc:  # StructuralError is a ValueError
         raise ConfigError(f"step function: {exc}") from exc
 
 
@@ -190,7 +196,7 @@ def family_from_json(data) -> SectionFamily:
         {"K", "distortion", "normalized", "blocks", "yintervals", "weights", "measures"},
     )
     mode = data["mode"]
-    K = int(data.get("K", 100))
+    K = _integer(data.get("K", 100), "family: K")
     if K <= 0:
         raise ConfigError("family: K must be positive")
     normalized = bool(data.get("normalized", True))
@@ -295,7 +301,7 @@ def economy_to_json(eco: Economy) -> dict:
 def economy_from_json(data) -> Economy:
     _check_keys(data, "economy", {"family", "n", "endowment", "preferences"})
     fam = family_from_json(data["family"])
-    n = int(data["n"])
+    n = _integer(data["n"], "economy: n")
     endowment = _node_matrix(data["endowment"], fam.K, n, "endowment")
     prefs = preferences_from_json(data["preferences"], fam.K, n)
     try:

@@ -75,7 +75,8 @@ def walras(economy=None, price=GOOD_PRICE, allocation=None):
     return files, args
 
 
-# Non-finite numbers in input files: every one is a configuration error.
+# Non-finite numbers, values of the wrong type and unsupported families in
+# input files: every one is an error line and exit 1, never a traceback.
 # A case is (measure text, function text) for ``integrate``, or
 # (files by name, arguments naming them).
 NON_FINITE = {
@@ -113,6 +114,17 @@ NON_FINITE = {
         preferences='"kind": "linear", "weights": [[1.0, Infinity]]')),
     "allocation NaN": walras(allocation='{"values": [[NaN, 1.0]]}'),
     "target NaN": ({}, ["range-demo", "--target", "nan"]),
+    "step value not a number": (
+        GOOD_MEASURE, '{"cells": [[0, 0.5], [0.5, 1]], "values": ["a", 2.0]}'),
+    "family K not an integer": (
+        {"family.json": '{"K": "two", "mode": "homothetic", "distortion": {"kind": "identity"}}',
+         "function.json": '{"kind": "uniform", "function": ' + GOOD_FUNCTION + "}"},
+        ["fubini-check", "--config", "family.json", "--function", "function.json"]),
+    "economy n not an integer": walras(economy_text().replace('"n": 2', '"n": "two"')),
+    "range-demo on a heterogeneous family": (
+        {"family.json": '{"K": 2, "mode": "heterogeneous", "measures": [' + GOOD_MEASURE
+         + ", " + GOOD_MEASURE + "]}"},
+        ["range-demo", "--target", "0.3", "--config", "family.json"]),
     "target Infinity": ({}, ["range-demo", "--target", "0.5,inf"]),
 }
 
@@ -261,6 +273,33 @@ class TestEconomyCheck:
         assert json.loads(capsys.readouterr().out)["core_search"]["witness"] is not None
         assert main(args + ["--seed", "-1"]) == 1
         assert "error: --seed must be non-negative" in capsys.readouterr().err
+
+    def test_large_core_holds_at_equilibrium(self, tmp_path, capsys, economy_file):
+        _, allocation, _ = cobb_douglas_economy(K=40)
+        alloc = tmp_path / "alloc.json"
+        io.dump_json({"values": allocation.tolist()}, str(alloc))
+        code = main(["economy-check", "--config", economy_file, "--mode", "large-core",
+                     "--allocation", str(alloc)])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["core_search"]["witness"] is None
+        assert report["core_search"]["searched"] == {
+            "coalitions": 40, "allocations": 1, "two_level": 0, "pairs": 40}
+
+    def test_large_core_blocked_by_a_node_preferring_its_endowment(
+        self, tmp_path, capsys, economy_file
+    ):
+        _, allocation, _ = cobb_douglas_economy(K=40)
+        allocation[7] *= 0.5  # e = (1, 1) is now strictly preferred at node 7
+        alloc = tmp_path / "alloc.json"
+        io.dump_json({"values": allocation.tolist()}, str(alloc))
+        code = main(["economy-check", "--config", economy_file, "--mode", "large-core",
+                     "--allocation", str(alloc)])
+        assert code == 2
+        witness = json.loads(capsys.readouterr().out)["core_search"]["witness"]
+        assert witness["mode"] == "strongly_improve"
+        assert witness["source"] == "endowment"
+        assert [k for k, sec in enumerate(witness["coalition_sections"]) if sec] == [7]
 
     def test_endowment_mode_on_split_fixture(self, tmp_path, capsys):
         eco = split_dominance_economy(K=40)

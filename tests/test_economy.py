@@ -9,7 +9,7 @@ from choquet_lab.choquet import StepFunction, choquet_restricted
 from choquet_lab.errors import InvalidPriceError, StructuralError
 from choquet_lab.fixtures import full_dominance_economy
 from choquet_lab.intervals import IntervalSet, random_interval_set
-from choquet_lab.measures import Distortion, filtering_family
+from choquet_lab.measures import Distortion
 from choquet_lab.product import (
     ProductSet,
     ProductStepFunction,
@@ -19,8 +19,6 @@ from choquet_lab.product import (
     section_measures,
 )
 from choquet_lab.economy import (
-    TWO_LEVEL_BETA,
-    TWO_LEVEL_C1,
     Economy,
     ExhaustedReport,
     ImprovementWitness,
@@ -43,7 +41,6 @@ from choquet_lab.economy import (
     verify_improvement,
     _screen_sectionals,
     _sectional_candidates,
-    _two_level_candidates,
 )
 from test_choquet import random_blocks
 
@@ -329,6 +326,8 @@ class TestImprovement:
         f_anti = np.column_stack([2 * (1 - y), 2 * y])
         res = search_improvement(cd_economy, f_anti, "strongly_improve", budget=100)
         assert isinstance(res, ImprovementWitness)
+        assert res.source == "endowment"
+        assert sum(not sec.is_empty for sec in res.coalition.sections) == 1
         ok, _ = verify_improvement(cd_economy, f_anti, res)
         assert ok
 
@@ -534,33 +533,6 @@ def random_coalitions(rng, fam: SectionFamily):
         yield ProductSet(tuple(random_interval_set(rng, allow_empty=True) for _ in range(K)))
 
 
-def built_two_level_candidates(eco: Economy, S: ProductSet, w: np.ndarray):
-    """Every two-level candidate built in full, as before screening."""
-    for c1 in TWO_LEVEL_C1:
-        for beta in TWO_LEVEL_BETA:
-            sections = []
-            for k, (mu, sec) in enumerate(zip(eco.fam.measures, S.sections)):
-                if w[k] <= 0:
-                    sections.append(StepFunction.constant(eco.endowment[k]))
-                    continue
-                D = filtering_family(mu, sec).at(beta)
-                mD = mu(D)
-                if w[k] - mD <= 1e-12:
-                    break
-                c2 = (w[k] - c1 * mD) / (w[k] - mD)
-                if c2 < 0:
-                    break
-                cells = [D, sec.difference(D)]
-                vals = [c1 * eco.endowment[k], c2 * eco.endowment[k]]
-                rest = sec.complement()
-                if not rest.is_empty:
-                    cells.append(rest)
-                    vals.append(eco.endowment[k])
-                sections.append(StepFunction(tuple(cells), np.array(vals), validate=False))
-            else:
-                yield ProductStepFunction(tuple(sections)), f"two-level(c1={c1},beta={beta})"
-
-
 ECONOMY_DRAWS = dict(
     seed=st.integers(0, 2**32 - 1),
     pref_kind=st.sampled_from(["cobb_douglas", "linear", "coordinate_dominance"]),
@@ -616,28 +588,44 @@ class TestArrayPathsAgainstScalar:
             w = section_measures(eco.fam, S)
             if not np.any(w > 0):
                 continue
-            for mode in ("improve", "strongly_improve"):
-                screened = _screen_sectionals(eco, G, prefers, w, mode)
-                for j, (g, src) in enumerate(sectionals):
-                    witness = ImprovementWitness(mode, S, ProductStepFunction.sectional(g), src)
-                    accepted = verify_improvement(eco, f, witness)[0]
-                    assert (screened[j] and accepted) == accepted, (mode, src)
-            built = list(built_two_level_candidates(eco, S, w))
-            screened = list(_two_level_candidates(eco, S, w, f))
-            assert [src for _, src in screened] == [src for _, src in built]
-            for (g, src), (g_ref, _) in zip(screened, built):
-                accepted = verify_improvement(
-                    eco, f, ImprovementWitness("strongly_improve", S, g_ref, src)
-                )[0]
-                kept = g is not None and verify_improvement(
-                    eco, f, ImprovementWitness("strongly_improve", S, g, src)
-                )[0]
-                assert kept == accepted, src
+            screened = _screen_sectionals(eco, G, prefers, w)
+            for j, (g, src) in enumerate(sectionals):
+                witness = ImprovementWitness("improve", S, ProductStepFunction.sectional(g), src)
+                accepted = verify_improvement(eco, f, witness)[0]
+                assert (screened[j] and accepted) == accepted, src
+
+    @settings(max_examples=60, deadline=None)
+    @given(**ECONOMY_DRAWS)
+    def test_strong_improvement_is_decided_at_the_endowment(
+        self, seed, pref_kind, fam_kind, K, n
+    ):
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K, n)
+        f = rng.uniform(0.0, 3.0, size=(K, n))
+        # at most nodes, make f weakly preferred to e, so that both answers occur
+        fix = rng.random(K) < 0.8
+        f[fix] = eco.endowment[fix] * rng.uniform(1.0, 1.3, size=(int(fix.sum()), 1))
+        res = search_improvement(eco, f, "strongly_improve")
+        assert res.found == bool(eco.prefs.strict_rows(eco.endowment, f).any())
+        if res.found:
+            assert verify_improvement(eco, f, res)[0]
+            return
+        assert res.to_dict()["searched"] == {
+            "coalitions": K, "allocations": 1, "two_level": 0, "pairs": K}
+        # cross-check: no sectional candidate of the budgeted search verifies either
+        sectionals = list(_sectional_candidates(eco, 6))
+        for S in random_coalitions(rng, eco.fam):
+            for g, src in sectionals:
+                witness = ImprovementWitness(
+                    "strongly_improve", S, ProductStepFunction.sectional(g), src)
+                assert not verify_improvement(eco, f, witness)[0], src
 
 
 # Outputs of the per-node object path these searches replaced, on the K = 100
 # Cobb-Douglas fixture at its equilibrium, with the equilibrium benchmark's
-# settings (200 random samples; search budgets 500 and 100).
+# settings (200 random samples; search budgets 500 and 100).  The strong-mode
+# report is the closed-form decision's: the K single-node coalitions, each
+# with the endowment.
 PINNED_CLOUD_SIZE = 1801
 PINNED_LABELS_SHA256 = "abb31d6eb7876f21822a1829700accb51919ae791a588e1df07c3195e51bb005"
 PINNED_SAMPLES_USED = 1799
@@ -651,7 +639,7 @@ PINNED_REPORTS = {
     "improve": {"witness": None, "mode": "improve", "searched": {
         "coalitions": 164, "allocations": 50, "two_level": 0, "pairs": 8200}},
     "strongly_improve": {"witness": None, "mode": "strongly_improve", "searched": {
-        "coalitions": 74, "allocations": 50, "two_level": 592, "pairs": 3700}},
+        "coalitions": 100, "allocations": 1, "two_level": 0, "pairs": 100}},
 }
 
 
