@@ -11,7 +11,8 @@ three concrete families:
 * ``coordinate_dominance``: x preferred to z iff x_j > z_j for every j in a
   per-node index set J_y (no utility representation).
 
-Strong improvement is decided in closed form; the improvement and price
+Strong improvement and, for coordinate dominance, whether the endowment is
+a Walras allocation are decided in closed form; the improvement and price
 searches are budgeted, hence incomplete (coalitions form a continuum).
 Every negative answer reports the searched family sizes, and every positive
 witness is re-verified against the definitions before being returned.
@@ -718,17 +719,21 @@ def _price_grid(n: int, resolution: int):
 
 
 def _sectional_candidates(eco: Economy, demand_grid: int):
-    yield eco.endowment.copy(), "endowment"
+    """The endowment, then the demand rows at each grid price.  Cobb-Douglas
+    rows are one array expression per price, whose wealth ``E @ p`` can
+    differ from the per-node ``p @ e_k`` of :meth:`Preferences.demand` in the
+    last bit; the unit endowments of the fixtures at n = 2 give equal rows."""
+    E = eco.endowment
+    yield E.copy(), "endowment"
     for p in _price_grid(eco.n, demand_grid):
-        rows = []
-        for k in range(eco.K):
-            d = eco.prefs.demand(k, p, eco.wealth(p, k), ref=eco.endowment[k])
-            if d is None:
-                rows = None
-                break
-            rows.append(d)
-        if rows is not None:
-            yield np.array(rows), f"demand@{np.round(p, 4).tolist()}"
+        if eco.prefs.kind == "cobb_douglas":
+            rows = eco.prefs.exponents * (E @ p)[:, None] / p
+        else:
+            rows = [eco.prefs.demand(k, p, eco.wealth(p, k), ref=E[k]) for k in range(eco.K)]
+            if any(d is None for d in rows):
+                continue
+            rows = np.array(rows)
+        yield rows, f"demand@{np.round(p, 4).tolist()}"
 
 
 def _screen_sectionals(
@@ -929,6 +934,11 @@ def check_excess_convexity(
 
 @dataclass(frozen=True)
 class EndowmentReport:
+    """Is the endowment a Walras allocation?  A positive verdict carries the
+    price and its :func:`check_walras` report; a negative one carries the
+    price certificate, a :class:`PriceSearchResult` whose single violation
+    is the excess point that every price fails to support."""
+
     verdict: bool
     price: np.ndarray | None
     walras: WalrasReport | None
@@ -944,18 +954,36 @@ class EndowmentReport:
 
 
 def endowment_is_walrasian(eco: Economy, seed: int = 42) -> EndowmentReport:
-    """Is (e, p) a Walras equilibrium for some supporting p?
+    """Is (e, p) a Walras equilibrium for some supporting p?  Decided in
+    closed form for coordinate dominance, in O(K n).
 
-    Runs :func:`find_price` on the endowment and, if a price comes back,
-    :func:`check_walras` with its closed-form per-node maximality.
+    At f = e the expenditure function is E_k(p) = p_J . e_{k,J} with
+    J = J_k, so phi_k(p) = E_k(p) - p . e_k = -p_{J^c} . e_{k,J^c} <= 0, and
+    the infimum of p . z over the excess set is (1/K) sum_k phi_k(p) (node
+    measures mu_k(X) = 1 on normalized sections).  That infimum is p . z*
+    for the single excess point z* of the full coalition with selection
+    s_k = e_k on J_k and 0 elsewhere, so p supports the excess set iff it is
+    zero outside T, the goods every node tracks.
+
+    If T is non-empty the price uniform on T is returned with its
+    :func:`check_walras` report, which re-verifies the verdict.  Otherwise
+    every component of z* is negative, the verdict is False, and
+    ``price_failure`` holds z* as its one violation, with margin max_i z*_i,
+    the exact optimum of the price LP over the whole excess set.  ``seed``
+    is unused; it is kept so callers can pass one to every economy check.
     """
     if eco.prefs.kind != "coordinate_dominance":
         raise StructuralError("endowment equilibrium check expects dominance preferences")
-    price = find_price(eco, eco.endowment, seed=seed)
-    if not price.found:
-        return EndowmentReport(False, None, None, price)
-    report = check_walras(eco, eco.endowment, price.price)
-    return EndowmentReport(report.verdict, price.price, report, None)
+    tracked = eco.prefs._jmask.all(axis=0)
+    if tracked.any():
+        price = tracked / tracked.sum()
+        report = check_walras(eco, eco.endowment, price)
+        return EndowmentReport(report.verdict, price, report, None)
+    full = ProductSet.full(eco.K)
+    s = np.where(eco.prefs._jmask, eco.endowment, 0.0)
+    sample = _sample_from(eco, s, full, section_measures(eco.fam, full), "dominance-infimum")
+    failure = PriceSearchResult(None, float(sample.z.max()), 1, [sample])
+    return EndowmentReport(False, None, None, failure)
 
 
 # -- integral conditions on the economy's measure --------------------------------

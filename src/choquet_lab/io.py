@@ -31,10 +31,13 @@ def _check_keys(obj: dict, what: str, required: set, optional: set = frozenset()
 
 
 def _integer(value, what: str) -> int:
-    try:
+    """An integral JSON number; booleans, strings and fractions are rejected,
+    not coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: expected an integer ({exc})") from exc
+    raise ConfigError(f"{what}: expected an integer (got {value!r})")
 
 
 def _pairs(data, what: str) -> list[tuple[float, float]]:
@@ -199,7 +202,9 @@ def family_from_json(data) -> SectionFamily:
     K = _integer(data.get("K", 100), "family: K")
     if K <= 0:
         raise ConfigError("family: K must be positive")
-    normalized = bool(data.get("normalized", True))
+    normalized = data.get("normalized", True)
+    if not isinstance(normalized, bool):
+        raise ConfigError(f"family: normalized must be true or false (got {normalized!r})")
     try:
         if mode == "homothetic":
             if "distortion" not in data:
@@ -271,7 +276,11 @@ def preferences_from_json(data, K: int, n: int) -> Preferences:
                 rows = rows * K
             if len(rows) != K:
                 raise ConfigError(f"preferences: need {K} coordinate sets")
-            jsets = tuple(tuple(int(j) - 1 for j in row) for row in rows)
+            if not all(isinstance(row, list) for row in rows):
+                raise ConfigError("preferences: each coordinate set must be a list")
+            jsets = tuple(
+                tuple(_integer(j, "preferences: coords") - 1 for j in row) for row in rows
+            )
             return Preferences("coordinate_dominance", n, jsets=jsets)
     except StructuralError as exc:
         raise ConfigError(f"preferences: {exc}") from exc

@@ -75,6 +75,17 @@ def walras(economy=None, price=GOOD_PRICE, allocation=None):
     return files, args
 
 
+def family_text(K="4", normalized="true"):
+    return ('{"K": ' + K + ', "mode": "homothetic", "distortion": {"kind": "identity"}, '
+            '"normalized": ' + normalized + "}")
+
+
+def fubini(family):
+    files = {"family.json": family,
+             "function.json": '{"kind": "uniform", "function": ' + GOOD_FUNCTION + "}"}
+    return files, ["fubini-check", "--config", "family.json", "--function", "function.json"]
+
+
 # Non-finite numbers, values of the wrong type and unsupported families in
 # input files: every one is an error line and exit 1, never a traceback.
 # A case is (measure text, function text) for ``integrate``, or
@@ -116,11 +127,16 @@ NON_FINITE = {
     "target NaN": ({}, ["range-demo", "--target", "nan"]),
     "step value not a number": (
         GOOD_MEASURE, '{"cells": [[0, 0.5], [0.5, 1]], "values": ["a", 2.0]}'),
-    "family K not an integer": (
-        {"family.json": '{"K": "two", "mode": "homothetic", "distortion": {"kind": "identity"}}',
-         "function.json": '{"kind": "uniform", "function": ' + GOOD_FUNCTION + "}"},
-        ["fubini-check", "--config", "family.json", "--function", "function.json"]),
+    "family K not an integer": fubini(family_text(K='"two"')),
+    "family K a fraction": fubini(family_text(K="2.5")),
+    "family K a boolean": fubini(family_text(K="true")),
+    "family normalized a string": fubini(family_text(normalized='"false"')),
     "economy n not an integer": walras(economy_text().replace('"n": 2', '"n": "two"')),
+    "economy n a fraction": walras(economy_text().replace('"n": 2', '"n": 2.9')),
+    "dominance coordinate a fraction": walras(economy_text(
+        preferences='"kind": "coordinate_dominance", "coords": [[1.7]]')),
+    "dominance coordinate set not a list": walras(economy_text(
+        preferences='"kind": "coordinate_dominance", "coords": [1]')),
     "range-demo on a heterogeneous family": (
         {"family.json": '{"K": 2, "mode": "heterogeneous", "measures": [' + GOOD_MEASURE
          + ", " + GOOD_MEASURE + "]}"},

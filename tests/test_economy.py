@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from choquet_lab.choquet import StepFunction, choquet_restricted
 from choquet_lab.errors import InvalidPriceError, StructuralError
-from choquet_lab.fixtures import full_dominance_economy
+from choquet_lab import economy
+from choquet_lab.fixtures import full_dominance_economy, split_dominance_economy
 from choquet_lab.intervals import IntervalSet, random_interval_set
 from choquet_lab.measures import Distortion
 from choquet_lab.product import (
@@ -39,6 +40,7 @@ from choquet_lab.economy import (
     search_improvement,
     sectionalize,
     verify_improvement,
+    _price_grid,
     _screen_sectionals,
     _sectional_candidates,
 )
@@ -461,6 +463,27 @@ class TestEndowmentEquilibrium:
         with pytest.raises(StructuralError):
             endowment_is_walrasian(cd_economy)
 
+    def test_full_dominance_fixture_price_is_uniform(self):
+        rep = endowment_is_walrasian(full_dominance_economy(K))
+        assert rep.verdict and rep.walras.verdict and rep.price_failure is None
+        np.testing.assert_array_equal(rep.price, [0.5, 0.5])
+
+    def test_split_fixture_certificate(self):
+        # every agent gives up its untracked good: z = (-1/2, -1/2)
+        failure = endowment_is_walrasian(split_dominance_economy(K)).price_failure
+        assert failure.to_dict() == {
+            "found": False, "price": None, "margin": -0.5, "samples": 1, "violations": 1}
+        np.testing.assert_array_equal(failure.violations[0].z, [-0.5, -0.5])
+
+    def test_decides_without_the_sampled_price_search(self, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("the closed form must not sample or solve an LP")
+
+        for name in ("find_price", "sample_excess_points", "linprog"):
+            monkeypatch.setattr(economy, name, sampled)
+        assert endowment_is_walrasian(full_dominance_economy(K)).verdict
+        assert not endowment_is_walrasian(split_dominance_economy(K)).verdict
+
 
 class TestIntegralConditions:
     def test_c1_under_subadditive_sections(self):
@@ -570,6 +593,24 @@ class TestArrayPathsAgainstScalar:
                     expected[k] = pt
             np.testing.assert_array_equal(eco.prefs.contour_rows(F, axes, deltas), expected)
 
+    def test_cobb_douglas_candidates_equal_the_node_demands(self, cd_economy):
+        # bit for bit on the unit-endowment fixture; generic endowments can
+        # round the array wealth E @ p differently from p @ e_k
+        rng = np.random.default_rng(5)
+        economies = [(cd_economy, 0.0)] + [
+            (random_economy(rng, "cobb_douglas", "identity", 9, n), 1e-15) for n in (1, 2, 3)
+        ]
+        for eco, rtol in economies:
+            candidates = list(_sectional_candidates(eco, 50))[1:]
+            prices = list(_price_grid(eco.n, 50))
+            assert len(candidates) == len(prices)
+            for (rows, _), p in zip(candidates, prices):
+                expected = [eco.prefs.demand(k, p, eco.wealth(p, k)) for k in range(eco.K)]
+                if rtol:
+                    np.testing.assert_allclose(rows, expected, rtol=rtol, atol=0.0)
+                else:
+                    np.testing.assert_array_equal(rows, expected)
+
     @settings(max_examples=60, deadline=None)
     @given(**ECONOMY_DRAWS)
     def test_screens_accept_what_build_then_verify_accepts(
@@ -619,6 +660,45 @@ class TestArrayPathsAgainstScalar:
                 witness = ImprovementWitness(
                     "strongly_improve", S, ProductStepFunction.sectional(g), src)
                 assert not verify_improvement(eco, f, witness)[0], src
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fam_kind=st.sampled_from(["identity", "power", "pwl", "sectioned"]),
+        K=st.integers(1, 8),
+        n=st.integers(1, 3),
+        shared=st.booleans(),
+    )
+    def test_endowment_decision_equals_the_sampled_oracle(self, seed, fam_kind, K, n, shared):
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, "coordinate_dominance", fam_kind, K, n)
+        if shared:  # some good tracked by every node, so both answers occur
+            good = int(rng.integers(n))
+            jsets = tuple(js + (good,) for js in eco.prefs.jsets)
+            eco = Economy(eco.fam, eco.endowment, Preferences("coordinate_dominance", n, jsets=jsets))
+        tracked = eco.prefs._jmask.all(axis=0)
+        rep = endowment_is_walrasian(eco, seed=seed)
+
+        sampled = find_price(eco, eco.endowment, seed=seed)
+        oracle = sampled.found and check_walras(eco, eco.endowment, sampled.price).verdict
+        assert rep.verdict == oracle == bool(tracked.any())
+        exact_margin = 0.0 if rep.verdict else rep.price_failure.margin
+        assert sampled.margin >= exact_margin - 1e-12
+
+        if rep.verdict:
+            assert rep.price.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.all(rep.price[~tracked] == 0.0) and np.all(rep.price[tracked] > 0.0)
+            return
+        failure = rep.price_failure
+        assert failure.samples_used == 1 and len(failure.violations) == 1
+        smp = failure.violations[0]
+        assert all(eco.prefs.weakly_prefers(k, smp.selection[k], eco.endowment[k]) for k in range(K))
+        np.testing.assert_array_equal(smp.node_measures, section_measures(eco.fam, smp.coalition))
+        z = np.mean((smp.selection - eco.endowment) * smp.node_measures[:, None], axis=0)
+        np.testing.assert_allclose(smp.z, z, rtol=0.0, atol=1e-12)
+        assert failure.margin == pytest.approx(np.max(z), abs=1e-12) and failure.margin < 0
+        prices = np.vstack([np.eye(n), rng.dirichlet(np.ones(n), size=101 - n)])
+        assert np.all(prices @ smp.z <= failure.margin + 1e-12)
 
 
 # Outputs of the per-node object path these searches replaced, on the K = 100
