@@ -675,7 +675,8 @@ class TestArrayPathsAgainstScalar:
         if shared:  # some good tracked by every node, so both answers occur
             good = int(rng.integers(n))
             jsets = tuple(js + (good,) for js in eco.prefs.jsets)
-            eco = Economy(eco.fam, eco.endowment, Preferences("coordinate_dominance", n, jsets=jsets))
+            prefs = Preferences("coordinate_dominance", n, jsets=jsets)
+            eco = Economy(eco.fam, eco.endowment, prefs)
         tracked = eco.prefs._jmask.all(axis=0)
         rep = endowment_is_walrasian(eco, seed=seed)
 
@@ -692,7 +693,8 @@ class TestArrayPathsAgainstScalar:
         failure = rep.price_failure
         assert failure.samples_used == 1 and len(failure.violations) == 1
         smp = failure.violations[0]
-        assert all(eco.prefs.weakly_prefers(k, smp.selection[k], eco.endowment[k]) for k in range(K))
+        for k in range(K):
+            assert eco.prefs.weakly_prefers(k, smp.selection[k], eco.endowment[k])
         np.testing.assert_array_equal(smp.node_measures, section_measures(eco.fam, smp.coalition))
         z = np.mean((smp.selection - eco.endowment) * smp.node_measures[:, None], axis=0)
         np.testing.assert_allclose(smp.z, z, rtol=0.0, atol=1e-12)
