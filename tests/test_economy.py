@@ -751,3 +751,114 @@ class TestPinnedOutputs:
     def test_exhausted_reports(self, cd_economy, equilibrium, seed, mode, budget):
         res = search_improvement(cd_economy, equilibrium, mode, budget=budget, seed=seed)
         assert res.to_dict() == PINNED_REPORTS[mode]
+
+
+# Bit-exact pins of the excess cloud's random stream: SHA-256 of the raw bytes
+# of every sample's z, selection, node measures and coalition end points (with
+# the per-section interval counts), and the generator's final state.  Any change
+# to the order, the arguments or the arithmetic of a draw moves them.
+def stream_economy(name, cd_economy, equilibrium):
+    if name.startswith("cobb_douglas"):
+        return cd_economy, equilibrium
+    pref_kind, fam_kind, eco_seed = {
+        "linear": ("linear", "sectioned", 11),
+        "coordinate_dominance": ("coordinate_dominance", "pwl", 12),
+    }[name]
+    eco = random_economy(np.random.default_rng(eco_seed), pref_kind, fam_kind, K=30, n=3)
+    return eco, eco.endowment
+
+
+def stream_digests(cloud) -> dict:
+    def sha(chunks):
+        h = hashlib.sha256()
+        for chunk in chunks:
+            h.update(chunk)
+        return h.hexdigest()
+
+    def ends(H):
+        counts = np.array([len(sec.intervals) for sec in H.sections], dtype=np.int64)
+        points = np.array([x for sec in H.sections for iv in sec.intervals for x in iv], dtype=float)
+        return counts.tobytes() + points.tobytes()
+
+    return {
+        "z": sha(np.asarray(smp.z, dtype=float).tobytes() for smp in cloud),
+        "selection": sha(np.asarray(smp.selection, dtype=float).tobytes() for smp in cloud),
+        "node_measures": sha(
+            np.asarray(smp.node_measures, dtype=float).tobytes() for smp in cloud
+        ),
+        "coalitions": sha(ends(smp.coalition) for smp in cloud),
+    }
+
+
+PINNED_STREAMS = {  # (economy, sampling seed) -> (digests, final generator state)
+    ("cobb_douglas", 7): (
+        {
+            "z": "6e9386781430e2afe78fcc5dfe88f9453c3b22931f678568c59510931f5d4263",
+            "selection": "e66462e05f97b6f3de90ece6e17ea768b75b42b2ab02014d837e35d157c9f0b5",
+            "node_measures": "9945edfdef6b26b9c5059e63cb0bb6dc54694e8db2f64b95e1b1b7669db8ef64",
+            "coalitions": "f728c1f6f16d08f24a7792080fafe87cc942b0c7e32c856a7e5c020dbd9bd88d",
+        },
+        {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 2804480839,
+         "state": {"state": 164293009742005098032870647957253533110,
+                   "inc": 261136684632268670825940853076396136793}},
+    ),
+    ("cobb_douglas", 42): (
+        {
+            "z": "7b292aec441b66a7bf42160e337ccdae54d78c725c165cd9d2438e7b189781cb",
+            "selection": "4748244c352a4d4e35b2adf01b0f77502883efcb74f00d1e9f8fcf98f4e08fb4",
+            "node_measures": "3e41d2b6372e2bad554cb8fda0d5dd60249bb60c63609ab9dce825b6672bb92c",
+            "coalitions": "4d8e97336e7be5d1db99fe3019ed7f2eb7c1ce515b9cb1340311718b4cdb9af9",
+        },
+        {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 3129401260,
+         "state": {"state": 266044692306797705856947758372441472747,
+                   "inc": 332724090758049132448979897138935081983}},
+    ),
+    ("linear", 3): (
+        {
+            "z": "cf3342784a2f5fa6238abb3b9623612a253b67cd1dad9b5b49750bc9cd39ca42",
+            "selection": "5b0c4eda0c936b9eba28a80251027c82482d1281696de00fa8e7abee58d0b6ee",
+            "node_measures": "a50a880bea8ee9f3e43b20f7c5995dab84d1e7df703355a2155d198eb77b6411",
+            "coalitions": "b35853f9b1d26db0cf11f2a44851839955e48e3dff9d1744b203cfa16694266b",
+        },
+        {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 3761385550,
+         "state": {"state": 118602986267640761742569869950321875835,
+                   "inc": 222003063171874261427395693950637096479}},
+    ),
+    ("coordinate_dominance", 4): (
+        {
+            "z": "63c743e91a22e44e4ec1a0fc282e647b10417e4448f8ef924e28dcb13d239f92",
+            "selection": "53ef57b38ec590df2326ac9e3086cefb68c54050efd1628381a5856c26d6ffd4",
+            "node_measures": "76a02118f0cdda5d52ce364bdc4fd938e59588d322d30e0e5841ce9b0f8a93d0",
+            "coalitions": "bd19e64936c970a8ec3b6d1057440fb799ac1fb2e7d633e87e03032320780c41",
+        },
+        {"bit_generator": "PCG64", "has_uint32": 1, "uinteger": 2588086938,
+         "state": {"state": 32720738304528261629379889144818435075,
+                   "inc": 278272906083703887290699702293328866393}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_STREAMS))
+def test_excess_cloud_stream_is_pinned(name, seed, cd_economy, equilibrium, monkeypatch):
+    eco, f = stream_economy(name, cd_economy, equilibrium)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+    cloud = sample_excess_points(eco, f, samples=200, seed=seed)
+    digests, state = PINNED_STREAMS[name, seed]
+    assert len(made) == 1
+    assert stream_digests(cloud) == digests
+    assert made[0].bit_generator.state == state
+
+
+def test_uniform_draws_are_affine_maps_of_random():
+    # sample_excess_points draws rng.uniform(lo, hi) as lo + (hi - lo) *
+    # rng.random(), which is how numpy defines uniform; both must leave the
+    # generator in the same state, with integer draws interleaved.
+    for seed in (1, 42):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            assert a.integers(3) == b.integers(3)
+            assert a.uniform(-0.5, 1.0) == -0.5 + 1.5 * b.random()
+            np.testing.assert_array_equal(a.uniform(0, 0.5, size=3), 0.5 * b.random(3))
+        assert a.bit_generator.state == b.bit_generator.state
