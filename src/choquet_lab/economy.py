@@ -439,12 +439,25 @@ def sample_excess_points(
     Deterministic probes come first: unit-vector translations of f over the
     full space, then two-sided boundary nudges of f at every node; the
     remainder is seeded-random.  The node measures of a coalition are
-    evaluated once and shared by all its samples.  A random selection takes
-    its per-node draws in a fixed order and is then built as one
+    evaluated once and shared by all its samples.
+
+    The stream is made by these calls, in this order, per random sample: one
+    ``rng.integers(4)`` for the coalition kind; per node, ``rng.integers(n)``
+    for the axis, ``rng.random()`` for the nudge in [-0.5, 1), ``rng.random()``
+    for the coin and, on heads, ``rng.random(n)`` for a shift in [0, 0.5)^n;
+    then the coalition's draws (``rng.random(K)`` levels, K
+    :func:`random_interval_set` calls, or ``rng.integers(K)`` for a node).
+    numpy defines ``rng.uniform(lo, hi)`` as lo + (hi - lo) * u for the next
+    double u, so the raw doubles are collected in lists and mapped once per
+    sample as arrays; the values and the generator state are those of the
+    ``uniform`` calls.  The integer draws stay scalar and in place: they take
+    32-bit halves of the generator's 64-bit words, so batching or moving them
+    would change every later draw.  The selection is then built as one
     :meth:`Preferences.contour_rows` call.
     """
     f = _allocation(eco, f)
     rng = np.random.default_rng(seed)
+    integers, random = rng.integers, rng.random
     K, n = eco.K, eco.n
     full, empty = ProductSet.full(K), ProductSet.empty(K)
     w_full = section_measures(eco.fam, full)
@@ -464,6 +477,7 @@ def sample_excess_points(
         singles.append((H, section_measures(eco.fam, H)))
     deltas = (2e-4, 2e-3, 2e-2, 0.2)
     for k, (H, w) in enumerate(singles):
+        e_k, w_k = eco.endowment[k], w[k]
         for axis in range(n):
             for d in deltas:
                 for signed in (d, -d):
@@ -472,32 +486,37 @@ def sample_excess_points(
                         continue
                     s = f.copy()
                     s[k] = pt
-                    out.append(_sample_from(eco, s, H, w, f"boundary-{k}-{axis}"))
+                    # z is the mean over nodes of (s - e) * w.  Every other
+                    # node has w = 0 and adds a signed zero, which leaves this
+                    # node's term as it is: the term is nonzero or +0.0, since
+                    # e > 0 and w_k = mu_k(X) > 0.
+                    z = (pt - e_k) * w_k / K
+                    out.append(ExcessSample(z, s, H, w.copy(), f"boundary-{k}-{axis}"))
 
-    axes = np.empty(K, dtype=int)
-    nudges = np.empty(K)
-    shifts = np.empty((K, n))
     for _ in range(samples):
-        kind = int(rng.integers(4))
-        shifted = np.zeros(K, dtype=bool)
+        kind = int(integers(4))
+        axes, nudges, shifted, shifts = [], [], [], []
         for k in range(K):
-            axes[k] = rng.integers(n)
-            nudges[k] = rng.uniform(-0.5, 1.0)
-            if rng.random() < 0.5:
-                shifted[k] = True
-                shifts[k] = rng.uniform(0, 0.5, size=n)  # interior of the contour set
-        s = eco.prefs.contour_rows(f, axes, nudges)
-        s[shifted] += shifts[shifted]
+            axes.append(integers(n))
+            nudges.append(random())
+            if random() < 0.5:
+                shifted.append(k)
+                shifts.append(random(n))
+        # rng.uniform(-0.5, 1.0) per node; rng.uniform(0, 0.5, n) per shift,
+        # which keeps a shifted row inside the contour set
+        s = eco.prefs.contour_rows(f, np.array(axes), -0.5 + 1.5 * np.array(nudges))
+        if shifted:
+            s[shifted] += 0.5 * np.array(shifts)
         if kind == 0:
             H, w = full, w_full
         elif kind == 1:
-            H = product_set_from_levels(eco.fam, rng.uniform(0, 1, size=K))
+            H = product_set_from_levels(eco.fam, random(K))  # rng.uniform(0, 1, K)
             w = section_measures(eco.fam, H)
         elif kind == 2:
             H = ProductSet(tuple(random_interval_set(rng, allow_empty=True) for _ in range(K)))
             w = section_measures(eco.fam, H)
         else:
-            H, w = singles[int(rng.integers(K))]
+            H, w = singles[int(integers(K))]
         out.append(_sample_from(eco, s, H, w, "random"))
     return out
 

@@ -6,6 +6,12 @@ inside ``[0, 1]``.  Random sets are drawn on a dyadic grid of resolution
 difference) and Lebesgue measure stay exact in double precision; prefix cuts
 produced by distortion inverses may land off the grid, which is fine for the
 1e-9 tolerances downstream.
+
+Sets are immutable.  The constructor sorts, checks and merges its pairs in
+one pass and stores the Lebesgue length, summed left to right over the merged
+intervals, so ``lebesgue`` is an attribute read.  ``empty()`` and ``full()``
+return one shared instance each, so coalitions built from them share section
+objects (which ``product.section_measures`` evaluates once per object).
 """
 
 from __future__ import annotations
@@ -28,29 +34,30 @@ class IntervalSet:
 
     def __init__(self, intervals=()):
         pairs = [(float(a), float(b)) for a, b in intervals]
-        for a, b in pairs:
-            if not (0.0 <= a < b <= 1.0):
-                raise StructuralError(f"bad interval [{a}, {b}): need 0 <= a < b <= 1")
-        pairs.sort()
-        merged: list[list[float]] = []
-        for a, b in pairs:
-            if merged and a < merged[-1][1]:
-                raise StructuralError(f"overlapping intervals at [{a}, {b})")
-            if merged and a == merged[-1][1]:
-                merged[-1][1] = b  # touching intervals merge canonically
+        merged: list[tuple[float, float]] = []
+        end = 0.0  # right end of the last merged interval
+        for a, b in sorted(pairs):
+            if not (end <= a < b <= 1.0):  # a bad pair or an overlap
+                _reject(pairs, a, b)
+            if a == end and merged:
+                merged[-1] = (merged[-1][0], b)  # touching intervals merge canonically
             else:
-                merged.append([a, b])
-        object.__setattr__(self, "intervals", tuple((a, b) for a, b in merged))
+                merged.append((a, b))
+            end = b
+        object.__setattr__(self, "intervals", tuple(merged))
+        # Python's float sum() (compensated from 3.12 on); one term is exact
+        length = merged[0][1] - merged[0][0] if len(merged) == 1 else sum(b - a for a, b in merged)
+        object.__setattr__(self, "_length", float(length))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def empty() -> "IntervalSet":
-        return IntervalSet(())
+        return _EMPTY
 
     @staticmethod
     def full() -> "IntervalSet":
-        return IntervalSet(((0.0, 1.0),))
+        return _FULL
 
     @staticmethod
     def interval(a: float, b: float) -> "IntervalSet":
@@ -60,7 +67,7 @@ class IntervalSet:
 
     @property
     def lebesgue(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
+        return self._length
 
     @property
     def is_empty(self) -> bool:
@@ -145,6 +152,19 @@ class IntervalSet:
         return IntervalSet(out)
 
 
+def _reject(pairs, a: float, b: float):
+    """Raise the constructor's error: the first bad pair in input order, else
+    the overlap at [a, b) that the merge pass met."""
+    for x, y in pairs:
+        if not (0.0 <= x < y <= 1.0):
+            raise StructuralError(f"bad interval [{x}, {y}): need 0 <= a < b <= 1")
+    raise StructuralError(f"overlapping intervals at [{a}, {b})")
+
+
+_EMPTY = IntervalSet(())
+_FULL = IntervalSet(((0.0, 1.0),))
+
+
 @lru_cache(maxsize=64)
 def uniform_partition(ncells: int) -> tuple[IntervalSet, ...]:
     """[0,1) split into ``ncells`` equal single-interval cells."""
@@ -161,10 +181,8 @@ def random_interval_set(
     """Random union of up to ``max_intervals`` disjoint dyadic intervals."""
     npieces = int(rng.integers(0 if allow_empty else 1, max_intervals + 1))
     if npieces == 0:
-        return IntervalSet.empty()
+        return _EMPTY
     grid = 1 << bits
     cuts = rng.choice(grid + 1, size=2 * npieces, replace=False)
     cuts.sort()
-    scale = float(grid)
-    pairs = [(cuts[2 * i] / scale, cuts[2 * i + 1] / scale) for i in range(npieces)]
-    return IntervalSet(pairs)
+    return IntervalSet((cuts / float(grid)).reshape(npieces, 2).tolist())

@@ -7,6 +7,7 @@ raises :class:`ConfigError` so the CLI can map it to exit code 1.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .errors import ConfigError, StructuralError
 from .intervals import IntervalSet
 from .measures import Distortion, FuzzyMeasure
 from .product import ProductStepFunction, SectionFamily
+
+MAX_NODES = 1_000_000  # y-nodes a family file may ask for
 
 
 def _check_keys(obj: dict, what: str, required: set, optional: set = frozenset()):
@@ -40,14 +43,51 @@ def _integer(value, what: str) -> int:
     raise ConfigError(f"{what}: expected an integer (got {value!r})")
 
 
-def _pairs(data, what: str) -> list[tuple[float, float]]:
+def _number(value, what: str) -> float:
+    """A finite JSON real; booleans, strings, null and non-finite values are
+    rejected, not coerced."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{what}: expected a finite number (got {value!r})")
+
+
+def _numbers(data, what: str) -> np.ndarray:
+    """A list, or equal-length nested lists, of finite JSON reals as a float
+    array."""
     if not isinstance(data, list):
-        raise ConfigError(f"{what}: expected a list of [a, b] pairs")
+        raise ConfigError(f"{what}: expected a list of numbers (got {data!r})")
+    try:
+        cells = np.array(data, dtype=object)  # ragged rows stay lists, rejected below
+    except ValueError as exc:  # nested beyond numpy's dimension limit
+        raise ConfigError(f"{what}: {exc}") from exc
+    return np.array([_number(x, what) for x in cells.flat], dtype=float).reshape(cells.shape)
+
+
+def _value_rows(data, what: str) -> np.ndarray:
+    """Scalar values, or vector values as non-empty equal-length rows."""
+    values = _numbers(data, what)
+    if values.ndim > 2 or values.ndim == 2 and values.shape[1] == 0:
+        raise ConfigError(f"{what}: expected numbers or non-empty rows of numbers")
+    return values
+
+
+def _list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise ConfigError(f"{what}: expected a list (got {data!r})")
+    return data
+
+
+def _pairs(data, what: str) -> list[tuple[float, float]]:
     out = []
-    for item in data:
+    for item in _list(data, what):
         if not isinstance(item, list) or len(item) != 2:
             raise ConfigError(f"{what}: expected [a, b] pairs")
-        out.append((float(item[0]), float(item[1])))
+        out.append((_number(item[0], what), _number(item[1], what)))
     return out
 
 
@@ -68,12 +108,12 @@ def distortion_to_json(g: Distortion) -> dict:
 def distortion_from_json(data) -> Distortion:
     _check_keys(data, "distortion", {"kind"}, {"alpha", "knots", "scale"})
     kind = data["kind"]
-    scale = float(data.get("scale", 1.0))
+    scale = _number(data.get("scale", 1.0), "distortion: scale")
     try:
         if kind == "power":
             if "alpha" not in data:
                 raise ConfigError("distortion: power kind needs alpha")
-            return Distortion.power(float(data["alpha"]), scale=scale)
+            return Distortion.power(_number(data["alpha"], "distortion: alpha"), scale=scale)
         if kind == "identity":
             return Distortion.identity(scale=scale)
         if kind == "pwl":
@@ -113,7 +153,10 @@ def measure_from_json(data) -> FuzzyMeasure:
             if "blocks" not in data or "weights" not in data:
                 raise ConfigError("measure: sectioned mode needs blocks and weights")
             blocks = [IntervalSet([p]) for p in _pairs(data["blocks"], "blocks")]
-            return FuzzyMeasure.sectioned(blocks, [float(w) for w in data["weights"]])
+            weights = _numbers(data["weights"], "measure: weights")
+            if weights.ndim != 1:
+                raise ConfigError("measure: weights must be a list of numbers")
+            return FuzzyMeasure.sectioned(blocks, weights)
     except StructuralError as exc:
         raise ConfigError(f"measure: {exc}") from exc
     raise ConfigError(f"measure: unknown mode {mode!r}")
@@ -134,9 +177,10 @@ def step_function_to_json(f: StepFunction) -> dict:
 def step_function_from_json(data) -> StepFunction:
     _check_keys(data, "step function", {"cells", "values"})
     cells = tuple(IntervalSet([p]) for p in _pairs(data["cells"], "cells"))
+    values = _value_rows(data["values"], "step function: values")
     try:
-        return StepFunction(cells, np.asarray(data["values"], dtype=float))
-    except (TypeError, ValueError) as exc:  # StructuralError is a ValueError
+        return StepFunction(cells, values)
+    except StructuralError as exc:
         raise ConfigError(f"step function: {exc}") from exc
 
 
@@ -149,14 +193,16 @@ def product_function_from_json(data, K: int) -> ProductStepFunction:
         if kind == "uniform":
             return ProductStepFunction.uniform(step_function_from_json(data["function"]), K)
         if kind == "sectional":
-            values = np.asarray(data["values"], dtype=float)
+            values = _value_rows(data["values"], "product function: values")
             if values.shape[0] == 1:
                 values = np.repeat(values, K, axis=0)
             if values.shape[0] != K:
                 raise ConfigError(f"product function: need {K} sectional values")
             return ProductStepFunction.sectional(values)
         if kind == "sections":
-            sections = tuple(step_function_from_json(s) for s in data["sections"])
+            sections = tuple(
+                step_function_from_json(s) for s in _list(data["sections"], "product function: sections")
+            )
             if len(sections) != K:
                 raise ConfigError(f"product function: need {K} sections")
             return ProductStepFunction(sections)
@@ -200,8 +246,8 @@ def family_from_json(data) -> SectionFamily:
     )
     mode = data["mode"]
     K = _integer(data.get("K", 100), "family: K")
-    if K <= 0:
-        raise ConfigError("family: K must be positive")
+    if not 0 < K <= MAX_NODES:
+        raise ConfigError(f"family: K must be between 1 and {MAX_NODES}")
     normalized = data.get("normalized", True)
     if not isinstance(normalized, bool):
         raise ConfigError(f"family: normalized must be true or false (got {normalized!r})")
@@ -222,12 +268,13 @@ def family_from_json(data) -> SectionFamily:
                 )
             if "weights" not in data:
                 raise ConfigError("family: sectioned mode needs yintervals or weights")
-            return SectionFamily.sectioned(blocks, data["weights"], normalized=normalized)
+            weights = _numbers(data["weights"], "family: weights")
+            return SectionFamily.sectioned(blocks, weights, normalized=normalized)
         if mode == "heterogeneous":
             if "measures" not in data:
                 raise ConfigError("family: heterogeneous mode needs measures")
             return SectionFamily.heterogeneous(
-                [measure_from_json(m) for m in data["measures"]]
+                [measure_from_json(m) for m in _list(data["measures"], "family: measures")]
             )
     except StructuralError as exc:
         raise ConfigError(f"family: {exc}") from exc
@@ -238,7 +285,7 @@ def family_from_json(data) -> SectionFamily:
 
 
 def _node_matrix(data, K: int, n: int | None, what: str) -> np.ndarray:
-    M = np.asarray(data, dtype=float)
+    M = _numbers(data, what)
     if M.ndim != 2:
         raise ConfigError(f"{what}: expected a list of per-node rows")
     if M.shape[0] == 1:
@@ -311,6 +358,8 @@ def economy_from_json(data) -> Economy:
     _check_keys(data, "economy", {"family", "n", "endowment", "preferences"})
     fam = family_from_json(data["family"])
     n = _integer(data["n"], "economy: n")
+    if n <= 0:
+        raise ConfigError("economy: n must be positive")
     endowment = _node_matrix(data["endowment"], fam.K, n, "endowment")
     prefs = preferences_from_json(data["preferences"], fam.K, n)
     try:
@@ -325,18 +374,16 @@ def economy_from_json(data) -> Economy:
 def allocation_from_json(data, K: int, n: int) -> np.ndarray:
     _check_keys(data, "allocation", {"values"})
     M = _node_matrix(data["values"], K, n, "allocation values")
-    if not np.isfinite(M).all() or M.min() < 0:
-        raise ConfigError("allocation: values must be finite and non-negative")
+    if M.min() < 0:
+        raise ConfigError("allocation: values must be non-negative")
     return M
 
 
 def price_from_json(data, n: int) -> np.ndarray:
     _check_keys(data, "price", {"price"})
-    p = np.asarray(data["price"], dtype=float)
+    p = _numbers(data["price"], "price")
     if p.shape != (n,):
         raise ConfigError(f"price: expected {n} components")
-    if not np.isfinite(p).all():
-        raise ConfigError("price: components must be finite")
     return p
 
 

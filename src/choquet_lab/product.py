@@ -273,13 +273,14 @@ def section_measures(fam: SectionFamily, H: ProductSet) -> np.ndarray:
     """
     _check_sections(fam, H.K)
     seen: dict[tuple[int, int], float] = {}
-    out = np.empty(fam.K)
-    for k, (mu, sec) in enumerate(zip(fam.measures, H.sections)):
+    values = []
+    for mu, sec in zip(fam.measures, H.sections):
         key = (id(mu), id(sec))
-        if key not in seen:
-            seen[key] = mu(sec)
-        out[k] = seen[key]
-    return out
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = mu(sec)
+        values.append(value)
+    return np.array(values, dtype=float)
 
 
 def product_measure(fam: SectionFamily, H: ProductSet) -> float:

@@ -142,6 +142,29 @@ NON_FINITE = {
          + ", " + GOOD_MEASURE + "]}"},
         ["range-demo", "--target", "0.3", "--config", "family.json"]),
     "target Infinity": ({}, ["range-demo", "--target", "0.5,inf"]),
+    "scale a string": (
+        '{"mode": "distorted", "distortion": {"kind": "identity", "scale": "x"}}', GOOD_FUNCTION),
+    "scale a list": (
+        '{"mode": "distorted", "distortion": {"kind": "identity", "scale": [1]}}', GOOD_FUNCTION),
+    "scale a numeric string": (
+        '{"mode": "distorted", "distortion": {"kind": "identity", "scale": "2"}}', GOOD_FUNCTION),
+    "scale a boolean": (
+        '{"mode": "distorted", "distortion": {"kind": "identity", "scale": true}}', GOOD_FUNCTION),
+    "power alpha a numeric string": (
+        '{"mode": "distorted", "distortion": {"kind": "power", "alpha": "0.5"}}', GOOD_FUNCTION),
+    "pwl knot a string": (
+        '{"mode": "distorted", "distortion": {"kind": "pwl", '
+        '"knots": [[0, 0], ["x", 1], [1, 1]]}}', GOOD_FUNCTION),
+    "sectioned block a string": (
+        '{"mode": "sectioned", "blocks": [["a", 0.5], [0.5, 1]], "weights": [1.0, 1.0]}',
+        GOOD_FUNCTION),
+    "sectioned weight a numeric string": (
+        '{"mode": "sectioned", ' + BLOCKS + ', "weights": ["1", 1]}', GOOD_FUNCTION),
+    "price a string": walras(price='{"price": ["a", 1]}'),
+    "price numeric strings": walras(price='{"price": ["0.5", "0.5"]}'),
+    "price booleans": walras(price='{"price": [true, false]}'),
+    "endowment numeric strings": walras(economy_text(endowment='[["1", "1"]]')),
+    "allocation a string": walras(allocation='{"values": [["a", 1]]}'),
 }
 
 

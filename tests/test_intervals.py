@@ -99,3 +99,77 @@ def test_prefix_measure_and_nesting(seed, frac):
     # prefixes are nested
     Q = A.prefix(0.5 * target)
     assert Q.is_subset_of(P)
+
+
+def reference_set(pairs):
+    """The set the constructor must build, checked and merged in the order
+    the error messages promise: every pair's bounds first, then overlaps."""
+    pairs = [(float(a), float(b)) for a, b in pairs]
+    for a, b in pairs:
+        if not (0.0 <= a < b <= 1.0):
+            raise StructuralError(f"bad interval [{a}, {b}): need 0 <= a < b <= 1")
+    merged: list[list[float]] = []
+    for a, b in sorted(pairs):
+        if merged and a < merged[-1][1]:
+            raise StructuralError(f"overlapping intervals at [{a}, {b})")
+        if merged and a == merged[-1][1]:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return tuple((a, b) for a, b in merged)
+
+
+GRID_POINTS = st.sampled_from([-0.25, 0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 1.0, 1.5, float("nan")])
+
+
+@given(st.lists(st.tuples(GRID_POINTS | st.floats(0.0, 1.0), GRID_POINTS | st.floats(0.0, 1.0)),
+                max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_constructor_matches_the_reference(pairs):
+    try:
+        expected = reference_set(pairs)
+    except StructuralError as exc:
+        with pytest.raises(StructuralError) as raised:
+            IntervalSet(pairs)
+        assert str(raised.value) == str(exc)
+        return
+    s = IntervalSet(pairs)
+    assert s.intervals == expected
+    # stored at construction, summed as a left-to-right sum over the merged set
+    assert s.lebesgue == float(sum(b - a for a, b in expected))
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=24, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_stored_length_is_the_left_to_right_sum(points):
+    ends = sorted(points)
+    pairs = list(zip(ends[::2], ends[1::2]))
+    s = IntervalSet(pairs[::-1])
+    assert s.intervals == tuple(pairs)
+    assert s.lebesgue == float(sum(b - a for a, b in pairs))
+
+
+def test_empty_and_full_are_shared():
+    assert IntervalSet.empty() is IntervalSet.empty() and IntervalSet.empty().lebesgue == 0.0
+    assert IntervalSet.full() is IntervalSet.full() and IntervalSet.full().lebesgue == 1.0
+    assert IntervalSet.full().prefix(0.0) is IntervalSet.empty()
+    assert IntervalSet(()) == IntervalSet.empty() and IntervalSet([(0, 1)]) == IntervalSet.full()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_random_sets_keep_their_draws(seed):
+    # The dyadic cuts, scaled one by one as numpy scalars, and the generator
+    # state after every draw.
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    grid = 1 << 20
+    for _ in range(300):
+        s = random_interval_set(ours, allow_empty=True)
+        npieces = int(ref.integers(0, 5))
+        if npieces:
+            cuts = np.sort(ref.choice(grid + 1, size=2 * npieces, replace=False))
+            expected = tuple((cuts[2 * i] / float(grid), cuts[2 * i + 1] / float(grid))
+                             for i in range(npieces))
+        else:
+            expected = ()
+        assert s.intervals == expected
+        assert ours.bit_generator.state == ref.bit_generator.state

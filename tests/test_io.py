@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet_lab import io
-from choquet_lab.errors import ConfigError
+from choquet_lab.errors import ConfigError, StructuralError
 from choquet_lab.fixtures import cobb_douglas_economy, intro_sectioned_family
 from choquet_lab.intervals import IntervalSet
 from choquet_lab.measures import Distortion, FuzzyMeasure
@@ -162,3 +166,99 @@ def test_intro_family_fixture_serializes():
     data = io.family_to_json(fam)
     assert data["mode"] == "sectioned"
     assert io.family_from_json(data).K == 6
+
+
+# -- schema fuzz ----------------------------------------------------------------------
+
+# A valid document per loader; the fuzz replaces one node of it (or the whole
+# document) by an arbitrary JSON value.
+DISTORTION = {"kind": "pwl", "knots": [[0, 0], [0.5, 0.8], [1, 1]], "scale": 2.0}
+FAMILY = {"K": 2, "mode": "sectioned", "blocks": [[0, 0.5], [0.5, 1]],
+          "weights": [[1, 2], [2, 1]], "normalized": True}
+ECONOMY = {
+    "family": {"K": 2, "mode": "homothetic", "distortion": {"kind": "power", "alpha": 0.5}},
+    "n": 2,
+    "endowment": [[1.0, 2.0], [2.0, 1.0]],
+    "preferences": {"kind": "linear", "weights": [[1.0, 2.0]]},
+}
+SCHEMAS = {
+    "distortion": (DISTORTION, io.distortion_from_json),
+    "measure": ({"mode": "sectioned", "blocks": [[0, 0.5], [0.5, 1]], "weights": [1, 2]},
+                io.measure_from_json),
+    "distorted measure": ({"mode": "distorted", "distortion": DISTORTION}, io.measure_from_json),
+    "step function": ({"cells": [[0, 0.5], [0.5, 1]], "values": [[1.0, 2.0], [0.5, 0.0]]},
+                      io.step_function_from_json),
+    "product function": (
+        {"kind": "sections", "sections": [{"cells": [[0, 1]], "values": [1.0]}] * 2},
+        lambda d: io.product_function_from_json(d, 2)),
+    "sectional product function": ({"kind": "sectional", "values": [[1.0], [2.0]]},
+                                   lambda d: io.product_function_from_json(d, 2)),
+    "family": (FAMILY, io.family_from_json),
+    "heterogeneous family": (
+        {"mode": "heterogeneous", "measures": [{"mode": "distorted", "distortion": DISTORTION}]},
+        io.family_from_json),
+    "economy": (ECONOMY, io.economy_from_json),
+    "cobb-douglas preferences": ({"kind": "cobb_douglas", "exponents": [[0.5, 0.5], [0.2, 0.8]]},
+                                 lambda d: io.preferences_from_json(d, 2, 2)),
+    "dominance preferences": ({"kind": "coordinate_dominance", "coords": [[1], [1, 2]]},
+                              lambda d: io.preferences_from_json(d, 2, 2)),
+    "allocation": ({"values": [[1.0, 2.0]]}, lambda d: io.allocation_from_json(d, 2, 2)),
+    "price": ({"price": [0.25, 0.75]}, lambda d: io.price_from_json(d, 2)),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def node_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_templates_load(schema):
+    template, load = SCHEMAS[schema]
+    load(copy.deepcopy(template))
+
+
+ODD_VALUES = [None, True, "x", "1", {}, [], [[1]], -1, 0, 2.5, 1e300, float("nan"), 10**400]
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_loaders_reject_odd_values_at_every_node(schema):
+    template, load = SCHEMAS[schema]
+    for path in node_paths(template):
+        for value in ODD_VALUES:
+            try:
+                load(replaced(template, path, value))
+            except (ConfigError, StructuralError):
+                pass
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_raise_only_config_or_structural_errors(schema, data):
+    template, load = SCHEMAS[schema]
+    path = data.draw(st.sampled_from(list(node_paths(template))), label="path")
+    doc = replaced(template, path, data.draw(JSON_VALUES, label="value"))
+    try:
+        load(doc)
+    except (ConfigError, StructuralError):
+        pass
