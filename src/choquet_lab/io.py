@@ -1,7 +1,9 @@
 """Strict JSON (de)serialization for every wire type the CLI accepts.
 
 Unknown keys are rejected, shapes are validated, and every parse failure
-raises :class:`ConfigError` so the CLI can map it to exit code 1.
+raises :class:`ConfigError` so the CLI can map it to exit code 1.  A number
+must be a finite JSON number: booleans, strings and null are rejected, never
+coerced.
 """
 
 from __future__ import annotations
@@ -200,9 +202,8 @@ def product_function_from_json(data, K: int) -> ProductStepFunction:
                 raise ConfigError(f"product function: need {K} sectional values")
             return ProductStepFunction.sectional(values)
         if kind == "sections":
-            sections = tuple(
-                step_function_from_json(s) for s in _list(data["sections"], "product function: sections")
-            )
+            listed = _list(data["sections"], "product function: sections")
+            sections = tuple(step_function_from_json(s) for s in listed)
             if len(sections) != K:
                 raise ConfigError(f"product function: need {K} sections")
             return ProductStepFunction(sections)

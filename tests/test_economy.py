@@ -777,7 +777,7 @@ def stream_digests(cloud) -> dict:
 
     def ends(H):
         counts = np.array([len(sec.intervals) for sec in H.sections], dtype=np.int64)
-        points = np.array([x for sec in H.sections for iv in sec.intervals for x in iv], dtype=float)
+        points = np.array([x for sec in H.sections for iv in sec.intervals for x in iv], float)
         return counts.tobytes() + points.tobytes()
 
     return {
