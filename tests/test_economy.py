@@ -852,13 +852,23 @@ def test_excess_cloud_stream_is_pinned(name, seed, cd_economy, equilibrium, monk
 
 
 def test_uniform_draws_are_affine_maps_of_random():
-    # sample_excess_points draws rng.uniform(lo, hi) as lo + (hi - lo) *
-    # rng.random(), which is how numpy defines uniform; both must leave the
-    # generator in the same state, with integer draws interleaved.
+    # sample_excess_points takes its uniform draws as rng.random() and maps
+    # them as arrays, lo + (hi - lo) * u, which is how numpy defines uniform:
+    # the bytes and the generator state must be those of the uniform calls,
+    # with integer draws interleaved as in the cloud.
     for seed in (1, 42):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        nudges, shifts, levels = [], [], []
+        raw_nudges, raw_shifts, raw_levels = [], [], []
         for _ in range(2000):
             assert a.integers(3) == b.integers(3)
-            assert a.uniform(-0.5, 1.0) == -0.5 + 1.5 * b.random()
-            np.testing.assert_array_equal(a.uniform(0, 0.5, size=3), 0.5 * b.random(3))
+            nudges.append(a.uniform(-0.5, 1.0))
+            raw_nudges.append(b.random())
+            shifts.append(a.uniform(0, 0.5, size=3))
+            raw_shifts.append(b.random(3))
+            levels.append(a.uniform(0, 1, size=4))
+            raw_levels.append(b.random(4))
+        assert np.array(nudges).tobytes() == (-0.5 + 1.5 * np.array(raw_nudges)).tobytes()
+        assert np.array(shifts).tobytes() == (0.5 * np.array(raw_shifts)).tobytes()
+        assert np.array(levels).tobytes() == np.array(raw_levels).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
