@@ -59,21 +59,20 @@ def _number(value, what: str) -> float:
 
 
 def _numbers(data, what: str) -> np.ndarray:
-    """A list, or equal-length nested lists, of finite JSON reals as a float
-    array."""
+    """A list of finite JSON reals, or a list of equal-length rows of them,
+    as a float array."""
     if not isinstance(data, list):
         raise ConfigError(f"{what}: expected a list of numbers (got {data!r})")
-    try:
-        cells = np.array(data, dtype=object)  # ragged rows stay lists, rejected below
-    except ValueError as exc:  # nested beyond numpy's dimension limit
-        raise ConfigError(f"{what}: {exc}") from exc
+    cells = np.array(data, dtype=object)  # ragged rows stay lists, rejected below
+    if cells.ndim > 2:
+        raise ConfigError(f"{what}: expected numbers or rows of numbers")
     return np.array([_number(x, what) for x in cells.flat], dtype=float).reshape(cells.shape)
 
 
 def _value_rows(data, what: str) -> np.ndarray:
-    """Scalar values, or vector values as non-empty equal-length rows."""
+    """Scalar values, or vector values as non-empty rows."""
     values = _numbers(data, what)
-    if values.ndim > 2 or values.ndim == 2 and values.shape[1] == 0:
+    if values.ndim == 2 and values.shape[1] == 0:
         raise ConfigError(f"{what}: expected numbers or non-empty rows of numbers")
     return values
 
@@ -397,8 +396,10 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"JSON in {path} is nested too deeply") from exc
 
 
 def dump_json(obj, path: str | None) -> str:

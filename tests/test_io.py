@@ -154,6 +154,13 @@ class TestFiles:
         with pytest.raises(ConfigError):
             io.load_json(str(bad))
 
+    @pytest.mark.parametrize("text", [b'{"price": [\xff]}', b"[" * 100_000 + b"]" * 100_000])
+    def test_load_undecodable_or_too_deep(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        with pytest.raises(ConfigError):
+            io.load_json(str(bad))
+
     def test_dump_round_trip(self, tmp_path):
         out = tmp_path / "x.json"
         text = io.dump_json({"b": 1, "a": [2.5]}, str(out))
@@ -242,7 +249,11 @@ def test_templates_load(schema):
     load(copy.deepcopy(template))
 
 
-ODD_VALUES = [None, True, "x", "1", {}, [], [[1]], -1, 0, 2.5, 1e300, float("nan"), 10**400]
+DEEP = [1]
+for _ in range(99):
+    DEEP = [DEEP]
+ODD_VALUES = [None, True, "x", "1", {}, [], [[1]], [[[1]]], DEEP, -1, 0, 2.5, 1e300, float("nan"),
+              10**400]
 
 
 @pytest.mark.parametrize("schema", sorted(SCHEMAS))
