@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from choquet_lab import io
 from choquet_lab.cli import main
-from choquet_lab.fixtures import cobb_douglas_economy, split_dominance_economy
+from choquet_lab.economy import Economy, Preferences
+from choquet_lab.fixtures import (
+    cobb_douglas_economy,
+    full_dominance_economy,
+    split_dominance_economy,
+)
 
 
 @pytest.fixture()
@@ -387,3 +393,195 @@ class TestDemo:
             main(["demo", "--scenario", "cobb-douglas", "--K", "30",
                   "--budget", "100", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 digests and exit codes of whole ``economy-check`` and ``demo``
+# reports (stdout bytes).  Any change to a search result, a Walras verdict
+# or a reported violator moves them.  The economies: the K = 20 Cobb-Douglas
+# fixture with its equilibrium allocation; a linear and a dominance economy
+# with n = 3 on K = 12 nodes; the split and full dominance fixtures at K = 20.
+# Each economy is checked at its endowment and at a second allocation whose
+# rows are scaled node by node, so that some nodes are over budget.
+REPORT_PRICES = {
+    "cobb_douglas": ([0.5, 0.5], [1.0, 0.0]),
+    "linear": ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6]),
+    "dominance": ([0.2, 0.3, 0.5], [1.0, 0.0, 0.0]),
+    "split": ([0.5, 0.5], [1.0, 0.0]),
+    "full": ([0.5, 0.5], [0.0, 1.0]),
+}
+
+
+def report_economy(name):
+    """(economy, second allocation) of a pinned report."""
+    from test_economy import random_economy
+
+    if name == "cobb_douglas":
+        eco, allocation, _ = cobb_douglas_economy(K=20)
+        return eco, allocation
+    if name in ("linear", "dominance"):
+        pref_kind, fam_kind, seed = {
+            "linear": ("linear", "sectioned", 21),
+            "dominance": ("coordinate_dominance", "pwl", 22),
+        }[name]
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K=12, n=3)
+        if name == "dominance":  # plain ints, so the economy serializes
+            jsets = tuple(tuple(int(j) for j in js) for js in eco.prefs.jsets)
+            prefs = Preferences("coordinate_dominance", 3, jsets=jsets)
+            eco = Economy(eco.fam, eco.endowment, prefs)
+    else:
+        eco = (split_dominance_economy if name == "split" else full_dominance_economy)(K=20)
+        rng = np.random.default_rng(23)
+    return eco, eco.endowment * rng.uniform(0.3, 1.3, size=(eco.K, 1))
+
+
+def report_cases():
+    cases = {}
+    for name, prices in REPORT_PRICES.items():
+        for alloc in ("endowment", "allocation"):
+            extra = [] if alloc == "endowment" else ["--allocation", "allocation.json"]
+            cases[f"{name} walras found {alloc}"] = (name, ["--mode", "walras"] + extra)
+            for i in range(len(prices)):
+                cases[f"{name} walras price{i} {alloc}"] = (
+                    name, ["--mode", "walras", "--price", f"price{i}.json"] + extra)
+            cases[f"{name} core {alloc}"] = (name, ["--mode", "core", "--budget", "100"] + extra)
+            cases[f"{name} large-core {alloc}"] = (name, ["--mode", "large-core"] + extra)
+        if name in ("dominance", "split", "full"):
+            cases[f"{name} endowment"] = (name, ["--mode", "endowment"])
+    cases["demo cobb-douglas"] = (None, ["--scenario", "cobb-douglas", "--K", "20"])
+    cases["demo dominance-split"] = (None, ["--scenario", "dominance-split", "--K", "20"])
+    return cases
+
+
+REPORT_CASES = report_cases()
+
+
+def report_digest(case, tmp_path, capsys):
+    name, args = REPORT_CASES[case]
+    if name is None:
+        code = main(["demo"] + args)
+    else:
+        eco, allocation = report_economy(name)
+        io.dump_json(io.economy_to_json(eco), str(tmp_path / "economy.json"))
+        io.dump_json({"values": allocation.tolist()}, str(tmp_path / "allocation.json"))
+        for i, p in enumerate(REPORT_PRICES[name]):
+            io.dump_json({"price": p}, str(tmp_path / f"price{i}.json"))
+        args = ["--config", "economy.json"] + args
+        code = main(["economy-check"] + [str(tmp_path / a) if a.endswith(".json") else a
+                                         for a in args])
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+PINNED_REPORTS = {
+    "cobb_douglas core allocation":
+        (0, "14848b1722f88d4e82b9edc02d54ab1130492d5ec77ce54690e0aaa6dbf8642a"),
+    "cobb_douglas core endowment":
+        (2, "2a836f500bcbc271ec6b3602cdbf0af4a55c1ac49d15039c7c653eb38dcce787"),
+    "cobb_douglas large-core allocation":
+        (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
+    "cobb_douglas large-core endowment":
+        (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
+    "cobb_douglas walras found allocation":
+        (0, "c1e431e677a3b4e83053d8f634c398909410d412eedb8a9ae8e5b759ac014fe2"),
+    "cobb_douglas walras found endowment":
+        (2, "7e00b7cfa706c0fa0571cf021ba49f9e7da61aa24c5fd6203d0d9d72dafcd08b"),
+    "cobb_douglas walras price0 allocation":
+        (0, "df0f139e604333db9775c5a061bdba33821f70fcaa989ab7bf0226fd8e035312"),
+    "cobb_douglas walras price0 endowment":
+        (2, "d3ef621246d604bcf345b10acf315b040afe6d0f584b5386b83a72a305816ad7"),
+    "cobb_douglas walras price1 allocation":
+        (2, "33efced519da0e6d7d3521a94d1bc96e0de44cc6256b5a752d61e05f097ec494"),
+    "cobb_douglas walras price1 endowment":
+        (2, "401bf256d539e165c292f0d84f0f6ac10770c6cb6911d4704d2d847f26873ce3"),
+    "demo cobb-douglas": (0, "c7de126c1fec44d9bdce67a0f6dfaecda5b31d96bed288e74b59495423414ae4"),
+    "demo dominance-split":
+        (2, "1ea453cc1d63f27be9babf609000ad23c3206866616bc3af04ba6246808d514b"),
+    "dominance core allocation":
+        (2, "835c1b4c780155d5199a8fdc375488d3b9ae1c546ee419bf0034508f899dc5ed"),
+    "dominance core endowment":
+        (0, "1a3d52d4ef9fe34eefbbad0c638980fc4ea511e9718afacff4561f20228019d8"),
+    "dominance endowment": (2, "4281844dfb8061f61f8164852119a93bb0b79b98ba23a8dd527749a795c1310e"),
+    "dominance large-core allocation":
+        (2, "d35bd6bad70943fe3911eceecb138898605f29f964b0e3ad9038f793e669c579"),
+    "dominance large-core endowment":
+        (0, "60e85995583a787765fc07c86e7119ba414826b8c2bb8309893ef4c5aba305bc"),
+    "dominance walras found allocation":
+        (2, "435995517ad11651eae506630f61f0cd167c10f9633a0f2ab4173c31f4cd0db4"),
+    "dominance walras found endowment":
+        (2, "e2a3546def5de39afbef3cdfbf5613d91c0d271faa32499b136dfdda7bfdfc3e"),
+    "dominance walras price0 allocation":
+        (2, "d6f752a4c686c68860ab1f90ff0d8fd68df0e42b526f2c59454acaf630633bda"),
+    "dominance walras price0 endowment":
+        (2, "1845f609b7c48db5ae9000ae66931176297c06e26b83ec6ae941ccab7be35b78"),
+    "dominance walras price1 allocation":
+        (2, "7978cffb02c360d12c5428a247bb7580c1f5d2c9dbf0d6d130d2848d1a305b53"),
+    "dominance walras price1 endowment":
+        (2, "33731d328302bb0e8b99f438e48e50a41f2b7f0ec0ce0c7cb7862069f14bcfe0"),
+    "full core allocation":
+        (2, "70415db5d34fb24f3ad8d3825058436aefed73a5d4d21ba0a7e7b55d95db033a"),
+    "full core endowment": (0, "14848b1722f88d4e82b9edc02d54ab1130492d5ec77ce54690e0aaa6dbf8642a"),
+    "full endowment": (0, "4ec30db87c61e516118bfdde0892fa400f304b92c3b09a379c77850a23289ef7"),
+    "full large-core allocation":
+        (2, "589ec791e50e4a007b01d4ddfeb606fd4a1fdaf55cfdbf275973f183eaa8f898"),
+    "full large-core endowment":
+        (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
+    "full walras found allocation":
+        (2, "cd47b030f3dd2d6f4117b5721099d7887b8ff5b1c8a4ecf309293572c7200b95"),
+    "full walras found endowment":
+        (0, "a1990b88b8f23dc24e557137e030dbbb0ac2350e21ff2bd11f4f97dc2c1ca69e"),
+    "full walras price0 allocation":
+        (2, "122f6277dc64c5efa2d9a2fcecfb4606b1c204b3429637749ca9e9bcee6d2c1c"),
+    "full walras price0 endowment":
+        (0, "df0f139e604333db9775c5a061bdba33821f70fcaa989ab7bf0226fd8e035312"),
+    "full walras price1 allocation":
+        (2, "de41820b9ea22cd556000bfe7c03ecfef1efe642f4858f63b85c19c20a8c30bf"),
+    "full walras price1 endowment":
+        (0, "407aa0e4c2fde76839c7a804fdc8d75a9efc3252b669286918b63d8cdf5cc560"),
+    "linear core allocation":
+        (2, "80a10c6cb47948e61ae610e35319ae4bf2de65e2f6037f20d0a57be2ced8e876"),
+    "linear core endowment":
+        (0, "1a3d52d4ef9fe34eefbbad0c638980fc4ea511e9718afacff4561f20228019d8"),
+    "linear large-core allocation":
+        (2, "3fe25f3c838c177753fa31674d8bd05962379adf1f679f9eb40269302179f5d6"),
+    "linear large-core endowment":
+        (0, "60e85995583a787765fc07c86e7119ba414826b8c2bb8309893ef4c5aba305bc"),
+    "linear walras found allocation":
+        (2, "a3a37e51ac8a703a6583241cc1bb4ce13e0913d7f3f8543ea03efb0eaea04ec6"),
+    "linear walras found endowment":
+        (2, "9f30e860d609703da44653ae95b3eadc677e41ff392b56109f1e69d3786607c4"),
+    "linear walras price0 allocation":
+        (2, "05636267cb826baab604dc90c7219c7de014457d77c4e23f44699aadd2459b33"),
+    "linear walras price0 endowment":
+        (2, "a81160c0047f182faf55a0d5a5810f1d9af6c0474ceffad0fc842d512e54202f"),
+    "linear walras price1 allocation":
+        (2, "0e72ad6412a05d7b3a499db22d3b8a00110581bf02cf23b866811ee79232ccad"),
+    "linear walras price1 endowment":
+        (2, "3d52cc1f1012d25ff4294e8146099dde95b342c503f42bd0b5fee4835583615f"),
+    "split core allocation":
+        (2, "2a836f500bcbc271ec6b3602cdbf0af4a55c1ac49d15039c7c653eb38dcce787"),
+    "split core endowment":
+        (2, "2a836f500bcbc271ec6b3602cdbf0af4a55c1ac49d15039c7c653eb38dcce787"),
+    "split endowment": (2, "c19c8740c91581787db2b6a796d08806ba1067faf1b2b733207aadfa35c82247"),
+    "split large-core allocation":
+        (2, "589ec791e50e4a007b01d4ddfeb606fd4a1fdaf55cfdbf275973f183eaa8f898"),
+    "split large-core endowment":
+        (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
+    "split walras found allocation":
+        (2, "177277834d2846109f59279b38961d20dc42fd37495695044c8506c5a0b11f78"),
+    "split walras found endowment":
+        (2, "26bb35d1f24ce98ade319fd45d4c61bfa1d6ca2ff40d37c4be01f352f5c3e5e9"),
+    "split walras price0 allocation":
+        (2, "980d018ceccd4826def5942c4a3220a4a4b18b7339712312b5430a145f43366f"),
+    "split walras price0 endowment":
+        (2, "6b835affd711d66b66b91c5aaa2dcb3683d5d0ae051231b48ecb314e7432535d"),
+    "split walras price1 allocation":
+        (2, "e5f0de5fc7ea69d5df9747c0b8475e74bab267cc0b0858469f91a2b338daf927"),
+    "split walras price1 endowment":
+        (2, "69c20b36e8fefb0b67d5eac4675c79cffc7ad69fcf6d2e89a3a371fe083a9e8c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_bytes_are_pinned(case, tmp_path, capsys):
+    assert report_digest(case, tmp_path, capsys) == PINNED_REPORTS[case]
