@@ -11,6 +11,10 @@ three concrete families:
 * ``coordinate_dominance``: x preferred to z iff x_j > z_j for every j in a
   per-node index set J_y (no utility representation).
 
+Each preference question is one :class:`Preferences` row method over all
+nodes, asked once per price, trial or probe direction: the Walras check
+decides every node in one closed-form row function.
+
 Strong improvement and, for coordinate dominance, whether the endowment is
 a Walras allocation are decided in closed form; the improvement and price
 searches are budgeted, hence incomplete (coalitions form a continuum).
@@ -20,6 +24,7 @@ witness is re-verified against the definitions before being returned.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -27,7 +32,7 @@ import numpy as np
 
 from .choquet import choquet, choquet_restricted
 from .errors import InvalidPriceError, StructuralError
-from .intervals import IntervalSet, random_interval_set
+from .intervals import random_interval_set
 from .lp import linprog
 from .product import (
     ProductSet,
@@ -52,9 +57,22 @@ def normalize_price(p) -> np.ndarray:
     return p / p.sum()
 
 
+def _row_dot(A, B) -> np.ndarray:
+    """Dot products of matching rows of A and B, each rounded as the 1-D
+    ``a @ b`` (``np.sum(A * B, -1)``, ``einsum`` and ``E @ p`` are not)."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class Preferences:
-    """Per-node preference relations on the commodity space."""
+    """Per-node preference relations on the commodity space.
+
+    One row method per question, each family's formula written once.  ``k``
+    picks the nodes: one index, an index array, or every node (the default);
+    U and V hold one bundle per picked node in their last two axes, so a
+    stack (..., K, n) of allocations is asked at once.
+    """
 
     kind: str  # "cobb_douglas" | "linear" | "coordinate_dominance"
     n: int
@@ -84,7 +102,12 @@ class Preferences:
         elif self.kind == "coordinate_dominance":
             if not self.jsets:
                 raise StructuralError("need one index set per node")
-            sets = tuple(tuple(sorted(set(js))) for js in self.jsets)
+            try:  # Python ints, so that the sets serialize
+                sets = tuple(tuple(sorted({operator.index(j) for j in js})) for js in self.jsets)
+            except TypeError:
+                raise StructuralError("index sets must hold integers") from None
+            if any(isinstance(j, bool) for js in self.jsets for j in js):
+                raise StructuralError("index sets must hold integers, not booleans")
             for js in sets:
                 if not js or min(js) < 0 or max(js) >= self.n:
                     raise StructuralError("index sets must be non-empty subsets of goods")
@@ -104,76 +127,59 @@ class Preferences:
             return self.weights.shape[0]
         return len(self.jsets)
 
-    # -- pointwise comparisons ------------------------------------------
+    # -- comparisons --------------------------------------------------------
 
-    def utility(self, k: int, u) -> float:
-        u = np.asarray(u, dtype=float)
+    def utilities(self, U, k=slice(None)) -> np.ndarray:
+        U = np.asarray(U, dtype=float)
         if self.kind == "cobb_douglas":
-            return float(np.prod(np.maximum(u, 0.0) ** self.exponents[k]))
+            return np.prod(np.maximum(U, 0.0) ** self.exponents[k], axis=-1)
         if self.kind == "linear":
-            return float(self.weights[k] @ u)
+            return _row_dot(self.weights[k], U)
         raise StructuralError("coordinate dominance has no utility representation")
 
-    def strictly_prefers(self, k: int, u, v) -> bool:
+    def strict_rows(self, U, V, k=slice(None)) -> np.ndarray:
+        """Is U strictly preferred to V, per row."""
         if self.kind == "coordinate_dominance":
-            js = list(self.jsets[k])
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            return bool(np.all(u[js] > v[js]))
-        return self.utility(k, u) > self.utility(k, v)
+            U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+            return np.all((U > V) | ~self._jmask[k], axis=-1)
+        return self.utilities(U, k) > self.utilities(V, k)
 
-    def weakly_prefers(self, k: int, u, v, tol: float = 0.0) -> bool:
+    def weak_rows(self, U, V, k=slice(None), tol: float = 0.0) -> np.ndarray:
+        """Is U weakly preferred to V, up to ``tol``, per row."""
         if self.kind == "coordinate_dominance":
-            js = list(self.jsets[k])
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            return bool(np.all(u[js] >= v[js] - tol))
-        return self.utility(k, u) >= self.utility(k, v) - tol
-
-    # -- vectorized helpers across all nodes ------------------------------
-    #
-    # U and V are (K, n) allocations, or stacks (..., K, n) of them.
-
-    def utilities(self, U: np.ndarray) -> np.ndarray:
-        if self.kind == "cobb_douglas":
-            return np.prod(np.maximum(U, 0.0) ** self.exponents, axis=-1)
-        if self.kind == "linear":
-            return np.sum(self.weights * U, axis=-1)
-        raise StructuralError("coordinate dominance has no utility representation")
-
-    def strict_rows(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """strictly_prefers per node, vectorized."""
-        if self.kind == "coordinate_dominance":
-            return np.all((U > V) | ~self._jmask, axis=-1)
-        return self.utilities(U) > self.utilities(V)
+            U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+            return np.all((U >= V - tol) | ~self._jmask[k], axis=-1)
+        return self.utilities(U, k) >= self.utilities(V, k) - tol
 
     # -- demand -------------------------------------------------------------
 
-    def demand(self, k: int, p: np.ndarray, wealth: float, ref=None) -> np.ndarray | None:
-        """Budget-exhausting preferred bundle at strictly positive prices."""
+    def demand_rows(self, p: np.ndarray, wealth: np.ndarray, ref=None) -> np.ndarray | None:
+        """Budget-exhausting preferred bundles (K, n) at strictly positive
+        prices for the wealths (K,); dominance scales ref on J.  None when
+        some price is zero or some ref costs nothing on J."""
         if np.min(p) <= 0:
             return None
+        wealth = np.asarray(wealth, dtype=float)[:, None]
         if self.kind == "cobb_douglas":
-            return self.exponents[k] * wealth / p
+            return self.exponents * wealth / p
         if self.kind == "linear":
-            i = int(np.argmax(self.weights[k] / p))
-            out = np.zeros(self.n)
-            out[i] = wealth / p[i]
+            rows = np.arange(self.K)
+            i = np.argmax(self.weights / p, axis=1)
+            out = np.zeros((self.K, self.n))
+            out[rows, i] = wealth[:, 0] / p[i]
             return out
-        js = list(self.jsets[k])
         ref = np.asarray(ref, dtype=float)
-        denom = float(p[js] @ ref[js])
-        if denom <= 0:
+        denom = _row_dot(np.where(self._jmask, p, 0.0), ref)  # p_J . ref_J
+        if not np.all(denom > 0):
             return None
-        out = np.zeros(self.n)
-        out[js] = ref[js] * wealth / denom
-        return out
+        return np.where(self._jmask, ref * wealth / denom[:, None], 0.0)
 
     # -- upper-contour sampling (for the excess cloud) -----------------------
 
     def contour_boundary(self, k: int, ref: np.ndarray, axis: int, delta: float):
         """A point on the indifference/dominance boundary through ``ref``,
-        nudged by ``delta`` along ``axis`` and rebalanced on the rest."""
+        nudged by ``delta`` along ``axis`` and rebalanced on the rest: the
+        scalar reference that the tests hold :meth:`contour_rows` to."""
         ref = np.asarray(ref, dtype=float)
         if self.kind == "cobb_douglas":
             if ref.min() <= 0 or delta <= -1:
@@ -205,34 +211,40 @@ class Preferences:
             out[i] = max(0.0, ref[i] + delta)
         return out
 
-    def contour_rows(self, F: np.ndarray, axes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    def contour_rows(self, F: np.ndarray, axes: np.ndarray, deltas: np.ndarray):
         """``contour_boundary(k, F[k], axes[k], deltas[k])`` for every node k
-        as one (K, n) array; a node where that is None keeps its row F[k]."""
+        as one (K, n) array, with the (K,) mask of the nodes where that is not
+        None; a node outside the mask keeps its row F[k]."""
         out = F.copy()
         K, n = F.shape
-        if n == 1:
-            return out
         if self.kind == "cobb_douglas":
-            ok = np.flatnonzero((F.min(axis=1) > 0) & (deltas > -1))
-            a = self.exponents[ok, axes[ok]]
-            grow = 1.0 + deltas[ok]
+            ok = (F.min(axis=1) > 0) & (deltas > -1)
+            if n == 1:
+                return out, ok
+            idx = np.flatnonzero(ok)
+            a = self.exponents[idx, axes[idx]]
+            grow = 1.0 + deltas[idx]
             # Scalar pow per node, as contour_boundary computes it: numpy's
             # array power differs from scalar pow in the last bit on some hosts.
             r = np.array([g**x for g, x in zip(grow.tolist(), -a / (1.0 - a))])
             keep = np.isfinite(r) & (r <= 1e6)  # the rebalance explodes as a -> 1
-            ok, grow, r = ok[keep], grow[keep], r[keep]
-            out[ok] = F[ok] * r[:, None]
-            out[ok, axes[ok]] = F[ok, axes[ok]] * grow
-            return out
+            ok[idx] = keep
+            idx, grow, r = idx[keep], grow[keep], r[keep]
+            out[idx] = F[idx] * r[:, None]
+            out[idx, axes[idx]] = F[idx, axes[idx]] * grow
+            return out, ok
         if self.kind == "linear":
+            if n == 1:
+                return out, np.ones(K, dtype=bool)
             w, rows = self.weights, np.arange(K)
             other = (axes + 1) % n
             out[rows, axes] += deltas / w[rows, axes]
             out[rows, other] -= deltas / w[rows, other]
-            off = ~(out.min(axis=1) >= 0)
-            out[off] = F[off]
-            return out
-        return np.where(self._jmask, F, np.maximum(0.0, F + deltas[:, None]))
+            ok = out.min(axis=1) >= 0
+            out[~ok] = F[~ok]
+            return out, ok
+        out = np.where(self._jmask, F, np.maximum(0.0, F + deltas[:, None]))
+        return out, np.ones(K, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -274,14 +286,17 @@ class Economy:
             integrate_sectional_over(self.fam, self.endowment, ProductSet.full(self.K))
         )
 
-    def wealth(self, p: np.ndarray, k: int) -> float:
-        return float(p @ self.endowment[k])
+    def wealth(self, p: np.ndarray, k=slice(None)) -> np.ndarray:
+        """p . e_k of the nodes ``k`` picks (every node by default)."""
+        return _row_dot(p, self.endowment[k])
 
 
 def _allocation(eco: Economy, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (eco.K, eco.n):
         raise StructuralError(f"allocation must be ({eco.K}, {eco.n})")
+    if not np.isfinite(f).all():
+        raise StructuralError("allocation must be finite")
     if f.min() < 0:
         raise StructuralError("allocation must be non-negative")
     return f
@@ -308,62 +323,67 @@ def budget_check(eco: Economy, p, bundle, k: int) -> bool:
     return bool(p @ bundle <= eco.wealth(p, k) + BUDGET_TOL)
 
 
-def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray | None]:
-    """Is f(y_k) preference-maximal in the budget set at node k?
+def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
+    """Is F[k] preference-maximal in its budget set at the normalized price
+    p, for every node k: (ok, violators), with a NaN row where a node has no
+    violator (it is maximal or over budget).
 
-    Each family has a closed form.  Cobb-Douglas compares against its demand.
-    Linear utility w . x peaks over the budget set at the corner
-    e_i * wealth / p_i with i = argmax w / p; the violator is the point of
-    that axis halfway in utility between the bundle and the corner.  When
-    some p_i = 0 the utility is unbounded, and bundle + e_i costs no more.
+    Cobb-Douglas compares against its demand.  Linear utility w . x peaks
+    over the budget set at the corner e_i * wealth / p_i, i = argmax w / p;
+    the violator is the point of that axis halfway in utility between the
+    bundle and the corner.  When some p_i = 0, bundle + e_i costs no more.
     Coordinate dominance on J has an affordable strictly preferred bundle iff
     sum_{j in J} p_j b_j < wealth: raise the J-coordinates by half the slack
-    per unit of their price and drop the others.  A violator is returned only
-    after ``strictly_prefers`` and :func:`budget_check` confirm it.
+    per unit of their price and drop the others.  Such a violator is kept
+    only where ``strict_rows`` and :func:`budget_check`'s test (with its
+    second normalization of p) confirm it.
     """
-    p = normalize_price(p)
-    f = _allocation(eco, f)
-    bundle = f[k]
-    wealth = eco.wealth(p, k)
-    if p @ bundle > wealth + DEMAND_TOL:  # f(a) must lie in its budget set
-        return False, None
-    if eco.prefs.kind == "cobb_douglas":
+    prefs, K, n = eco.prefs, eco.K, eco.n
+    wealth = eco.wealth(p)
+    inside = ~(_row_dot(p, F) > wealth + DEMAND_TOL)  # f(a) must lie in its budget set
+    if prefs.kind == "cobb_douglas":
         if p.min() > 0:
-            d = eco.prefs.demand(k, p, wealth)
-            if np.max(np.abs(bundle - d)) <= DEMAND_TOL:
-                return True, None
-            return False, d
-        # a free good makes Cobb-Douglas demand unbounded
-        free = int(np.argmin(p))
-        worse = bundle.copy()
-        worse[free] += 1.0 + np.max(eco.endowment)
-        if bundle.min() > 0:
-            return False, worse
-        interior = np.full(eco.n, wealth / (2.0 * eco.n * max(p.max(), 1e-12)))
-        return False, interior
-    prefs = eco.prefs
+            cand = prefs.demand_rows(p, wealth)
+            ok = inside & (np.max(np.abs(F - cand), axis=1) <= DEMAND_TOL)
+        else:  # a free good makes Cobb-Douglas demand unbounded
+            worse = F.copy()
+            worse[:, np.argmin(p)] += 1.0 + np.max(eco.endowment)
+            interior = wealth[:, None] / (2.0 * n * max(p.max(), 1e-12))
+            cand = np.where(F.min(axis=1, keepdims=True) > 0, worse, interior)
+            ok = np.zeros(K, dtype=bool)
+        return ok, np.where((inside & ~ok)[:, None], cand, np.nan)
     if prefs.kind == "linear":
         free = np.flatnonzero(p == 0)
         if free.size:
-            cand = bundle.copy()
-            cand[free[0]] += 1.0
+            cand = F.copy()
+            cand[:, free[0]] += 1.0
         else:
-            i = int(np.argmax(prefs.weights[k] / p))
-            cand = np.zeros(eco.n)
+            rows = np.arange(K)
+            i = np.argmax(prefs.weights / p, axis=1)
+            cand = np.zeros((K, n))
             # halfway in utility between the bundle and the best corner, so
             # rounding cannot push the violator over the budget
-            cand[i] = 0.5 * (wealth / p[i] + prefs.utility(k, bundle) / prefs.weights[k, i])
+            cand[rows, i] = 0.5 * (wealth / p[i] + prefs.utilities(F) / prefs.weights[rows, i])
+        slack = inside
     else:
-        js = list(prefs.jsets[k])
-        spent = float(p[js] @ bundle[js])
-        if not spent < wealth:
-            return True, None
-        unit = float(np.sum(p[js]))
-        cand = np.zeros(eco.n)
-        cand[js] = bundle[js] + ((wealth - spent) / (2.0 * unit) if unit > 0 else 1.0)
-    if prefs.strictly_prefers(k, cand, bundle) and budget_check(eco, p, cand, k):
-        return False, cand
-    return True, None
+        pJ = np.where(prefs._jmask, p, 0.0)
+        spent = _row_dot(pJ, F)
+        unit = pJ.sum(axis=1)
+        step = np.divide(wealth - spent, 2.0 * unit, out=np.ones(K), where=unit > 0)
+        cand = np.where(prefs._jmask, F + step[:, None], 0.0)
+        slack = inside & (spent < wealth)
+    q = normalize_price(p)
+    bad = slack & prefs.strict_rows(cand, F) & (_row_dot(q, cand) <= eco.wealth(q) + BUDGET_TOL)
+    return inside & ~bad, np.where(bad[:, None], cand, np.nan)
+
+
+def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray | None]:
+    """Is f(y_k) preference-maximal in the budget set at node k?  Row k of
+    :func:`check_walras`'s decision: (True, None), or False and a violator
+    (None when f(y_k) is over budget)."""
+    ok, violators = _budget_rows(eco, normalize_price(p), _allocation(eco, f))
+    violator = violators[k]
+    return bool(ok[k]), None if np.isnan(violator).any() else violator
 
 
 @dataclass(frozen=True)
@@ -392,16 +412,12 @@ def check_walras(eco: Economy, f, p) -> WalrasReport:
     """(w1) feasibility and (w2) per-node budget maximality."""
     f = _allocation(eco, f)
     feasible, dev = is_feasible(eco, f)
-    ok = np.empty(eco.K, dtype=bool)
+    ok, violators = _budget_rows(eco, normalize_price(p), f)
     first = None
-    for k in range(eco.K):
-        good, violator = is_maximal_in_budget(eco, p, f, k)
-        ok[k] = good
-        if not good and first is None:
-            first = {
-                "node": k,
-                "violator": None if violator is None else violator.tolist(),
-            }
+    if not ok.all():
+        k = int(np.argmin(ok))
+        v = violators[k]
+        first = {"node": k, "violator": None if np.isnan(v).any() else v.tolist()}
     return WalrasReport(feasible, dev, ok, first)
 
 
@@ -437,7 +453,8 @@ def sample_excess_points(
     to f(y) and coalitions H (level sets, random section unions, single nodes).
 
     Deterministic probes come first: unit-vector translations of f over the
-    full space, then two-sided boundary nudges of f at every node; the
+    full space, then two-sided boundary nudges of f at every node, built as
+    one :meth:`Preferences.contour_rows` call per (axis, delta, sign); the
     remainder is seeded-random.  The node measures of a coalition are
     evaluated once and shared by all its samples.
 
@@ -475,23 +492,24 @@ def sample_excess_points(
     for k in range(K):
         H = ProductSet.single(K, k)
         singles.append((H, section_measures(eco.fam, H)))
-    deltas = (2e-4, 2e-3, 2e-2, 0.2)
-    for k, (H, w) in enumerate(singles):
-        e_k, w_k = eco.endowment[k], w[k]
-        for axis in range(n):
-            for d in deltas:
-                for signed in (d, -d):
-                    pt = eco.prefs.contour_boundary(k, f[k], axis, signed)
-                    if pt is None or pt.min() < 0:
-                        continue
-                    s = f.copy()
-                    s[k] = pt
-                    # z is the mean over nodes of (s - e) * w.  Every other
-                    # node has w = 0 and adds a signed zero, which leaves this
-                    # node's term as it is: the term is nonzero or +0.0, since
-                    # e > 0 and w_k = mu_k(X) > 0.
-                    z = (pt - e_k) * w_k / K
-                    out.append(ExcessSample(z, s, H, w.copy(), f"boundary-{k}-{axis}"))
+    # Boundary nudges of f: one contour_rows call per (axis, delta, sign),
+    # emitted in (node, axis, delta, sign) order.  z is the mean over nodes
+    # of (s - e) * w; every other node has w = 0 and adds a signed zero, which
+    # leaves this node's term (nonzero or +0.0, as e > 0 and w_k > 0) as is.
+    signed = np.ravel([(d, -d) for d in (2e-4, 2e-3, 2e-2, 0.2)])
+    probes = [
+        eco.prefs.contour_rows(f, np.full(K, axis), np.full(K, d))
+        for axis in range(n)
+        for d in signed
+    ]
+    P = np.array([pts for pts, _ in probes])  # (8 n, K, n)
+    emit = np.array([ok for _, ok in probes]) & ~(P.min(axis=2) < 0)
+    Z = (P - eco.endowment) * w_full[:, None] / K
+    for k, j in zip(*np.nonzero(emit.T)):
+        s = f.copy()
+        s[k] = P[j, k]
+        H, w = singles[k]
+        out.append(ExcessSample(Z[j, k], s, H, w.copy(), f"boundary-{k}-{j // 8}"))
 
     for _ in range(samples):
         kind = int(integers(4))
@@ -504,7 +522,7 @@ def sample_excess_points(
                 shifts.append(random(n))
         # rng.uniform(-0.5, 1.0) per node; rng.uniform(0, 0.5, n) per shift,
         # which keeps a shifted row inside the contour set
-        s = eco.prefs.contour_rows(f, np.array(axes), -0.5 + 1.5 * np.array(nudges))
+        s, _ = eco.prefs.contour_rows(f, np.array(axes), -0.5 + 1.5 * np.array(nudges))
         if shifted:
             s[shifted] += 0.5 * np.array(shifts)
         if kind == 0:
@@ -646,16 +664,18 @@ def verify_improvement(
         return False, {"reason": "null coalition"}
 
     section_int = np.zeros((eco.K, eco.n))
-    for k, (mu, sec, gs) in enumerate(zip(eco.fam.measures, S.sections, g.sections)):
-        if w[k] <= 0:
-            continue
+    nodes, values = [], []  # the value of every cell that meets an active section
+    for k in np.flatnonzero(w > 0):
+        mu, sec, gs = eco.fam.measures[k], S.sections[k], g.sections[k]
         for cell, value in zip(gs.cells, gs.values):
-            if mu(cell.intersection(sec)) > 0 and not eco.prefs.strictly_prefers(
-                k, np.atleast_1d(value), f[k]
-            ):
-                return False, {"reason": "not strictly preferred", "node": k}
-        vals = choquet_restricted(gs, mu, sec)
-        section_int[k] = np.atleast_1d(vals)
+            if mu(cell.intersection(sec)) > 0:
+                nodes.append(int(k))
+                values.append(np.atleast_1d(value))
+        section_int[k] = np.atleast_1d(choquet_restricted(gs, mu, sec))
+    U = np.array(values, dtype=float).reshape(len(nodes), eco.n)
+    worse = ~eco.prefs.strict_rows(U, f[nodes], nodes)
+    if worse.any():
+        return False, {"reason": "not strictly preferred", "node": nodes[np.argmax(worse)]}
 
     target = eco.endowment * w[:, None]
     if witness.mode == "strongly_improve":
@@ -738,21 +758,13 @@ def _price_grid(n: int, resolution: int):
 
 
 def _sectional_candidates(eco: Economy, demand_grid: int):
-    """The endowment, then the demand rows at each grid price.  Cobb-Douglas
-    rows are one array expression per price, whose wealth ``E @ p`` can
-    differ from the per-node ``p @ e_k`` of :meth:`Preferences.demand` in the
-    last bit; the unit endowments of the fixtures at n = 2 give equal rows."""
+    """The endowment, then the demand rows at each grid price."""
     E = eco.endowment
     yield E.copy(), "endowment"
     for p in _price_grid(eco.n, demand_grid):
-        if eco.prefs.kind == "cobb_douglas":
-            rows = eco.prefs.exponents * (E @ p)[:, None] / p
-        else:
-            rows = [eco.prefs.demand(k, p, eco.wealth(p, k), ref=E[k]) for k in range(eco.K)]
-            if any(d is None for d in rows):
-                continue
-            rows = np.array(rows)
-        yield rows, f"demand@{np.round(p, 4).tolist()}"
+        rows = eco.prefs.demand_rows(p, eco.wealth(p), ref=E)
+        if rows is not None:
+            yield rows, f"demand@{np.round(p, 4).tolist()}"
 
 
 def _screen_sectionals(
@@ -830,34 +842,6 @@ def search_improvement(
             if ok:
                 return witness
     return ExhaustedReport(mode, len(coalitions), len(sectionals), 0, checked)
-
-
-def improvement_from_excess(
-    eco: Economy, f, sample: ExcessSample
-) -> ImprovementWitness | None:
-    """Rebuild a strong-improvement witness from a violating excess sample.
-
-    Restricting the coalition to nodes whose pointwise excess is in the
-    negative orthant, those agents can revert to the endowment: strictly
-    better than the selection (hence than f) and exactly section-balanced.
-    """
-    f = _allocation(eco, f)
-    zy = (sample.selection - eco.endowment) * sample.node_measures[:, None]
-    neg = np.all(zy <= 1e-12, axis=1) & np.any(zy < -1e-12, axis=1)
-    if not neg.any():
-        return None
-    sections = tuple(
-        sec if use else IntervalSet.empty()
-        for sec, use in zip(sample.coalition.sections, neg)
-    )
-    witness = ImprovementWitness(
-        "strongly_improve",
-        ProductSet(sections),
-        ProductStepFunction.sectional(eco.endowment),
-        "excess-reconstruction",
-    )
-    ok, _ = verify_improvement(eco, f, witness)
-    return witness if ok else None
 
 
 def sectionalize(eco: Economy, s: ProductStepFunction, A: ProductSet) -> np.ndarray:
@@ -938,10 +922,7 @@ def check_excess_convexity(
         )
         expected = c * s1.z + (1 - c) * s2.z
         dev_mix = max(dev_mix, float(np.max(np.abs(_excess(eco, sel, tau) - expected))))
-        for k in range(eco.K):
-            if tau[k] > 0 and not eco.prefs.weakly_prefers(k, sel[k], f[k], tol=1e-9):
-                member_fail += 1
-                break
+        member_fail += bool(np.any((tau > 0) & ~eco.prefs.weak_rows(sel, f, tol=1e-9)))
         H = product_set_from_levels(eco.fam, np.clip(tau, 0.0, 1.0))
         wH = section_measures(eco.fam, H)
         dev_real = max(dev_real, float(np.max(np.abs(_excess(eco, sel, wH) - expected))))

@@ -173,10 +173,6 @@ class FuzzyMeasure:
 
     __call__ = measure
 
-    def block_fractions(self, A: IntervalSet) -> np.ndarray:
-        """lebesgue(A ∩ E_i) / lebesgue(E_i) per block (sectioned mode only)."""
-        return np.array([A.intersection(b).lebesgue / b.lebesgue for b in self.blocks])
-
     @property
     def is_subadditive(self) -> bool:
         if self.mode == "sectioned":

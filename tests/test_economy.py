@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from choquet_lab.choquet import StepFunction, choquet_restricted
 from choquet_lab.errors import InvalidPriceError, StructuralError
 from choquet_lab import economy
-from choquet_lab.fixtures import full_dominance_economy, split_dominance_economy
+from choquet_lab.fixtures import (
+    cobb_douglas_economy,
+    full_dominance_economy,
+    split_dominance_economy,
+)
 from choquet_lab.intervals import IntervalSet, random_interval_set
 from choquet_lab.measures import Distortion
 from choquet_lab.product import (
@@ -32,7 +36,6 @@ from choquet_lab.economy import (
     condition_c2_witness,
     endowment_is_walrasian,
     find_price,
-    improvement_from_excess,
     is_feasible,
     is_maximal_in_budget,
     normalize_price,
@@ -74,6 +77,78 @@ def split_j_economy():
     fam = SectionFamily.homothetic(Distortion.identity(), K=K)
     y = fam.ygrid
     return dominance_economy(tuple((0,) if yy < 0.5 else (1,) for yy in y))
+
+
+def prefers(prefs, k, u, v, strict=True, tol=0.0) -> bool:
+    """Is u preferred to v at node k: the definitions, one node at a time."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if prefs.kind == "coordinate_dominance":
+        js = list(prefs.jsets[k])
+        return bool(np.all(u[js] > v[js]) if strict else np.all(u[js] >= v[js] - tol))
+    if prefs.kind == "cobb_douglas":
+        a = prefs.exponents[k]
+        uu, uv = np.prod(np.maximum(u, 0.0) ** a), np.prod(np.maximum(v, 0.0) ** a)
+    else:
+        w = prefs.weights[k]
+        uu, uv = float(w @ u), float(w @ v)
+    return bool(uu > uv if strict else uu >= uv - tol)
+
+
+# Every public entry that takes an allocation f, called at price (1/2, 1/2).
+ALLOCATION_ENTRIES = {
+    "check_excess_convexity": lambda eco, f: check_excess_convexity(eco, f, trials=5),
+    "check_walras": lambda eco, f: check_walras(eco, f, [0.5, 0.5]),
+    "check_wealth_dominance": lambda eco, f: check_wealth_dominance(eco, f, [0.5, 0.5]),
+    "find_price": lambda eco, f: find_price(eco, f, samples=5),
+    "is_feasible": is_feasible,
+    "is_maximal_in_budget": lambda eco, f: is_maximal_in_budget(eco, [0.5, 0.5], f, 0),
+    "sample_excess_points": lambda eco, f: sample_excess_points(eco, f, samples=5),
+    "search_improvement improve": lambda eco, f: search_improvement(eco, f, budget=10),
+    "search_improvement strongly_improve":
+        lambda eco, f: search_improvement(eco, f, "strongly_improve"),
+    "verify_improvement": lambda eco, f: verify_improvement(eco, f, ImprovementWitness(
+        "improve", ProductSet.full(eco.K), ProductStepFunction.sectional(eco.endowment), "e")),
+}
+
+
+def maximal_reference(eco, p, f, k):
+    """Budget maximality of f[k] by the closed forms, one node at a time: the
+    per-node reference for the row decision of check_walras."""
+    p, bundle, prefs = normalize_price(p), f[k], eco.prefs
+    wealth = float(p @ eco.endowment[k])
+    if p @ bundle > wealth + economy.DEMAND_TOL:
+        return False, None
+    if prefs.kind == "cobb_douglas":
+        if p.min() > 0:
+            d = prefs.exponents[k] * wealth / p
+            return (True, None) if np.max(np.abs(bundle - d)) <= economy.DEMAND_TOL else (False, d)
+        if bundle.min() > 0:
+            worse = bundle.copy()
+            worse[np.argmin(p)] += 1.0 + np.max(eco.endowment)
+            return False, worse
+        return False, np.full(eco.n, wealth / (2.0 * eco.n * max(p.max(), 1e-12)))
+    if prefs.kind == "linear":
+        free = np.flatnonzero(p == 0)
+        w = prefs.weights[k]
+        if free.size:
+            cand = bundle.copy()
+            cand[free[0]] += 1.0
+        else:
+            i = int(np.argmax(w / p))
+            cand = np.zeros(eco.n)
+            cand[i] = 0.5 * (wealth / p[i] + float(w @ bundle) / w[i])
+    else:
+        js = list(prefs.jsets[k])
+        spent = float(p[js] @ bundle[js])
+        if not spent < wealth:
+            return True, None
+        unit = float(np.sum(p[js]))
+        cand = np.zeros(eco.n)
+        cand[js] = bundle[js] + ((wealth - spent) / (2.0 * unit) if unit > 0 else 1.0)
+    q = normalize_price(p)
+    if prefers(prefs, k, cand, bundle) and q @ cand <= q @ eco.endowment[k] + economy.BUDGET_TOL:
+        return False, cand
+    return True, None
 
 
 class TestValidation:
@@ -120,6 +195,22 @@ class TestValidation:
         for bad in ([np.nan, 0.5], [np.inf, 0.5]):
             with pytest.raises(InvalidPriceError):
                 normalize_price(bad)
+
+    def test_index_sets_take_integers_only(self):
+        for jsets in (((1.5,),), ((True,),), ((np.True_,),), (("1",),), ((np.float64(1),),), (1,)):
+            with pytest.raises(StructuralError):
+                Preferences("coordinate_dominance", 2, jsets=jsets)
+        prefs = Preferences("coordinate_dominance", 3, jsets=((np.int64(2), 0), (np.intp(1),)))
+        assert prefs.jsets == ((0, 2), (1,))
+        assert {type(j) for js in prefs.jsets for j in js} == {int}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", sorted(ALLOCATION_ENTRIES))
+    def test_rejects_non_finite_allocations(self, entry, bad):
+        eco, f, _ = cobb_douglas_economy(K=8)
+        f[3, 1] = bad
+        with pytest.raises(StructuralError, match="allocation must be finite"):
+            ALLOCATION_ENTRIES[entry](eco, f)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_endowment_and_preferences(self, bad):
@@ -171,7 +262,7 @@ class TestMaximality:
         ok, violator = is_maximal_in_budget(cd_economy, [0.5, 0.5], zero, 42)
         assert not ok
         assert violator is not None
-        assert cd_economy.prefs.strictly_prefers(42, violator, zero[42])
+        assert prefers(cd_economy.prefs, 42, violator, zero[42])
         assert budget_check(cd_economy, [0.5, 0.5], violator, 42)
 
     def test_linear_corner_demand(self):
@@ -190,7 +281,7 @@ class TestMaximality:
         eco = Economy(fam, [[1e5, 1e5]], Preferences("linear", 2, weights=[[2.0, 1.0]]))
         ok, violator = is_maximal_in_budget(eco, [0.3, 0.7], eco.endowment, 0)
         assert not ok
-        assert eco.prefs.strictly_prefers(0, violator, eco.endowment[0])
+        assert prefers(eco.prefs, 0, violator, eco.endowment[0])
         assert budget_check(eco, [0.3, 0.7], violator, 0)
 
     def test_dominance_miss_of_the_budget_grid(self):
@@ -201,7 +292,7 @@ class TestMaximality:
         f[7] = [0.9999, 1.0]
         ok, violator = is_maximal_in_budget(eco, [0.5, 0.5], f, 7)
         assert not ok
-        assert eco.prefs.strictly_prefers(7, violator, f[7])
+        assert prefers(eco.prefs, 7, violator, f[7])
         assert budget_check(eco, [0.5, 0.5], violator, 7)
 
     def test_full_dominance_endowment_spends_exactly_its_wealth(self):
@@ -260,8 +351,8 @@ class TestExcessCloud:
         cloud = sample_excess_points(cd_economy, equilibrium, samples=40, seed=1)
         for smp in cloud[: 300]:
             for k in range(0, K, 7):
-                assert cd_economy.prefs.weakly_prefers(
-                    k, smp.selection[k], equilibrium[k], tol=1e-9
+                assert prefers(
+                    cd_economy.prefs, k, smp.selection[k], equilibrium[k], strict=False, tol=1e-9
                 )
 
 
@@ -353,20 +444,19 @@ class TestImprovement:
         )
         ok, detail = verify_improvement(cd_economy, equilibrium, bogus)
         assert not ok
+        # e is not preferred to f at any node; the first one is reported
+        assert detail == {"reason": "not strictly preferred", "node": 0}
 
-    def test_reconstruction_from_price_failure(self, cd_economy):
+    def test_price_failure_is_backed_by_the_strong_decision(self, cd_economy):
+        # the sampled price search fails on f_anti, and the closed-form
+        # strong decision gives the improvement behind that failure
         y = cd_economy.fam.ygrid
         f_anti = np.column_stack([2 * (1 - y), 2 * y])
-        res = find_price(cd_economy, f_anti, samples=300, seed=7)
-        assert not res.found
-        witness = None
-        for smp in res.violations:
-            witness = improvement_from_excess(cd_economy, f_anti, smp)
-            if witness is not None:
-                break
-        assert witness is not None
-        ok, _ = verify_improvement(cd_economy, f_anti, witness)
-        assert ok
+        assert not find_price(cd_economy, f_anti, samples=300, seed=7).found
+        witness = search_improvement(cd_economy, f_anti, "strongly_improve")
+        assert isinstance(witness, ImprovementWitness)
+        ok, detail = verify_improvement(cd_economy, f_anti, witness)
+        assert ok, detail
 
 
 class TestSectionalize:
@@ -418,7 +508,7 @@ class TestSectionalize:
         A = product_set_from_levels(cd_economy.fam, rng.uniform(0.2, 1.0, size=K))
         out = sectionalize(cd_economy, ProductStepFunction(tuple(sections)), A)
         for k in range(K):
-            assert cd_economy.prefs.weakly_prefers(k, out[k], equilibrium[k], tol=1e-9)
+            assert prefers(cd_economy.prefs, k, out[k], equilibrium[k], strict=False, tol=1e-9)
 
 
 class TestConvexity:
@@ -586,30 +676,30 @@ class TestArrayPathsAgainstScalar:
             F[rng.random((K, n)) < 0.15] = 0.0  # Cobb-Douglas has no contour there
             axes = rng.integers(0, n, size=K)
             deltas = rng.uniform(-1.5, 1.5, size=K)
-            expected = F.copy()
+            expected, defined = F.copy(), np.zeros(K, dtype=bool)
             for k in range(K):
                 pt = eco.prefs.contour_boundary(k, F[k], int(axes[k]), float(deltas[k]))
                 if pt is not None:
-                    expected[k] = pt
-            np.testing.assert_array_equal(eco.prefs.contour_rows(F, axes, deltas), expected)
+                    expected[k], defined[k] = pt, True
+            rows, mask = eco.prefs.contour_rows(F, axes, deltas)
+            np.testing.assert_array_equal(rows, expected)
+            np.testing.assert_array_equal(mask, defined)
 
     def test_cobb_douglas_candidates_equal_the_node_demands(self, cd_economy):
-        # bit for bit on the unit-endowment fixture; generic endowments can
-        # round the array wealth E @ p differently from p @ e_k
+        # bit for bit: the demand a_k * (p . e_k) / p of every node
         rng = np.random.default_rng(5)
-        economies = [(cd_economy, 0.0)] + [
-            (random_economy(rng, "cobb_douglas", "identity", 9, n), 1e-15) for n in (1, 2, 3)
+        economies = [cd_economy] + [
+            random_economy(rng, "cobb_douglas", "identity", 9, n) for n in (1, 2, 3, 5, 8)
         ]
-        for eco, rtol in economies:
+        for eco in economies:
             candidates = list(_sectional_candidates(eco, 50))[1:]
             prices = list(_price_grid(eco.n, 50))
             assert len(candidates) == len(prices)
             for (rows, _), p in zip(candidates, prices):
-                expected = [eco.prefs.demand(k, p, eco.wealth(p, k)) for k in range(eco.K)]
-                if rtol:
-                    np.testing.assert_allclose(rows, expected, rtol=rtol, atol=0.0)
-                else:
-                    np.testing.assert_array_equal(rows, expected)
+                expected = [
+                    eco.prefs.exponents[k] * float(p @ eco.endowment[k]) / p for k in range(eco.K)
+                ]
+                np.testing.assert_array_equal(rows, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(**ECONOMY_DRAWS)
@@ -621,19 +711,50 @@ class TestArrayPathsAgainstScalar:
         f = eco.endowment * rng.uniform(0.3, 1.3, size=(K, 1))
         sectionals = list(_sectional_candidates(eco, 6))
         G = np.array([g for g, _ in sectionals])
-        prefers = eco.prefs.strict_rows(G, f)
+        strict = eco.prefs.strict_rows(G, f)
         np.testing.assert_array_equal(
-            prefers, [[eco.prefs.strictly_prefers(k, g[k], f[k]) for k in range(K)] for g in G]
+            strict, [[prefers(eco.prefs, k, g[k], f[k]) for k in range(K)] for g in G]
         )
         for S in random_coalitions(rng, eco.fam):
             w = section_measures(eco.fam, S)
             if not np.any(w > 0):
                 continue
-            screened = _screen_sectionals(eco, G, prefers, w)
+            screened = _screen_sectionals(eco, G, strict, w)
             for j, (g, src) in enumerate(sectionals):
                 witness = ImprovementWitness("improve", S, ProductStepFunction.sectional(g), src)
                 accepted = verify_improvement(eco, f, witness)[0]
                 assert (screened[j] and accepted) == accepted, src
+
+    @settings(max_examples=80, deadline=None)
+    @given(**ECONOMY_DRAWS, zero_price=st.booleans())
+    def test_walras_rows_are_the_node_view(self, seed, pref_kind, fam_kind, K, n, zero_price):
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K, n)
+        p = rng.dirichlet(np.ones(n))
+        if zero_price and n > 1:
+            p[rng.integers(n)] = 0.0
+        f = eco.endowment * rng.uniform(0.3, 1.3, size=(K, 1))  # some nodes over budget
+        demand = eco.prefs.demand_rows(p, eco.wealth(p), ref=eco.endowment)
+        if demand is not None:  # spend exactly the wealth at some nodes
+            take = rng.random(K) < 0.5
+            f[take] = demand[take]
+        rep = check_walras(eco, f, p)
+        views = [is_maximal_in_budget(eco, p, f, k) for k in range(K)]
+        np.testing.assert_array_equal(rep.maximal_nodes, [ok for ok, _ in views])
+        failing = [k for k, (ok, _) in enumerate(views) if not ok]
+        if failing:
+            violator = views[failing[0]][1]
+            assert rep.first_violation == {
+                "node": failing[0], "violator": None if violator is None else violator.tolist()}
+        else:
+            assert rep.first_violation is None
+        for k, (ok, violator) in enumerate(views):
+            ref_ok, ref_violator = maximal_reference(eco, p, f, k)
+            assert ok == ref_ok
+            if ok or ref_violator is None:
+                assert violator is None  # in particular, (True, None) at a maximal node
+            else:
+                assert violator.tobytes() == ref_violator.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(**ECONOMY_DRAWS)
@@ -694,7 +815,7 @@ class TestArrayPathsAgainstScalar:
         assert failure.samples_used == 1 and len(failure.violations) == 1
         smp = failure.violations[0]
         for k in range(K):
-            assert eco.prefs.weakly_prefers(k, smp.selection[k], eco.endowment[k])
+            assert prefers(eco.prefs, k, smp.selection[k], eco.endowment[k], strict=False)
         np.testing.assert_array_equal(smp.node_measures, section_measures(eco.fam, smp.coalition))
         z = np.mean((smp.selection - eco.endowment) * smp.node_measures[:, None], axis=0)
         np.testing.assert_allclose(smp.z, z, rtol=0.0, atol=1e-12)
@@ -872,3 +993,29 @@ def test_uniform_draws_are_affine_maps_of_random():
         assert np.array(shifts).tobytes() == (0.5 * np.array(raw_shifts)).tobytes()
         assert np.array(levels).tobytes() == np.array(raw_levels).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_row_dots_are_the_node_dots():
+    # Preferences and Economy.wealth take one dot product per node as
+    # economy._row_dot, which must round as the 1-D a @ b of each row: for
+    # rows against rows, one vector against rows, stacks of allocations, and
+    # a price zero-padded outside J against rows (dominance spending p_J . b_J).
+    rng = np.random.default_rng(9)
+    for n in range(1, 13):
+        A, B = rng.uniform(0.0, 3.0, size=(2, 2000, n))
+        p = rng.dirichlet(np.ones(n))
+        S = rng.uniform(0.0, 3.0, size=(5, 2000, n))
+        mask = rng.random((2000, n)) < 0.5
+        mask[np.arange(2000), rng.integers(n, size=2000)] = True
+        pairs = [
+            (economy._row_dot(A, B), [a @ b for a, b in zip(A, B)]),
+            (economy._row_dot(p, B), [p @ b for b in B]),
+            (economy._row_dot(S, B), [[s @ b for s, b in zip(Sj, B)] for Sj in S]),
+            (economy._row_dot(np.where(mask, p, 0.0), B), [p[m] @ b[m] for m, b in zip(mask, B)]),
+        ]
+        if n < 8:  # and the price of J, summed as np.sum(p_J) sums it
+            pairs.append((np.where(mask, p, 0.0).sum(axis=1), [np.sum(p[m]) for m in mask]))
+        linear = Preferences("linear", n, weights=A + 0.1)  # linear utility is a row dot
+        pairs.append((linear.utilities(B), [(a + 0.1) @ b for a, b in zip(A, B)]))
+        for rows, expected in pairs:
+            assert rows.tobytes() == np.array(expected).tobytes(), n

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from choquet_lab.errors import ConfigError, StructuralError
 from choquet_lab.fixtures import cobb_douglas_economy, intro_sectioned_family
 from choquet_lab.intervals import IntervalSet
 from choquet_lab.measures import Distortion, FuzzyMeasure
+from test_economy import random_economy
 
 
 class TestMeasureRoundTrip:
@@ -131,6 +133,22 @@ class TestEconomy:
         data["extra"] = 1
         with pytest.raises(ConfigError):
             io.economy_from_json(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fam_kind=st.sampled_from(["identity", "power", "pwl"]),  # blocks of one interval only
+        K=st.integers(1, 8),
+        n=st.integers(1, 4),
+    )
+    def test_dominance_round_trip(self, seed, fam_kind, K, n):
+        # random_economy draws its index sets with np.flatnonzero (numpy ints)
+        eco = random_economy(np.random.default_rng(seed), "coordinate_dominance", fam_kind, K, n)
+        data = io.economy_to_json(eco)
+        again = io.economy_from_json(json.loads(io.dump_json(data, None)))
+        assert again.prefs.jsets == eco.prefs.jsets
+        np.testing.assert_array_equal(again.endowment, eco.endowment)
+        assert io.economy_to_json(again)["preferences"] == data["preferences"]
 
     def test_allocation_and_price(self):
         f = io.allocation_from_json({"values": [[1.0, 2.0]]}, 5, 2)
