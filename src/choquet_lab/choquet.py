@@ -12,8 +12,10 @@ has the cell lengths as keys and its distortion as G.  A sectioned one has
 the cell masses as keys (a cells x blocks overlap matrix times the weights)
 and G = identity.  So one private kernel, :func:`_choquet_block`, integrates
 a whole (rows x cells) block of functions that share one partition: one
-stable argsort per row, one cumulative sum of the keys and one vectorised G.
-It returns the integrals together with the threshold table.
+argsort per row (numpy's default sort, redone stable when a row has equal
+values, so the order is always the stable one), one cumulative sum of the
+keys and one vectorised G.  It returns the integrals together with the
+threshold table.
 :func:`_integrate_block` reads the keys off the partition's interval end
 points, so no superlevel set is ever built, and runs the kernel;
 :func:`choquet` calls it with one row per component,
@@ -242,17 +244,26 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
     rows live on the cells of one partition.
 
     Row r measures a union A of cells as levels(sum of keys[r] over A), with
-    ``levels`` None for additive measures.  One stable argsort per row puts
-    the cells in descending value order v[r, 0] >= v[r, 1] >= ...; L[r, j] is
-    the measure of the first j+1 of them.  (v, L) is the threshold table:
+    ``levels`` None for additive measures.  An argsort per row puts the cells
+    in descending value order v[r, 0] >= v[r, 1] >= ...; L[r, j] is the
+    measure of the first j+1 of them.  (v, L) is the threshold table:
     mu_r([f_r > t]) = L[r, j] for v[r, j+1] <= t < v[r, j], with v[r, n] = 0,
     and the Choquet integral of row r is sum_j (v[r, j] - v[r, j+1]) L[r, j].
+
+    The order is the stable one.  numpy's default sort is faster but need not
+    be stable, so its order is kept only when no sorted row holds two equal
+    values (0.0 equals -0.0): without ties the descending order of a row is
+    unique, and every sort returns it.  A block with a tie is sorted again
+    with ``kind="stable"``.
 
     Returns (integrals per row, v, L).
     """
     rows = np.arange(values.shape[0])[:, None]
-    order = np.argsort(-values, axis=1, kind="stable")
+    order = np.argsort(-values, axis=1)
     v = values[rows, order]
+    if np.any(v[:, 1:] == v[:, :-1]):
+        order = np.argsort(-values, axis=1, kind="stable")
+        v = values[rows, order]
     cum = np.cumsum(keys[order] if keys.ndim == 1 else keys[rows, order], axis=1)
     L = cum if levels is None else levels(cum)
     drops = v.copy()

@@ -28,6 +28,7 @@ from .measures import Distortion, FuzzyMeasure
 DEFAULT_K = 100
 LEVEL_TOL = 1e-9  # |mu_k(H_k) - tau_k mu_k(X)| for constructed sets
 REALIZE_TOL = 1e-6  # end-to-end tolerance for range realization
+MAX_TNODES = 2**52  # fubini_check: c + 0.5 is exact for every node index c
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,12 @@ class SectionFamily:
         if normalized and scales is not None:
             raise StructuralError("normalized homothetic families cannot carry free scales")
         if normalized:
-            shared = FuzzyMeasure.distorted(
-                replace(distortion, scale=distortion.scale / distortion(1.0))
-            )
-            measures = (shared,) * K
+            # A distortion already normalized to the tolerance __post_init__
+            # checks is kept, so normalizing twice (as an io round trip
+            # does) changes no scale.
+            if abs(distortion(1.0) - 1.0) > 1e-12:
+                distortion = replace(distortion, scale=distortion.scale / distortion(1.0))
+            measures = (FuzzyMeasure.distorted(distortion),) * K
         elif scales is None:
             measures = (FuzzyMeasure.distorted(distortion),) * K
         else:
@@ -353,19 +356,55 @@ class FubiniReport:
         }
 
 
+def _tnode_counts(v: np.ndarray, dt: float, tnodes: int) -> np.ndarray:
+    """#{i < tnodes : (i + 0.5) * dt < v} for every entry of v >= 0, which is
+    np.searchsorted((np.arange(tnodes) + 0.5) * dt, v), without the array.
+
+    Let dt > 0 and y = v/dt exactly.  Node i, the rounded (i + 0.5) * dt, is
+    within dt/2 of the exact product: a normal result is off by at most
+    2**-53 of it and i + 0.5 < 2**52, a subnormal one by at most
+    2**-1075 <= dt/2.  So node i is below v when i + 1 < y and not when
+    i >= y, and the count is ceil(y) - 1 or ceil(y), clipped to
+    [0, tnodes].  The guess is ceil(fl(v/dt) - 0.5); the quotient is
+    finite, as dt >= M/tnodes * 2/3 gives y <= 1.5 * tnodes.  For y < 2**52 the rounded quotient q is
+    within 1/4 of y and q - 0.5 is exact when q >= 1/4 (below, the guess is
+    0), so the guess is also ceil(y) - 1 or ceil(y); for y >= 2**52 it is
+    at least tnodes and the count at least tnodes - 1.  Clipped to
+    [0, tnodes - 1], the guess is within one of the count, and one step
+    each way lands on it: the steps compare v with nodes c and c - 1,
+    built by the same float operations (c + 0.5) * dt and (c - 0.5) * dt.
+    The down step needs c > 0, as -0.5 * dt rounds to -0.0 at
+    dt = 2**-1074.  When M/tnodes underflows to dt = 0, every node is 0.0.
+    """
+    if dt == 0.0:
+        return np.where(v > 0.0, tnodes, 0)
+    c = np.clip(np.ceil(v / dt - 0.5), 0, tnodes - 1).astype(np.intp)
+    c += (c + 0.5) * dt < v
+    c -= (c > 0) & ((c - 0.5) * dt >= v)
+    return c
+
+
 def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_000) -> FubiniReport:
     """Compare both integration orders for f on the product space.
 
     The left side integrates t -> (1/K) sum_k mu_k([f_k > t]) by midpoint
-    quadrature on [0, max f]; the right side is :func:`integrate_product`.
-    Both come from one kernel pass per node: a t-node in [v_{j+1}, v_j) of a
-    node's threshold table sees that node's level L_j, so the quadrature sum
-    counts the t-nodes below each v_j instead of visiting every node.  A
-    vector f reports its component with the largest deviation.
+    quadrature on [0, max f] with ``tnodes`` nodes (an integer from 100 to
+    2**52); the right side is :func:`integrate_product`.  Both come from one
+    kernel pass per node: a t-node in [v_{j+1}, v_j) of a node's threshold
+    table sees that node's level L_j, so the quadrature sum counts the
+    t-nodes below each v_j instead of visiting every node, and
+    :func:`_tnode_counts` computes each count from v_j / dt, equal to a
+    search of the t-node array, so no array of t-nodes is built.  A vector
+    f reports its component with the largest deviation.
     """
     _check_sections(fam, f.K)
-    if tnodes < 100:
-        raise StructuralError("tnodes must be >= 100")
+    if (
+        isinstance(tnodes, bool)
+        or not isinstance(tnodes, (int, np.integer))
+        or not 100 <= tnodes <= MAX_TNODES
+    ):
+        raise StructuralError(f"tnodes must be an integer from 100 to 2**52 (got {tnodes!r})")
+    tnodes = int(tnodes)
     integrals, tables = _node_tables(fam, f)
     dims = integrals.shape[1]
     reports = []
@@ -376,10 +415,9 @@ def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_00
             reports.append(FubiniReport(0.0, rhs, tnodes))
             continue
         dt = M / tnodes
-        ts = (np.arange(tnodes) + 0.5) * dt
         total = 0.0
         for v, L in tables:
-            below = np.searchsorted(ts, v[i::dims])  # t-nodes t < v_j
+            below = _tnode_counts(v[i::dims], dt, tnodes)  # t-nodes t < v_j
             below[:, :-1] -= below[:, 1:]
             total += np.sum(below * L[i::dims])
         reports.append(FubiniReport(float(total / fam.K * dt), rhs, tnodes))

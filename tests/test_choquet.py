@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from choquet_lab.choquet import (
     StepFunction,
+    _choquet_block,
     check_choquet_properties,
     choquet,
     choquet_restricted,
@@ -322,6 +323,56 @@ class TestKernelAgainstObjectPath:
             assert choquet(StepFunction((), np.zeros(0), validate=False), mu) == 0.0
             vec = choquet(StepFunction((), np.zeros((0, 3)), validate=False), mu)
             assert vec.tolist() == [0.0, 0.0, 0.0]
+
+
+def stable_block(values, keys, levels):
+    """The kernel with a stable argsort on every block: the reference that
+    ``_choquet_block`` must equal bit for bit."""
+    rows = np.arange(values.shape[0])[:, None]
+    order = np.argsort(-values, axis=1, kind="stable")
+    v = values[rows, order]
+    cum = np.cumsum(keys[order] if keys.ndim == 1 else keys[rows, order], axis=1)
+    L = cum if levels is None else levels(cum)
+    drops = v.copy()
+    drops[:, :-1] -= v[:, 1:]
+    return np.sum(drops * L, axis=1), v, L
+
+
+class TestKernelOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["distinct", "ties", "clipped", "signed zeros"]),
+        per_row_keys=st.booleans(),
+        levels=st.sampled_from(["additive", "distortion", "per row"]),
+    )
+    def test_block_equals_the_stable_sort_bit_for_bit(self, seed, shape, per_row_keys, levels):
+        rng = np.random.default_rng(seed)
+        rows, cells = int(rng.integers(1, 30)), int(rng.integers(1, 80))
+        values = rng.uniform(0.0, 2.0, size=(rows, cells))
+        if shape == "ties":
+            values = np.round(values * 4) / 4
+        elif shape == "clipped":
+            values = np.minimum(values, rng.uniform(0.1, 2.0, size=(rows, 1)))
+        elif shape == "signed zeros":  # 0.0 and -0.0 compare equal but differ in bits
+            values[rng.random(values.shape) < 0.4] = 0.0
+            values = np.where(values == 0.0, rng.choice([0.0, -0.0], size=values.shape), values)
+        keys = rng.uniform(0.0, 1.0, size=(rows, cells) if per_row_keys else cells)
+        if levels == "additive":
+            level_map = None
+        elif levels == "distortion":
+            level_map = random_distortion(rng)
+        else:
+            gs = [random_distortion(rng) for _ in range(rows)]
+
+            def level_map(cum):
+                return np.array([g(c) for g, c in zip(gs, cum)])
+
+        got = _choquet_block(values, keys, level_map)
+        want = stable_block(values, keys, level_map)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 class TestNonFiniteInput:

@@ -86,10 +86,11 @@ def family_text(K="4", normalized="true"):
             '"normalized": ' + normalized + "}")
 
 
-def fubini(family):
+def fubini(family, *options):
     files = {"family.json": family,
              "function.json": '{"kind": "uniform", "function": ' + GOOD_FUNCTION + "}"}
-    return files, ["fubini-check", "--config", "family.json", "--function", "function.json"]
+    return files, ["fubini-check", "--config", "family.json", "--function", "function.json",
+                   *options]
 
 
 # Non-finite numbers, values of the wrong type and unsupported families in
@@ -137,6 +138,7 @@ NON_FINITE = {
     "family K a fraction": fubini(family_text(K="2.5")),
     "family K a boolean": fubini(family_text(K="true")),
     "family normalized a string": fubini(family_text(normalized='"false"')),
+    "tnodes above 2**52": fubini(family_text(), "--tnodes", "100000000000000000000"),
     "economy n not an integer": walras(economy_text().replace('"n": 2', '"n": "two"')),
     "economy n a fraction": walras(economy_text().replace('"n": 2', '"n": 2.9')),
     "dominance coordinate a fraction": walras(economy_text(

@@ -11,6 +11,8 @@ from choquet_lab.errors import ConfigError, StructuralError
 from choquet_lab.fixtures import cobb_douglas_economy, intro_sectioned_family
 from choquet_lab.intervals import IntervalSet
 from choquet_lab.measures import Distortion, FuzzyMeasure
+from choquet_lab.product import SectionFamily
+from test_choquet import random_distortion
 from test_economy import random_economy
 
 
@@ -72,6 +74,16 @@ class TestFamily:
         fam = io.family_from_json(data)
         assert fam.K == 10 and fam.normalized
         assert io.family_from_json(io.family_to_json(fam)).K == 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 5))
+    def test_normalized_homothetic_round_trip_keeps_every_bit(self, seed, K):
+        # normalizing an already normalized distortion must not move its scale
+        fam = SectionFamily.homothetic(random_distortion(np.random.default_rng(seed)), K=K)
+        data = io.family_to_json(fam)
+        again = io.family_from_json(json.loads(io.dump_json(data, None)))
+        assert again == fam
+        assert io.family_to_json(again) == data
 
     def test_sectioned_with_y_intervals(self):
         data = {
@@ -148,7 +160,8 @@ class TestEconomy:
         again = io.economy_from_json(json.loads(io.dump_json(data, None)))
         assert again.prefs.jsets == eco.prefs.jsets
         np.testing.assert_array_equal(again.endowment, eco.endowment)
-        assert io.economy_to_json(again)["preferences"] == data["preferences"]
+        assert again.fam == eco.fam
+        assert io.economy_to_json(again) == data
 
     def test_allocation_and_price(self):
         f = io.allocation_from_json({"values": [[1.0, 2.0]]}, 5, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from choquet_lab.product import (
     ProductSet,
     ProductStepFunction,
     SectionFamily,
+    _tnode_counts,
     check_price_commutation,
     fubini_check,
     integrate_product,
@@ -213,6 +216,48 @@ class TestFubini:
         with pytest.raises(StructuralError):
             fubini_check(fam, f, tnodes=50)
 
+    @pytest.mark.parametrize(
+        "bad", [99, 2**52 + 1, 10**20, True, np.bool_(True), 1e4, np.float64(1e4), "10000", None]
+    )
+    def test_tnodes_must_be_an_integer_from_100_to_2_52(self, bad):
+        fam = identity_family(K=5)
+        f = ProductStepFunction.uniform(StepFunction.constant(1.0), 5)
+        with pytest.raises(StructuralError):
+            fubini_check(fam, f, tnodes=bad)
+
+    def test_tnodes_numpy_integers_and_the_top_of_the_range(self):
+        fam = square_family(K=4)
+        f = ProductStepFunction.uniform(StepFunction.on_grid([0.5, 2.0, 1.0, 0.0]), 4)
+        assert fubini_check(fam, f, tnodes=np.int64(1000)) == fubini_check(fam, f, tnodes=1000)
+        assert fubini_check(fam, f, tnodes=np.uint16(1000)).tnodes == 1000
+        top = fubini_check(fam, f, tnodes=2**52)
+        assert top.tnodes == 2**52
+        assert top.deviation <= 2.0 / 2**52 + 1e-15
+
+    def test_a_billion_tnodes_agree_with_ten_thousand(self):
+        # The midpoint rule on the non-increasing t -> m([f > t]) errs by at
+        # most dt * m(X) = M / tnodes here (m(X) = 1), so both runs bracket rhs.
+        fam = intro_family(K=6)
+        rng = np.random.default_rng(3)
+        f = ProductStepFunction(tuple(StepFunction.on_grid(rng.uniform(0, 2, 12)) for _ in range(6)))
+        M = f.max_value
+        fine, coarse = fubini_check(fam, f, tnodes=10**9), fubini_check(fam, f, tnodes=10**4)
+        assert fine.tnodes == 10**9 and fine.rhs == coarse.rhs
+        assert fine.deviation <= M / 10**9 + 1e-12
+        assert coarse.deviation <= M / 10**4 + 1e-12
+        assert abs(fine.lhs - coarse.lhs) <= M / 10**4 + M / 10**9 + 1e-12
+
+    def test_subnormal_maxima_give_the_t_node_search(self):
+        # dt = 0 at 10_000 t-nodes, subnormal at 100 and 1000: these are the values
+        # that searching the t-node array gives, and no warning is raised.
+        fam = identity_family(K=3)
+        f = ProductStepFunction(tuple(StepFunction.constant(v) for v in (1e-320, 5e-321, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [fubini_check(fam, f, tnodes=n) for n in (100, 1000, 10_000)]
+        assert [r.lhs for r in reports] == [4.975e-321, 4.96e-321, 0.0]
+        assert [r.rhs for r in reports] == [5e-321] * 3
+
     def test_comonotone_in_x_additivity(self):
         fam = square_family(K=10)
         rng = np.random.default_rng(4)
@@ -224,6 +269,52 @@ class TestFubini:
             lhs = integrate_product(fam, both)
             rhs = integrate_product(fam, f1) + integrate_product(fam, f2)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def searched_counts(v, dt, n):
+    return np.searchsorted((np.arange(n) + 0.5) * dt, v)
+
+
+def count_probes(M, n):
+    """Every t-node, its float neighbours, 0, -0.0, M and the float below M."""
+    ts = (np.arange(n) + 0.5) * (M / n)
+    v = np.concatenate([ts, np.nextafter(ts, 0.0), np.nextafter(ts, np.inf),
+                        [0.0, -0.0, M, np.nextafter(M, 0.0)]])
+    return v[v <= M]
+
+
+class TestTnodeCounts:
+    @pytest.mark.parametrize("n", [100, 101, 997, 10_000, 20_000])
+    @pytest.mark.parametrize("M", [1e-300, 2.5e-200, 1e-10, 1.0, np.pi, 2.0, 7.3e150, 1e300])
+    def test_counts_equal_the_search_of_the_t_nodes(self, n, M):
+        v = count_probes(M, n)
+        np.testing.assert_array_equal(_tnode_counts(v, M / n, n), searched_counts(v, M / n, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(100, 20_000),
+        exponent=st.floats(-300, 300),
+        mantissa=st.floats(1.0, 10.0, exclude_max=True),
+    )
+    def test_counts_equal_the_search_on_random_grids(self, n, exponent, mantissa):
+        M = mantissa * 10.0**exponent
+        v = count_probes(M, n)
+        np.testing.assert_array_equal(_tnode_counts(v, M / n, n), searched_counts(v, M / n, n))
+
+    @pytest.mark.parametrize("n", [100, 1000, 20_000])
+    @pytest.mark.parametrize("k", [0.4, 1, 2, 3, 7, 2**20, 2**51 + 1, 2**52, 2**52 * 3])
+    def test_counts_at_subnormal_and_smallest_normal_dt(self, n, k):
+        # dt = M / n near k * 2**-1074: zero (k = 0.4), subnormal, or normal at 2**52
+        M = float(np.float64(k) * n * 5e-324)
+        v = count_probes(M, n)
+        np.testing.assert_array_equal(_tnode_counts(v, M / n, n), searched_counts(v, M / n, n))
+
+    def test_counts_of_a_table(self):
+        v = np.array([[2.0, 1.5, 1.5, 0.0], [1.0, 0.25, -0.0, 0.0]])
+        n, dt = 100, 2.0 / 100
+        got = _tnode_counts(v, dt, n)
+        assert got.shape == v.shape and got.dtype == np.intp
+        np.testing.assert_array_equal(got, searched_counts(v, dt, n))
 
 
 class TestPriceCommutation:
