@@ -196,7 +196,12 @@ def _block_fractions(pieces, ncells: int, blocks) -> np.ndarray:
     if not lo.size:
         return np.zeros((ncells, len(blocks)))
     b_owner, b_lo, b_hi = _pieces(blocks)
-    left = np.union1d(lo, b_lo)
+    # np.union1d(lo, b_lo) by the same sort and mask; np.unique would import
+    # numpy.ma, ~15 ms of every process that integrates a sectioned measure
+    left = np.sort(np.concatenate((lo, b_lo)))
+    keep = np.ones(left.shape, dtype=bool)
+    keep[1:] = left[1:] != left[:-1]
+    left = left[keep]
 
     def last_start(starts):
         order = np.argsort(starts, kind="stable")

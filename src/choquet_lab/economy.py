@@ -1,6 +1,6 @@
 """Pure exchange economy on the sectioned product space.
 
-Agents live on X x [0,1] with a convex-type, normalized, subadditive family
+Agents live on X x [0,1] with a convex-type, normalized, submodular family
 of section measures.  Endowment and candidate equilibrium allocations are
 sectional (one bundle per y-node); preferences depend on y only and come in
 three concrete families:
@@ -261,8 +261,8 @@ class Economy:
         if not self.fam.normalized:
             raise StructuralError("economy needs normalized section measures")
         for mu in self.fam.measures:
-            if not mu.is_subadditive:
-                raise StructuralError("economy needs subadditive section measures")
+            if not mu.is_submodular:
+                raise StructuralError("economy needs submodular section measures")
         e = np.asarray(self.endowment, dtype=float)
         if e.ndim != 2 or e.shape[0] != self.fam.K:
             raise StructuralError("endowment must be (K, n)")

@@ -320,11 +320,24 @@ def _node_tables(fam: SectionFamily, f: ProductStepFunction):
     return integrals, tables
 
 
+def _mean(x: np.ndarray, axis=None):
+    """np.mean(x, axis) for axis None or 0.  np.mean sums before it divides,
+    so the mean of finite values can overflow; it is then taken again on
+    x / max|x|, which cannot.  A finite mean keeps its bits."""
+    with np.errstate(over="ignore"):
+        mean = np.mean(x, axis=axis)
+    if np.isfinite(mean).all() or not np.isfinite(x).all():
+        return mean
+    top = np.abs(x).max(axis=axis)
+    top = np.where(top > 0, top, 1.0)
+    return np.mean(x / top, axis=axis) * top
+
+
 def integrate_product(fam: SectionFamily, f: ProductStepFunction):
     """Iterated integral (1/K) sum_k choquet(f(., y_k), mu_k)."""
     _check_sections(fam, f.K)
     integrals, _ = _node_tables(fam, f)
-    return np.mean(integrals, axis=0) if f.is_vector else float(np.mean(integrals))
+    return _mean(integrals, axis=0) if f.is_vector else float(_mean(integrals))
 
 
 def integrate_sectional_over(fam: SectionFamily, phi, H: ProductSet):
@@ -384,6 +397,18 @@ def _tnode_counts(v: np.ndarray, dt: float, tnodes: int) -> np.ndarray:
     return c
 
 
+def _quadrature(tables, i: int, dims: int, dt: float, tnodes: int, scale: float = 1.0) -> float:
+    """sum_j #{t-nodes in [v_{j+1}, v_j)} * L_j / scale over every node row
+    of component i: the t-quadrature sum of fubini_check before its factor
+    dt / K."""
+    total = 0.0
+    for v, L in tables:
+        below = _tnode_counts(v[i::dims], dt, tnodes)  # t-nodes t < v_j
+        below[:, :-1] -= below[:, 1:]
+        total += np.sum(below * (L[i::dims] if scale == 1.0 else L[i::dims] / scale))
+    return total
+
+
 def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_000) -> FubiniReport:
     """Compare both integration orders for f on the product space.
 
@@ -409,18 +434,18 @@ def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_00
     dims = integrals.shape[1]
     reports = []
     for i in range(dims):
-        rhs = float(np.mean(integrals[:, i]))
+        rhs = float(_mean(integrals[:, i]))
         M = max(v[i::dims, :1].max(initial=0.0) for v, _ in tables)
         if M <= 0:
             reports.append(FubiniReport(0.0, rhs, tnodes))
             continue
         dt = M / tnodes
-        total = 0.0
-        for v, L in tables:
-            below = _tnode_counts(v[i::dims], dt, tnodes)  # t-nodes t < v_j
-            below[:, :-1] -= below[:, 1:]
-            total += np.sum(below * L[i::dims])
-        reports.append(FubiniReport(float(total / fam.K * dt), rhs, tnodes))
+        with np.errstate(over="ignore"):
+            lhs = _quadrature(tables, i, dims, dt, tnodes) / fam.K * dt
+        if not np.isfinite(lhs):  # levels or values near the float maximum
+            top = max(L[i::dims].max() for _, L in tables)
+            lhs = _quadrature(tables, i, dims, dt, tnodes, top) / fam.K / tnodes * M * top
+        reports.append(FubiniReport(float(lhs), rhs, tnodes))
     return max(reports, key=lambda r: r.deviation)
 
 
@@ -502,10 +527,14 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     """Realize ``target`` as integral of the sectional phi over some H, or
     produce a separating direction showing it is out of range.
 
-    Feasibility is a small box-constrained LP in the per-node levels tau_k:
-    the candidate integrals are (1/K) sum_k tau_k * mu_k(X) * phi(y_k) with
-    tau_k in [0,1], and any feasible tau is turned into an actual set via the
-    uniform chain.
+    The candidate integrals are (1/K) sum_k tau_k * u_k with tau_k in [0,1]
+    and u_k = phi(y_k) * mu_k(X), and any feasible tau is turned into an
+    actual set via the uniform chain.  A vector target decides feasibility
+    with a small box-constrained LP in the levels tau_k.  A scalar target T
+    (phi >= 0) needs none: the candidates fill [0, a] with a = mean(u), so
+    the LP's optimum is max(0, -T, T - a), one level T/a on every node
+    realizes any T in [0, a], and d = +1 (T > a) or d = -1 (T < 0)
+    separates the rest, d * T > mean(max(0, d * u)).
     """
     if not fam.convex_type:
         raise UnsupportedFamilyError("range realization needs a convex-type family")
@@ -513,27 +542,38 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
         raise UnsupportedFamilyError("range realization needs a normalized family")
     phi = as_sectional(phi, fam)
     target = np.atleast_1d(np.asarray(target, dtype=float))
+    if not (np.isfinite(phi).all() and np.isfinite(target).all()):
+        raise StructuralError("range realization needs finite phi and target")
     U = (phi if phi.ndim == 2 else phi[:, None]) * fam.totals[:, None]  # (K, n)
     K, n = U.shape
     if target.shape != (n,):
         raise StructuralError("target dimension mismatch")
 
-    # min s  s.t.  |U^T tau / K - target| <= s componentwise, tau in [0,1]
-    c = np.zeros(K + 1)
-    c[-1] = 1.0
-    A = U.T / K  # (n, K)
-    A_ub = np.block([[A, -np.ones((n, 1))], [-A, -np.ones((n, 1))]])
-    b_ub = np.concatenate([target, -target])
-    bounds = [(0.0, 1.0)] * K + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status == 0 and res.fun <= 1e-8:
-        levels = np.clip(res.x[:K], 0.0, 1.0)
+    if n == 1:
+        T, a = float(target[0]), float(np.mean(U))
+        levels = None
+        if max(0.0, -T, T - a) <= 1e-8:
+            levels = np.full(K, min(max(T, 0.0), a) / a if a > 0 else 0.0)
+    else:
+        # min s  s.t.  |U^T tau / K - target| <= s componentwise, tau in [0,1]
+        c = np.zeros(K + 1)
+        c[-1] = 1.0
+        A = U.T / K  # (n, K)
+        A_ub = np.block([[A, -np.ones((n, 1))], [-A, -np.ones((n, 1))]])
+        b_ub = np.concatenate([target, -target])
+        bounds = [(0.0, 1.0)] * K + [(0.0, None)]
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        levels = np.clip(res.x[:K], 0.0, 1.0) if res.status == 0 and res.fun <= 1e-8 else None
+    if levels is not None:
         H = product_set_from_levels(fam, levels)
         achieved = np.atleast_1d(integrate_sectional_over(fam, phi, H))
         deviation = float(np.max(np.abs(achieved - target)))
         if deviation <= REALIZE_TOL:
             return RangeResult(True, levels, H, achieved, deviation, None)
 
+    if n == 1:  # in [0, a] only the set construction can have failed
+        direction = np.array([1.0]) if T > a else np.array([-1.0]) if T < 0 else None
+        return RangeResult(False, None, None, None, None, direction)
     # infeasible: find d with d.target > sup_{H} d.integral = (1/K) sum max(0, d.u_k)
     #   max d.target - (1/K) sum_k m_k   s.t. m_k >= 0, m_k >= d.u_k, |d| <= 1
     c2 = np.concatenate([-target, np.full(K, 1.0 / K)])

@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choquet_lab
 from choquet_lab import io
 from choquet_lab.cli import main
 from choquet_lab.economy import Economy, Preferences
@@ -280,6 +286,73 @@ class TestRangeDemo:
 
     def test_bad_target_is_exit_1(self, capsys):
         assert main(["range-demo", "--target", "abc"]) == 1
+
+    # SHA-256 digests of vector-target reports on the default family (K =
+    # 100, phi = 1), which the two HiGHS LPs decide: one target in range and
+    # two out of range.
+    @pytest.mark.parametrize("target, code, digest", [
+        ("0.3,0.3", 0, "ae79e939d483d7d74ea1f0368b87fd9129c12101f628681b619617132e65817a"),
+        ("0.8,-0.2", 2, "39703d4eed39edef159e80f1216df0f860bc7e7264076902b608ee90b53f67a9"),
+        ("1.2,0.5", 2, "cebca56f81d1c707c11b5464f1f3438ba732b3d5ceb88af9457ca6012a6796c9"),
+    ])
+    def test_vector_target_reports_are_pinned(self, capsys, target, code, digest):
+        assert main(["range-demo", "--target", target]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_fubini_report_near_the_float_maximum_is_strict_json(tmp_path, capsys):
+    # The mean of the node integrals sums them first; 3 * 1.35e308 overflows.
+    files, args = fubini(family_text(K="3"))
+    files["function.json"] = files["function.json"].replace("[1.0, 2.0]", "[1.7e308, 1e308]")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+    def no_constant(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([str(tmp_path / a) if a in files else a for a in args])
+    report = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert code == 2  # the quadrature error, ~M / tnodes, is far above 2e-3
+    assert report["rhs"] == pytest.approx(1.35e308, rel=1e-15)
+    assert report["deviation"] <= 1.7e308 / 10_000
+
+
+# Commands that solve no LP import no scipy, and a sectioned integral does not
+# import numpy.ma; each runs in a fresh interpreter.
+LIGHT_COMMANDS = {
+    "range-demo scalar": ({}, ["range-demo", "--target", "0.4"], ("scipy",)),
+    "range-demo scalar out of range": ({}, ["range-demo", "--target", "1.5"], ("scipy",)),
+    "integrate power": (
+        {"measure.json": GOOD_MEASURE, "function.json": GOOD_FUNCTION}, INTEGRATE, ("scipy",)),
+    "integrate sectioned": (
+        {"measure.json": '{"mode": "sectioned", ' + BLOCKS + ', "weights": [1.0, 3.0]}',
+         "function.json": GOOD_FUNCTION}, INTEGRATE, ("scipy", "numpy.ma")),
+    "check-measure": (
+        {"measure.json": GOOD_MEASURE},
+        ["check-measure", "--measure", "measure.json", "--trials", "20"], ("scipy",)),
+    "economy-check walras with a price": (*walras(), ("scipy",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIGHT_COMMANDS))
+def test_light_commands_skip_heavy_imports(case, tmp_path):
+    files, args, absent = LIGHT_COMMANDS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in args]
+    script = ("import sys\n"
+              "from choquet_lab.cli import main\n"
+              f"code = main({argv!r})\n"
+              f"print(code, [m for m in {list(absent)!r} if m in sys.modules])\n")
+    src = str(Path(choquet_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    code, imported = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code in ("0", "2") and imported == "[]"
 
 
 class TestEconomyCheck:

@@ -163,7 +163,7 @@ class TestValidation:
     def test_rejects_non_subadditive_sections(self):
         fam = SectionFamily.homothetic(Distortion.power(2.0), K=4)
         prefs = Preferences("linear", 1, weights=np.ones((4, 1)))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="economy needs submodular section measures"):
             Economy(fam, np.ones((4, 1)), prefs)
 
     def test_rejects_boundary_endowment(self):

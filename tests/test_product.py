@@ -18,6 +18,7 @@ from choquet_lab.errors import StructuralError, UnsupportedFamilyError
 from choquet_lab.intervals import IntervalSet, random_interval_set
 from choquet_lab.measures import Distortion, FuzzyMeasure
 from choquet_lab.product import (
+    REALIZE_TOL,
     ProductSet,
     ProductStepFunction,
     SectionFamily,
@@ -44,6 +45,12 @@ def intro_family(K=100):
     # two x-blocks, y-halves: node measures concentrate on one block each
     blocks = [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])]
     return SectionFamily.from_y_intervals(blocks, [(0.0, 0.5), (0.5, 1.0)], K=K)
+
+
+def sectioned_family(rng, K):
+    """K nodes with random normalized weights on 1 to 4 random blocks."""
+    blocks = random_blocks(rng, int(rng.integers(1, 5)))
+    return SectionFamily.sectioned(blocks, rng.uniform(0.1, 1.0, size=(K, len(blocks))))
 
 
 def wedge(fam):
@@ -258,6 +265,26 @@ class TestFubini:
         assert [r.lhs for r in reports] == [4.975e-321, 4.96e-321, 0.0]
         assert [r.rhs for r in reports] == [5e-321] * 3
 
+    def test_sums_past_the_float_maximum_stay_finite(self):
+        # The node means and the quadrature sum overflow before they divide
+        # by K; the means of these finite values are finite.
+        f = ProductStepFunction.uniform(StepFunction.on_grid([1.7e308, 1e308]), 3)
+        fv = ProductStepFunction.separable(StepFunction.on_grid([1.7e308, 1e308]), np.ones((3, 2)))
+        big = SectionFamily.homothetic(Distortion.identity(), K=3, scales=[1e308] * 3,
+                                       normalized=False)
+        g = ProductStepFunction.uniform(StepFunction.on_grid([1.7, 1.0]), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert integrate_product(identity_family(K=3), f) == pytest.approx(1.35e308, rel=1e-15)
+            assert integrate_product(identity_family(K=3), fv) == pytest.approx([1.35e308] * 2,
+                                                                                  rel=1e-15)
+            reports = [fubini_check(identity_family(K=3), f, tnodes=1000),
+                       fubini_check(identity_family(K=3), fv, tnodes=1000),
+                       fubini_check(big, g, tnodes=1000)]
+        for rep in reports:
+            assert rep.rhs == pytest.approx(1.35e308, rel=1e-15)
+            assert rep.deviation <= 1.7e308 / 1000  # the midpoint rule's bound M * m(X) / tnodes
+
     def test_comonotone_in_x_additivity(self):
         fam = square_family(K=10)
         rng = np.random.default_rng(4)
@@ -409,6 +436,69 @@ class TestRangeRealize:
             res = range_realize(fam, phi, target)
             assert res.feasible
             assert res.deviation <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["square", "identity", "sectioned"]),
+        K=st.integers(1, 50),
+        where=st.sampled_from(["anywhere", "0", "top", "just below 0", "just above top"]),
+        column=st.booleans(),
+    )
+    def test_scalar_target_agrees_with_the_lp(self, seed, kind, K, where, column):
+        """The scalar closed form against the feasibility LP that decided
+        scalar targets before, solved here with scipy's HiGHS."""
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        fam = {
+            "square": lambda: square_family(K),
+            "identity": lambda: identity_family(K),
+            "sectioned": lambda: sectioned_family(rng, K),
+        }[kind]()
+        phi = rng.uniform(0.0, 2.0, K) * (rng.random(K) < 0.8) * (rng.random() < 0.9)
+        u = phi * fam.totals
+        a = float(np.mean(u))
+        T = {
+            "anywhere": rng.uniform(-0.5, a + 0.5),
+            "0": 0.0,
+            "top": a,
+            "just below 0": -rng.uniform(0, 2e-8),
+            "just above top": a + rng.uniform(0, 2e-8),
+        }[where]
+        res = range_realize(fam, phi[:, None] if column else phi, T)
+
+        c = np.zeros(K + 1)
+        c[-1] = 1.0
+        A_ub = np.block([[u[None, :] / K, -np.ones((1, 1))], [-u[None, :] / K, -np.ones((1, 1))]])
+        lp = linprog(c, A_ub=A_ub, b_ub=[T, -T], bounds=[(0.0, 1.0)] * K + [(0.0, None)],
+                     method="highs")
+        dual = linprog(np.concatenate([[-T], np.full(K, 1.0 / K)]),
+                       A_ub=np.hstack([u[:, None], -np.eye(K)]), b_ub=np.zeros(K),
+                       bounds=[(-1.0, 1.0)] + [(0.0, None)] * K, method="highs")
+        if min(abs(T), abs(T - a)) > 1e-7:
+            assert res.feasible == (lp.status == 0 and lp.fun <= 1e-8)
+            if not res.feasible:
+                assert res.separating_direction.tolist() == [round(dual.x[0])]
+        if res.feasible:
+            assert res.levels.shape == (K,) and len(set(res.levels.tolist())) == 1
+            assert 0.0 <= res.levels[0] <= 1.0
+            assert res.deviation <= REALIZE_TOL
+            assert abs(res.achieved[0] - T) <= REALIZE_TOL
+        elif res.separating_direction is None:
+            assert 0.0 <= T <= a
+        else:
+            d = res.separating_direction
+            assert d.shape == (1,) and abs(d[0]) == 1.0
+            assert d[0] * T > np.mean(np.maximum(0.0, d[0] * u))
+
+    def test_non_finite_inputs_are_rejected(self):
+        fam = square_family(K=4)
+        for phi, target in [(np.ones(4), np.nan), (np.ones(4), np.inf),
+                            (np.array([1.0, np.nan, 1.0, 1.0]), 0.5),
+                            (np.ones((4, 2)), [0.2, np.nan])]:
+            with pytest.raises(StructuralError):
+                range_realize(fam, phi, target)
 
     def test_convex_combinations_realizable(self):
         rng = np.random.default_rng(7)
