@@ -346,8 +346,8 @@ def integrate_sectional_over(fam: SectionFamily, phi, H: ProductSet):
     phi = as_sectional(phi, fam)
     w = section_measures(fam, H)
     if phi.ndim == 1:
-        return float(np.mean(phi * w))
-    return np.mean(phi * w[:, None], axis=0)
+        return float(_mean(phi * w))
+    return _mean(phi * w[:, None], axis=0)
 
 
 @dataclass(frozen=True)

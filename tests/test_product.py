@@ -278,6 +278,10 @@ class TestFubini:
             assert integrate_product(identity_family(K=3), f) == pytest.approx(1.35e308, rel=1e-15)
             assert integrate_product(identity_family(K=3), fv) == pytest.approx([1.35e308] * 2,
                                                                                   rel=1e-15)
+            full = ProductSet.full(3)
+            assert integrate_sectional_over(identity_family(K=3), [1.7e308] * 3, full) == 1.7e308
+            assert integrate_sectional_over(identity_family(K=3), np.full((3, 2), 1.7e308),
+                                            full).tolist() == [1.7e308] * 2
             reports = [fubini_check(identity_family(K=3), f, tnodes=1000),
                        fubini_check(identity_family(K=3), fv, tnodes=1000),
                        fubini_check(big, g, tnodes=1000)]
@@ -442,7 +446,8 @@ class TestRangeRealize:
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["square", "identity", "sectioned"]),
         K=st.integers(1, 50),
-        where=st.sampled_from(["anywhere", "0", "top", "just below 0", "just above top"]),
+        where=st.sampled_from(
+            ["anywhere", "0", "top", "just below 0", "just above top", "near 0", "near top"]),
         column=st.booleans(),
     )
     def test_scalar_target_agrees_with_the_lp(self, seed, kind, K, where, column):
@@ -465,6 +470,8 @@ class TestRangeRealize:
             "top": a,
             "just below 0": -rng.uniform(0, 2e-8),
             "just above top": a + rng.uniform(0, 2e-8),
+            "near 0": rng.uniform(-2e-6, 2e-6),
+            "near top": a + rng.uniform(-2e-6, 2e-6),
         }[where]
         res = range_realize(fam, phi[:, None] if column else phi, T)
 
