@@ -480,13 +480,13 @@ class TestRangeRealize:
         A_ub = np.block([[u[None, :] / K, -np.ones((1, 1))], [-u[None, :] / K, -np.ones((1, 1))]])
         lp = linprog(c, A_ub=A_ub, b_ub=[T, -T], bounds=[(0.0, 1.0)] * K + [(0.0, None)],
                      method="highs")
-        dual = linprog(np.concatenate([[-T], np.full(K, 1.0 / K)]),
-                       A_ub=np.hstack([u[:, None], -np.eye(K)]), b_ub=np.zeros(K),
-                       bounds=[(-1.0, 1.0)] + [(0.0, None)] * K, method="highs")
+        separation = linprog(np.concatenate([[-T], np.full(K, 1.0 / K)]),
+                             A_ub=np.hstack([u[:, None], -np.eye(K)]), b_ub=np.zeros(K),
+                             bounds=[(-1.0, 1.0)] + [(0.0, None)] * K, method="highs")
         if min(abs(T), abs(T - a)) > 1e-7:
             assert res.feasible == (lp.status == 0 and lp.fun <= 1e-8)
             if not res.feasible:
-                assert res.separating_direction.tolist() == [round(dual.x[0])]
+                assert res.separating_direction.tolist() == [round(separation.x[0])]
         if res.feasible:
             assert res.levels.shape == (K,) and len(set(res.levels.tolist())) == 1
             assert 0.0 <= res.levels[0] <= 1.0
