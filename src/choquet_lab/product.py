@@ -323,14 +323,15 @@ def _node_tables(fam: SectionFamily, f: ProductStepFunction):
 def _mean(x: np.ndarray, axis=None):
     """np.mean(x, axis) for axis None or 0.  np.mean sums before it divides,
     so the mean of finite values can overflow; it is then taken again on
-    x / max|x|, which cannot.  A finite mean keeps its bits."""
+    x / max|x|, which cannot.  Every finite mean, of each column too, keeps
+    its bits."""
     with np.errstate(over="ignore"):
         mean = np.mean(x, axis=axis)
     if np.isfinite(mean).all() or not np.isfinite(x).all():
         return mean
     top = np.abs(x).max(axis=axis)
     top = np.where(top > 0, top, 1.0)
-    return np.mean(x / top, axis=axis) * top
+    return np.where(np.isfinite(mean), mean, np.mean(x / top, axis=axis) * top)
 
 
 def integrate_product(fam: SectionFamily, f: ProductStepFunction):
@@ -405,7 +406,7 @@ def _quadrature(tables, i: int, dims: int, dt: float, tnodes: int, scale: float 
     for v, L in tables:
         below = _tnode_counts(v[i::dims], dt, tnodes)  # t-nodes t < v_j
         below[:, :-1] -= below[:, 1:]
-        total += np.sum(below * (L[i::dims] if scale == 1.0 else L[i::dims] / scale))
+        total += np.sum(below * (L[i::dims] / scale))
     return total
 
 
@@ -523,6 +524,17 @@ class RangeResult:
         }
 
 
+def _realize_levels(fam: SectionFamily, phi, levels, target) -> RangeResult | None:
+    """The feasible result for ``levels`` when the set they build achieves
+    ``target`` within REALIZE_TOL, else None."""
+    H = product_set_from_levels(fam, levels)
+    achieved = np.atleast_1d(integrate_sectional_over(fam, phi, H))
+    deviation = float(np.max(np.abs(achieved - target)))
+    if deviation <= REALIZE_TOL:
+        return RangeResult(True, levels, H, achieved, deviation, None)
+    return None
+
+
 def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     """Realize ``target`` as integral of the sectional phi over some H, or
     produce a separating direction showing it is out of range.
@@ -534,7 +546,8 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     (phi >= 0) needs none: the candidates fill [0, a] with a = mean(u), so
     the LP's optimum is max(0, -T, T - a), one level T/a on every node
     realizes any T in [0, a], and d = +1 (T > a) or d = -1 (T < 0)
-    separates the rest, d * T > mean(max(0, d * u)).
+    separates the rest, d * T > mean(max(0, d * u)).  Only when rounding
+    keeps the one level from meeting REALIZE_TOL are the LPs solved.
     """
     if not fam.convex_type:
         raise UnsupportedFamilyError("range realization needs a convex-type family")
@@ -550,30 +563,29 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
         raise StructuralError("target dimension mismatch")
 
     if n == 1:
-        T, a = float(target[0]), float(np.mean(U))
-        levels = None
-        if max(0.0, -T, T - a) <= 1e-8:
-            levels = np.full(K, min(max(T, 0.0), a) / a if a > 0 else 0.0)
-    else:
-        # min s  s.t.  |U^T tau / K - target| <= s componentwise, tau in [0,1]
-        c = np.zeros(K + 1)
-        c[-1] = 1.0
-        A = U.T / K  # (n, K)
-        A_ub = np.block([[A, -np.ones((n, 1))], [-A, -np.ones((n, 1))]])
-        b_ub = np.concatenate([target, -target])
-        bounds = [(0.0, 1.0)] * K + [(0.0, None)]
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        levels = np.clip(res.x[:K], 0.0, 1.0) if res.status == 0 and res.fun <= 1e-8 else None
-    if levels is not None:
-        H = product_set_from_levels(fam, levels)
-        achieved = np.atleast_1d(integrate_sectional_over(fam, phi, H))
-        deviation = float(np.max(np.abs(achieved - target)))
-        if deviation <= REALIZE_TOL:
-            return RangeResult(True, levels, H, achieved, deviation, None)
+        T, a = float(target[0]), float(_mean(U))
+        if max(0.0, -T, T - a) > 1e-8:
+            return RangeResult(False, None, None, None, None, np.array([1.0 if T > a else -1.0]))
+        level = min(max(T, 0.0), a) / a if a > 0 else 0.0
+        result = _realize_levels(fam, phi, np.full(K, level), target)
+        if result is not None:
+            return result
+        # Past |T| ~ 1e10 REALIZE_TOL is below the float spacing of T, and
+        # one level can miss it by rounding; the LPs below try their vertex.
 
-    if n == 1:  # in [0, a] only the set construction can have failed
-        direction = np.array([1.0]) if T > a else np.array([-1.0]) if T < 0 else None
-        return RangeResult(False, None, None, None, None, direction)
+    # min s  s.t.  |U^T tau / K - target| <= s componentwise, tau in [0,1]
+    c = np.zeros(K + 1)
+    c[-1] = 1.0
+    A = U.T / K  # (n, K)
+    A_ub = np.block([[A, -np.ones((n, 1))], [-A, -np.ones((n, 1))]])
+    b_ub = np.concatenate([target, -target])
+    bounds = [(0.0, 1.0)] * K + [(0.0, None)]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status == 0 and res.fun <= 1e-8:
+        result = _realize_levels(fam, phi, np.clip(res.x[:K], 0.0, 1.0), target)
+        if result is not None:
+            return result
+
     # infeasible: find d with d.target > sup_{H} d.integral = (1/K) sum max(0, d.u_k)
     #   max d.target - (1/K) sum_k m_k   s.t. m_k >= 0, m_k >= d.u_k, |d| <= 1
     c2 = np.concatenate([-target, np.full(K, 1.0 / K)])

@@ -288,6 +288,25 @@ class TestFubini:
         for rep in reports:
             assert rep.rhs == pytest.approx(1.35e308, rel=1e-15)
             assert rep.deviation <= 1.7e308 / 1000  # the midpoint rule's bound M * m(X) / tnodes
+        # A scalar target inside [0, 1.7e308] is realized, not lost to an
+        # overflowed a = mean(phi * mu_k(X)).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = range_realize(identity_family(K=3), [1.7e308] * 3, [1e308])
+        assert res.feasible and res.deviation <= REALIZE_TOL
+        assert res.levels.tolist() == [1e308 / 1.7e308] * 3
+
+    def test_an_overflowed_column_leaves_the_finite_columns_bits(self):
+        # The rescaled mean of [0.3, 0.1, 0.2] is 0.19999999999999998; the
+        # plain one, 0.20000000000000004, is kept.
+        phi = np.array([[1.7e308, 0.3], [1.7e308, 0.1], [1.7e308, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_sectional_over(identity_family(K=3), phi, ProductSet.full(3))
+            fv = ProductStepFunction.separable(StepFunction.on_grid([1.0]), phi)
+            product = integrate_product(identity_family(K=3), fv)
+        assert got.tolist() == [1.7e308, np.mean([0.3, 0.1, 0.2])]
+        assert product.tolist() == [1.7e308, np.mean([0.3, 0.1, 0.2])]
 
     def test_comonotone_in_x_additivity(self):
         fam = square_family(K=10)
@@ -498,6 +517,13 @@ class TestRangeRealize:
             d = res.separating_direction
             assert d.shape == (1,) and abs(d[0]) == 1.0
             assert d[0] * T > np.mean(np.maximum(0.0, d[0] * u))
+
+    def test_a_scalar_target_the_one_level_misses_goes_to_the_lp(self):
+        # REALIZE_TOL is below the float spacing of 1e10: the one level
+        # 1e10 / 1.7e10 misses the target by rounding, an LP vertex meets it.
+        res = range_realize(square_family(K=3), np.full(3, 1.7e10), 1e10)
+        assert res.feasible and res.deviation <= REALIZE_TOL
+        assert len(set(res.levels.tolist())) > 1
 
     def test_non_finite_inputs_are_rejected(self):
         fam = square_family(K=4)
