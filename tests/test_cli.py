@@ -470,8 +470,8 @@ class TestDemo:
         assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 digests and exit codes of whole ``economy-check`` and ``demo``
-# reports (stdout bytes).  Any change to a search result, a Walras verdict
+# SHA-256 digests and exit codes of whole ``economy-check``, ``demo`` and
+# ``check-measure`` reports (stdout bytes).  Any change to a search result, a Walras verdict
 # or a reported violator moves them.  The economies: the K = 20 Cobb-Douglas
 # fixture with its equilibrium allocation; a linear and a dominance economy
 # with n = 3 on K = 12 nodes; the split and full dominance fixtures at K = 20.
@@ -510,8 +510,22 @@ def report_economy(name):
     return eco, eco.endowment * rng.uniform(0.3, 1.3, size=(eco.K, 1))
 
 
+# ``check-measure`` reports: one concave, one convex and one identity
+# distortion and a two-block sectioned measure, each at two seeds.
+REPORT_MEASURES = {
+    "sqrt": {"mode": "distorted", "distortion": {"kind": "power", "alpha": 0.5}},
+    "square": {"mode": "distorted", "distortion": {"kind": "power", "alpha": 2.0}},
+    "identity": {"mode": "distorted", "distortion": {"kind": "identity"}},
+    "two-block": {"mode": "sectioned", "blocks": [[0, 0.5], [0.5, 1]], "weights": [1, 1]},
+}
+
+
 def report_cases():
     cases = {}
+    for name in REPORT_MEASURES:
+        for seed in ("7", "42"):
+            cases[f"check-measure {name} seed{seed}"] = (
+                name, ["--measure", "measure.json", "--trials", "200", "--seed", seed])
     for name, prices in REPORT_PRICES.items():
         for alloc in ("endowment", "allocation"):
             extra = [] if alloc == "endowment" else ["--allocation", "allocation.json"]
@@ -535,6 +549,10 @@ def report_digest(case, tmp_path, capsys):
     name, args = REPORT_CASES[case]
     if name is None:
         code = main(["demo"] + args)
+    elif name in REPORT_MEASURES:
+        io.dump_json(REPORT_MEASURES[name], str(tmp_path / "measure.json"))
+        code = main(["check-measure"] + [str(tmp_path / a) if a.endswith(".json") else a
+                                         for a in args])
     else:
         eco, allocation = report_economy(name)
         io.dump_json(io.economy_to_json(eco), str(tmp_path / "economy.json"))
@@ -549,6 +567,22 @@ def report_digest(case, tmp_path, capsys):
 
 
 PINNED_REPORTS = {
+    "check-measure identity seed42":
+        (0, "ed7a83aa22a0888f0a12b5cd84f32107bfeb679d48757b4b90b40bcec460e377"),
+    "check-measure identity seed7":
+        (0, "f7ee9da5c2fec7b24a6a37c744330f3d9f0131b028c2fc1f9500f31c7ac9c516"),
+    "check-measure sqrt seed42":
+        (0, "65eeb89e4ebf932920c3c7984ce59a0ab0c7db2fc50fcf002a86552a669ab0ab"),
+    "check-measure sqrt seed7":
+        (0, "3550a7dea9478bc11d9fff1477c394464dcf38607fd1b23e7a9cde355d9ea0d4"),
+    "check-measure square seed42":
+        (2, "56121ff427288b9c269a600274f7fa3621cf0e6856081f44033add3d1df4bbd6"),
+    "check-measure square seed7":
+        (2, "bad8f74023f0084d4223c3cde5b27dd087a585eab99007c1de0da27442536d2c"),
+    "check-measure two-block seed42":
+        (0, "80e239ab791166aa3101eec8eb36bb5bd912e7f5847770584afef6d038a65deb"),
+    "check-measure two-block seed7":
+        (0, "4634134d18cf559ac15e416a21a1a43f44f4728406cd69b649755b988e30e531"),
     "cobb_douglas core allocation":
         (0, "14848b1722f88d4e82b9edc02d54ab1130492d5ec77ce54690e0aaa6dbf8642a"),
     "cobb_douglas core endowment":
