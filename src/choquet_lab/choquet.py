@@ -395,7 +395,8 @@ def check_choquet_properties(
     mu: FuzzyMeasure, trials: int = 500, seed: int = 42
 ) -> ChoquetPropertyReport:
     """Randomized checks of homogeneity, monotonicity, translation,
-    subadditivity (subadditive mu only), comonotone and horizontal additivity."""
+    subadditivity (submodular mu only: the integral is subadditive iff mu is
+    submodular), comonotone and horizontal additivity."""
     if trials < 1:
         raise StructuralError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -409,7 +410,7 @@ def check_choquet_properties(
     ]
     res = {
         n: {
-            "checked": n != "subadditivity" or mu.is_subadditive,
+            "checked": n != "subadditivity" or mu.is_submodular,
             "passed": True,
             "max_deviation": 0.0,
             "counterexample": None,

@@ -28,7 +28,7 @@ from .errors import (
     StructuralError,
     UnsupportedFamilyError,
 )
-from .measures import check_measure_properties
+from .measures import measure_properties
 from .product import ProductStepFunction, fubini_check, range_realize
 
 SCHEMA = "choquet-lab/1"
@@ -57,13 +57,14 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_check_measure(args) -> int:
     mu = io.measure_from_json(io.load_json(args.measure))
-    measure_rep = check_measure_properties(mu, trials=args.trials, seed=args.seed)
+    measure_rep = measure_properties(mu)
     integral_rep = check_choquet_properties(mu, trials=args.trials, seed=args.seed)
     report = {
         "schema": SCHEMA,
         "command": "check-measure",
         "seed": args.seed,
-        "measure_properties": measure_rep.to_dict(),
+        # the exact decisions take no trials or seed; both are echoed
+        "measure_properties": {"trials": args.trials, "seed": args.seed, **measure_rep.to_dict()},
         "integral_properties": integral_rep.to_dict(),
     }
     _emit(report, args.out)
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     common(p, seed=False)
 
-    p = sub.add_parser("check-measure", help="measure and integral property checks")
+    p = sub.add_parser("check-measure", help="measure property decisions and integral checks")
     p.add_argument("--measure", required=True)
     p.add_argument("--trials", type=int, default=500)
     common(p)

@@ -30,15 +30,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .choquet import choquet, choquet_restricted
+from .choquet import StepFunction, choquet_restricted
 from .errors import InvalidPriceError, StructuralError
-from .intervals import random_interval_set
+from .intervals import IntervalSet, random_interval_set
 from .lp import linprog
+from .measures import measure_properties
 from .product import (
     ProductSet,
     ProductStepFunction,
     SectionFamily,
     as_sectional,
+    integrate_product,
     integrate_sectional_over,
     product_set_from_levels,
     section_measures,
@@ -989,24 +991,43 @@ def endowment_is_walrasian(eco: Economy, seed: int = 42) -> EndowmentReport:
 # -- integral conditions on the economy's measure --------------------------------
 
 
-def check_condition_c1(fam: SectionFamily, trials: int = 500, seed: int = 42) -> float:
-    """Max violation of integral subadditivity over random scalar product
-    step functions (0.0 when sections are subadditive)."""
-    from .choquet import random_step_function
+@dataclass(frozen=True)
+class SubadditivityViolationWitness:
+    """Product step functions f, g with integral(f + g) > integral(f) + integral(g)."""
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        fs = tuple(random_step_function(rng, max_cells=6) for _ in range(fam.K))
-        gs = tuple(random_step_function(rng, max_cells=6) for _ in range(fam.K))
-        lhs = np.mean(
-            [choquet(a + b, mu) for a, b, mu in zip(fs, gs, fam.measures)]
-        )
-        rhs = np.mean([choquet(a, mu) for a, mu in zip(fs, fam.measures)]) + np.mean(
-            [choquet(b, mu) for b, mu in zip(gs, fam.measures)]
-        )
-        worst = max(worst, float(lhs - rhs))
-    return worst
+    node: int
+    f: ProductStepFunction
+    g: ProductStepFunction
+    lhs: float  # integral of f + g
+    rhs: float  # integral of f plus integral of g
+
+
+def condition_c1_witness(fam: SectionFamily) -> SubadditivityViolationWitness | None:
+    """Decide (c1), subadditivity of the product integral; None when it holds.
+
+    The Choquet integral against mu is subadditive iff mu is submodular
+    (Denneberg 1994, ch. 6), so (c1) holds iff every section measure is.
+    Otherwise the first node k whose measure is not submodular carries
+    f = 1_A and g = 1_B on its section and 0 elsewhere, for the pair (A, B)
+    of its :func:`measures.measure_properties` witness:
+    K * integral(f + g) = mu_k(A ∪ B) + mu_k(A ∩ B) > mu_k(A) + mu_k(B).
+    Both sides are re-computed with :func:`integrate_product`.
+    """
+    k = next((k for k, mu in enumerate(fam.measures) if not mu.is_submodular), None)
+    if k is None:
+        return None
+    pair = measure_properties(fam.measures[k]).witness
+    zero = StepFunction.constant(0.0)
+
+    def on_node(section: StepFunction) -> ProductStepFunction:
+        return ProductStepFunction(tuple(section if j == k else zero for j in range(fam.K)))
+
+    fA, fB = (StepFunction.indicator(IntervalSet(pair[s])) for s in "AB")
+    f, g = on_node(fA), on_node(fB)
+    lhs = integrate_product(fam, on_node(fA + fB))
+    return SubadditivityViolationWitness(
+        k, f, g, lhs, integrate_product(fam, f) + integrate_product(fam, g)
+    )
 
 
 @dataclass(frozen=True)

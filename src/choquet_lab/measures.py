@@ -9,7 +9,9 @@ Two constructive modes cover everything the rest of the library needs:
   zero).  This mode is additive, hence submodular with equality.
 
 Both modes are filtering: every set A of positive measure carries a nested
-chain A_t with mu(A_t) = t * mu(A), realized by left prefixes.
+chain A_t with mu(A_t) = t * mu(A), realized by left prefixes.  Whether a
+measure is subadditive or submodular depends on g alone and is decided
+exactly by :func:`measure_properties`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSetError, StructuralError
-from .intervals import IntervalSet, random_interval_set
+from .intervals import IntervalSet
 
 CHAIN_TOL = 1e-9  # |mu(A_t) - t mu(A)| bound for prefix chains
 ALGEBRA_TOL = 1e-12
@@ -175,12 +177,12 @@ class FuzzyMeasure:
 
     @property
     def is_subadditive(self) -> bool:
-        if self.mode == "sectioned":
-            return True
-        return self.distortion.is_concave
+        return self.mode == "sectioned" or _subadditivity_gap(self.distortion)[0] <= ALGEBRA_TOL
 
-    # additive across blocks, hence modular; concave distortions are submodular
-    is_submodular = is_subadditive
+    @property
+    def is_submodular(self) -> bool:
+        # additive across blocks, hence modular; concave distortions are submodular
+        return self.mode == "sectioned" or self.distortion.is_concave
 
 
 @dataclass(frozen=True)
@@ -214,16 +216,60 @@ def filtering_family(mu: FuzzyMeasure, A: IntervalSet) -> FilteringFamily:
     return FilteringFamily(mu, A)
 
 
+def _subadditivity_gap(g: Distortion) -> tuple[float, float, float]:
+    """The maximum of g(c) - g(a) - g(c - a) over 0 <= a <= c <= 1, with the
+    (a, c) attaining it: g(a + b) - g(a) - g(b) over a, b >= 0, a + b <= 1,
+    evaluated as mu evaluates A = [0, a), B = [a, c) and A ∪ B = [0, c).
+
+    A concave g has maximum h(0, c) = 0.  For a convex power g,
+    g(a) + g(1 - a) is convex and symmetric, so the maximum is at
+    a = b = 1/2.  For pwl g the function is linear on each cell of the
+    arrangement of the lines a = x_i, b = x_j and a + b = x_l, so it peaks at
+    a vertex: a = x_i with c = x_i + x_j or c = x_l, or the mirror image
+    b = x_j, c = x_l of one of them.
+    """
+    if g.is_concave:
+        return 0.0, 0.0, 0.0
+    if g.kind == "power":
+        a, c = np.array([0.5]), np.array([1.0])
+    else:
+        xi, xj = np.meshgrid(g._xs, g._xs, indexing="ij")
+        a, c = np.concatenate([xi, xi]).ravel(), np.concatenate([xi + xj, xj]).ravel()
+        keep = (a <= c) & (c <= 1.0)
+        a, c = a[keep], c[keep]
+    gap = g(c) - (g(a) + g(c - a))
+    i = int(np.argmax(gap))
+    return float(gap[i]), float(a[i]), float(c[i])
+
+
+def _concavity_kink(g: Distortion) -> tuple[float, float]:
+    """(x, h) such that A = [0, x) and B = [h, x + h) violate submodularity
+    of a non-concave g: mu(A ∪ B) + mu(A ∩ B) - mu(A) - mu(B) is
+    g(x + h) - g(x) - (g(x) - g(x - h)).
+
+    For a power g that is g(1) - 2 g(1/2) at x = h = 1/2.  For pwl g it is
+    h (s_i - s_{i-1}) at the knot x = x_i where the slope rises from s_{i-1}
+    to s_i, with h = min(x_i - x_{i-1}, x_{i+1} - x_i); the knot with the
+    largest such gap is taken.
+    """
+    if g.kind == "power":
+        return 0.5, 0.5
+    dx = np.diff(g._xs)
+    slopes = np.diff(g._ys) / dx
+    h = np.minimum(dx[:-1], dx[1:])
+    kinks = slopes[1:] > slopes[:-1] + 1e-12  # the test of Distortion.is_concave
+    i = int(np.argmax(np.where(kinks, h * (slopes[1:] - slopes[:-1]), -np.inf)))
+    return float(g._xs[i + 1]), float(h[i])
+
+
 @dataclass(frozen=True)
 class MeasurePropertyReport:
-    """Outcome of randomized monotonicity / subadditivity / submodularity checks."""
+    """Exact verdicts on monotonicity, subadditivity and submodularity."""
 
-    trials: int
-    seed: int
     monotone: bool
     subadditive: bool
     submodular: bool
-    witness: dict | None  # first counterexample, keyed by property
+    witness: dict | None  # a violating pair (A, B), keyed by property
 
     @property
     def all_pass(self) -> bool:
@@ -231,8 +277,6 @@ class MeasurePropertyReport:
 
     def to_dict(self) -> dict:
         return {
-            "trials": self.trials,
-            "seed": self.seed,
             "monotone": self.monotone,
             "subadditive": self.subadditive,
             "submodular": self.submodular,
@@ -240,104 +284,34 @@ class MeasurePropertyReport:
         }
 
 
-# canonical pairs probed before the random stream so witnesses are stable
-_PROBE_PAIRS = (
-    (((0.0, 0.5),), ((0.5, 1.0),)),
-    (((0.0, 0.25),), ((0.25, 0.75),)),
-    (((0.0, 0.75),), ((0.5, 1.0),)),
-)
+def _witness(mu: FuzzyMeasure, prop: str, A: IntervalSet, B: IntervalSet) -> dict:
+    """A and B with both sides of the inequality they violate, evaluated by mu."""
+    lhs = mu(A.union(B))
+    if prop == "submodular":
+        lhs += mu(A.intersection(B))
+    rhs = mu(A) + mu(B)
+    return {"property": prop, "A": A.to_pairs(), "B": B.to_pairs(), "lhs": lhs, "rhs": rhs}
 
 
-def check_measure_properties(
-    mu: FuzzyMeasure, trials: int = 1000, seed: int = 42
-) -> MeasurePropertyReport:
-    """Sample random interval-set pairs and test the capacity inequalities."""
-    if trials < 1:
-        raise StructuralError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    monotone = subadditive = submodular = True
-    witness = None
+def measure_properties(mu: FuzzyMeasure) -> MeasurePropertyReport:
+    """Decide whether mu is monotone, subadditive and submodular.
 
-    def pairs():
-        for pa, pb in _PROBE_PAIRS:
-            yield IntervalSet(pa), IntervalSet(pb)
-        for _ in range(trials):
-            yield (
-                random_interval_set(rng, allow_empty=True),
-                random_interval_set(rng, allow_empty=True),
-            )
-
-    for A, B in pairs():
-        if not (monotone or subadditive or submodular):
-            break
-        sub = A.intersection(B)
-        sup = A.union(B)
-        mA, mB = mu(A), mu(B)
-        m_sub, m_sup = mu(sub), mu(sup)
-        if monotone and (m_sub > mA + ALGEBRA_TOL or mA > m_sup + ALGEBRA_TOL):
-            monotone = False
-            witness = witness or {
-                "property": "monotone",
-                "A": A.to_pairs(),
-                "B": B.to_pairs(),
-            }
-        if subadditive and m_sup > mA + mB + ALGEBRA_TOL:
-            subadditive = False
-            witness = witness or {
-                "property": "subadditive",
-                "A": A.to_pairs(),
-                "B": B.to_pairs(),
-                "lhs": m_sup,
-                "rhs": mA + mB,
-            }
-        if submodular and m_sup + m_sub > mA + mB + ALGEBRA_TOL:
-            submodular = False
-            witness = witness or {
-                "property": "submodular",
-                "A": A.to_pairs(),
-                "B": B.to_pairs(),
-                "lhs": m_sup + m_sub,
-                "rhs": mA + mB,
-            }
-    return MeasurePropertyReport(trials, seed, monotone, subadditive, submodular, witness)
-
-
-@dataclass(frozen=True)
-class ChainIncrementReport:
-    """Diagnostic: how far mu(A_t' \\ A_t) drifts from (t' - t) mu(A).
-
-    Purely informational.  Additive measures on [0,1] satisfy the identity
-    exactly; genuinely distorted ones generally do not, and nothing
-    downstream requires it.  Atomic measures (say, geometric weights on the
-    integers) have full range yet admit no chain splitting increments evenly
-    at all scales; such measures are outside this library's interval model.
+    Every measure here is monotone: a distortion is strictly increasing with
+    g(0) = 0 and sectioned weights are >= 0.  A sectioned measure is
+    additive.  On the non-atomic [0,1], mu = g∘λ is submodular iff g is
+    concave, and subadditive iff g(a + b) <= g(a) + g(b) whenever
+    a + b <= 1 (Denneberg 1994, ch. 2); submodularity implies subadditivity.
+    A violated property carries an interval pair (A, B) that mu re-checks:
+    the peak of :func:`_subadditivity_gap` when subadditivity fails, else
+    the kink of :func:`_concavity_kink`.
     """
-
-    samples: int
-    max_deviation: float
-    worst_pair: tuple[float, float] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_deviation": self.max_deviation,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-        }
-
-
-def check_chain_increments(
-    fam: FilteringFamily, samples: int = 100, seed: int = 42
-) -> ChainIncrementReport:
-    rng = np.random.default_rng(seed)
-    total = fam.mu(fam.base)
-    worst = 0.0
-    worst_pair = None
-    ts = np.sort(rng.uniform(0.0, 1.0, size=(samples, 2)), axis=1)
-    for t, tp in ts:
-        if tp - t < 1e-12:
-            continue
-        inc = fam.at(tp).difference(fam.at(t))
-        dev = abs(fam.mu(inc) - (tp - t) * total)
-        if dev > worst:
-            worst, worst_pair = dev, (float(t), float(tp))
-    return ChainIncrementReport(samples, worst, worst_pair)
+    if mu.is_submodular:
+        return MeasurePropertyReport(True, True, True, None)
+    g = mu.distortion
+    gap, a, c = _subadditivity_gap(g)
+    if gap > ALGEBRA_TOL:
+        A, B = IntervalSet.interval(0.0, a), IntervalSet.interval(a, c)
+        return MeasurePropertyReport(True, False, False, _witness(mu, "subadditive", A, B))
+    x, h = _concavity_kink(g)
+    A, B = IntervalSet.interval(0.0, x), IntervalSet.interval(h, min(x + h, 1.0))
+    return MeasurePropertyReport(True, True, False, _witness(mu, "submodular", A, B))

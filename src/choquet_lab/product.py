@@ -260,8 +260,8 @@ def as_sectional(values, fam: SectionFamily) -> np.ndarray:
     """Validate a sectional function given as per-node values."""
     phi = np.asarray(values, dtype=float)
     _check_sections(fam, phi.shape[0])
-    if phi.size and phi.min() < 0:
-        raise StructuralError("sectional values must be non-negative")
+    if phi.size and not (phi.min() >= 0 and phi.max() < np.inf):  # NaN fails both
+        raise StructuralError("sectional values must be finite and non-negative")
     return phi
 
 
@@ -555,8 +555,8 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
         raise UnsupportedFamilyError("range realization needs a normalized family")
     phi = as_sectional(phi, fam)
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    if not (np.isfinite(phi).all() and np.isfinite(target).all()):
-        raise StructuralError("range realization needs finite phi and target")
+    if not np.isfinite(target).all():
+        raise StructuralError("range realization needs a finite target")
     U = (phi if phi.ndim == 2 else phi[:, None]) * fam.totals[:, None]  # (K, n)
     K, n = U.shape
     if target.shape != (n,):

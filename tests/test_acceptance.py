@@ -27,10 +27,10 @@ from choquet_lab.choquet import (
 )
 from choquet_lab.economy import (
     PRICE_TOL,
-    check_condition_c1,
     check_excess_convexity,
     check_walras,
     check_wealth_dominance,
+    condition_c1_witness,
     condition_c2_witness,
     endowment_is_walrasian,
     find_price,
@@ -48,7 +48,7 @@ from choquet_lab.fixtures import (
     sqrt_measure,
 )
 from choquet_lab.intervals import IntervalSet, random_interval_set, uniform_partition
-from choquet_lab.measures import FuzzyMeasure, check_measure_properties
+from choquet_lab.measures import FuzzyMeasure, measure_properties
 from choquet_lab.product import (
     ProductSet,
     ProductStepFunction,
@@ -57,6 +57,8 @@ from choquet_lab.product import (
     product_set_from_levels,
     range_realize,
 )
+from test_economy import sampled_c1_violation
+from test_measures import sampled_violations
 
 
 def _report(number: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -118,7 +120,8 @@ def test_criterion_02_analytic_fixtures():
 
 def test_criterion_03_integral_properties():
     """Homogeneity through horizontal additivity on 500 trials each; the
-    convex distortion must leave a recorded subadditivity counterexample."""
+    convex distortion must be decided not subadditive, with a witness.  The
+    exact measure decisions never miss what 500 sampled set pairs find."""
     start = time.time()
     ok = True
     for mu in (sqrt_measure(), FuzzyMeasure.lebesgue(),
@@ -127,13 +130,18 @@ def test_criterion_03_integral_properties():
                )):
         rep = check_choquet_properties(mu, trials=500, seed=2024)
         ok = ok and rep.all_pass and rep.results["subadditivity"]["checked"]
+        ok = ok and measure_properties(mu).all_pass
+        ok = ok and not sampled_violations(mu, trials=500, seed=2024)
     convex_rep = check_choquet_properties(square_measure(), trials=500, seed=2024)
     ok = ok and not convex_rep.results["subadditivity"]["checked"]
     for name in ("homogeneity", "monotonicity", "translation",
                  "comonotone_additivity", "horizontal_additivity"):
         ok = ok and convex_rep.results[name]["passed"]
-    counterexample = check_measure_properties(square_measure(), trials=500, seed=2024)
+    counterexample = measure_properties(square_measure())
     ok = ok and not counterexample.subadditive and counterexample.witness is not None
+    ok = ok and counterexample.witness["lhs"] > counterexample.witness["rhs"]
+    sampled = sampled_violations(square_measure(), trials=500, seed=2024)
+    ok = ok and sampled == {"subadditive", "submodular"}
     elapsed = time.time() - start
     _report(3, "integral-properties", ok, elapsed)
     assert ok
@@ -324,11 +332,15 @@ def test_criterion_09_endowment_equilibrium_split_fixture():
 
 
 def test_criterion_10_integral_conditions():
-    """(c1) integral subadditivity on 500 random pairs; (c2) order diagnostic
-    exhibits a violating coalition on 100 constructed pairs."""
+    """(c1) integral subadditivity decided exactly: it holds on Lebesgue
+    sections, which 500 random pairs confirm, and fails with a witness on
+    squared sections; (c2) order diagnostic exhibits a violating coalition
+    on 100 constructed pairs."""
     start = time.time()
     fam = identity_family(10)
-    violation = check_condition_c1(fam, trials=500, seed=1010)
+    violation = sampled_c1_violation(fam, trials=500, seed=1010)
+    c1_witness = condition_c1_witness(square_family(10))
+    c1_ok = condition_c1_witness(fam) is None and c1_witness.lhs > c1_witness.rhs
     rng = np.random.default_rng(1010)
     fam20 = intro_sectioned_family(20)
     c2_ok = True
@@ -340,7 +352,7 @@ def test_criterion_10_integral_conditions():
         witness = condition_c2_witness(fam20, f, g)
         if witness is None or witness.lhs <= witness.rhs:
             c2_ok = False
-    ok = violation <= 1e-12 and c2_ok
+    ok = c1_ok and violation <= 1e-12 and c2_ok
     elapsed = time.time() - start
     _report(10, "integral-conditions", ok, elapsed, f"c1 violation {violation:.2e}")
     assert ok

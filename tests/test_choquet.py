@@ -187,6 +187,16 @@ class TestPropertyChecks:
         ):
             assert report.results[name]["passed"], name
 
+    def test_subadditivity_skipped_for_subadditive_non_concave_distortion(self):
+        # mu is subadditive but not submodular, so its integral is not
+        # subadditive: the check is gated on submodularity
+        mu = FuzzyMeasure.distorted(Distortion.piecewise_linear(
+            [(0, 0), (0.5, 0.7), (0.6, 0.72), (0.7, 0.8), (1, 1)]))
+        assert mu.is_subadditive and not mu.is_submodular
+        report = check_choquet_properties(mu, trials=100, seed=1)
+        assert not report.results["subadditivity"]["checked"]
+        assert report.all_pass
+
     def test_sectioned_measure_properties(self):
         mu = FuzzyMeasure.sectioned(
             [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])], [1.0, 2.0]

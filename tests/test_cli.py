@@ -18,6 +18,7 @@ from choquet_lab.fixtures import (
     full_dominance_economy,
     split_dominance_economy,
 )
+from choquet_lab.intervals import IntervalSet
 
 
 @pytest.fixture()
@@ -252,6 +253,34 @@ class TestCheckMeasure:
             main(["check-measure", "--measure", square_measure_file,
                   "--trials", "100", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("knots, subadditive", [
+        ([[0, 0], [0.9, 0.9], [0.95, 0.951], [1, 1]], False),
+        ([[0, 0], [0.5, 0.7], [0.6, 0.72], [0.7, 0.8], [1, 1]], True),
+    ])
+    @pytest.mark.parametrize("seed", ["1", "42"])
+    def test_pwl_verdicts_carry_witnesses_that_verify(self, tmp_path, capsys, knots,
+                                                      subadditive, seed):
+        # Sampled pairs called the first distortion subadditive; the second
+        # is subadditive but not concave, hence not submodular.
+        data = {"mode": "distorted", "distortion": {"kind": "pwl", "knots": knots}}
+        path = tmp_path / "pwl.json"
+        io.dump_json(data, str(path))
+        assert main(["check-measure", "--measure", str(path), "--trials", "100",
+                     "--seed", seed]) == 2
+        report = json.loads(capsys.readouterr().out)
+        props = report["measure_properties"]
+        assert (props["trials"], props["seed"]) == (100, int(seed))
+        assert props["monotone"] and props["subadditive"] is subadditive
+        assert props["submodular"] is False
+        witness = props["witness"]
+        assert witness["property"] == ("submodular" if subadditive else "subadditive")
+        mu = io.measure_from_json(data)
+        A, B = IntervalSet(witness["A"]), IntervalSet(witness["B"])
+        lhs = mu(A.union(B)) + (mu(A.intersection(B)) if subadditive else 0.0)
+        assert lhs == witness["lhs"] and witness["rhs"] == mu(A) + mu(B)
+        assert lhs > mu(A) + mu(B) + 1e-12
+        assert report["integral_properties"]["results"]["subadditivity"]["checked"] is False
 
 
 class TestFubiniCheck:

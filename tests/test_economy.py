@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choquet_lab.choquet import StepFunction, choquet_restricted
+from choquet_lab.choquet import StepFunction, choquet, choquet_restricted, random_step_function
 from choquet_lab.errors import InvalidPriceError, StructuralError
 from choquet_lab import economy
 from choquet_lab.fixtures import (
@@ -14,11 +14,12 @@ from choquet_lab.fixtures import (
     split_dominance_economy,
 )
 from choquet_lab.intervals import IntervalSet, random_interval_set
-from choquet_lab.measures import Distortion
+from choquet_lab.measures import Distortion, FuzzyMeasure
 from choquet_lab.product import (
     ProductSet,
     ProductStepFunction,
     SectionFamily,
+    integrate_product,
     integrate_sectional_over,
     product_set_from_levels,
     section_measures,
@@ -29,10 +30,10 @@ from choquet_lab.economy import (
     ImprovementWitness,
     Preferences,
     budget_check,
-    check_condition_c1,
     check_excess_convexity,
     check_walras,
     check_wealth_dominance,
+    condition_c1_witness,
     condition_c2_witness,
     endowment_is_walrasian,
     find_price,
@@ -50,6 +51,23 @@ from choquet_lab.economy import (
 from test_choquet import random_blocks
 
 K = 100
+
+
+def sampled_c1_violation(fam, trials, seed):
+    """Max violation of integral subadditivity over random scalar product
+    step functions: the sampled check ``condition_c1_witness`` replaced,
+    kept as its oracle (0.0 when none is found)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        fs = tuple(random_step_function(rng, max_cells=6) for _ in range(fam.K))
+        gs = tuple(random_step_function(rng, max_cells=6) for _ in range(fam.K))
+        lhs = np.mean([choquet(a + b, mu) for a, b, mu in zip(fs, gs, fam.measures)])
+        rhs = np.mean([choquet(a, mu) for a, mu in zip(fs, fam.measures)]) + np.mean(
+            [choquet(b, mu) for b, mu in zip(gs, fam.measures)]
+        )
+        worst = max(worst, float(lhs - rhs))
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -578,7 +596,27 @@ class TestEndowmentEquilibrium:
 class TestIntegralConditions:
     def test_c1_under_subadditive_sections(self):
         fam = SectionFamily.homothetic(Distortion.power(0.5), K=20)
-        assert check_condition_c1(fam, trials=200, seed=5) <= 1e-12
+        assert condition_c1_witness(fam) is None
+        assert sampled_c1_violation(fam, trials=200, seed=5) <= 1e-12
+
+    @pytest.mark.parametrize("node_g", [
+        Distortion.power(2.0),
+        Distortion.piecewise_linear([(0, 0), (0.9, 0.9), (0.95, 0.951), (1, 1)]),
+        Distortion.piecewise_linear([(0, 0), (0.5, 0.7), (0.6, 0.72), (0.7, 0.8), (1, 1)]),
+    ])
+    def test_c1_witness_on_a_non_submodular_node(self, node_g):
+        # node 2 of 5 is not submodular, the others are Lebesgue
+        measures = [FuzzyMeasure.lebesgue()] * 5
+        measures[2] = FuzzyMeasure.distorted(node_g)
+        fam = SectionFamily.heterogeneous(measures)
+        w = condition_c1_witness(fam)
+        assert w.node == 2
+        assert [s.max_value for s in w.f.sections] == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert [s.max_value for s in w.g.sections] == [0.0, 0.0, 1.0, 0.0, 0.0]
+        fg = ProductStepFunction(tuple(a + b for a, b in zip(w.f.sections, w.g.sections)))
+        assert w.lhs == integrate_product(fam, fg)
+        assert w.rhs == integrate_product(fam, w.f) + integrate_product(fam, w.g)
+        assert w.lhs > w.rhs
 
     def test_c2_witness_on_constructed_pairs(self):
         fam = SectionFamily.homothetic(Distortion.identity(), K=20)

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquet_lab.errors import DegenerateSetError, StructuralError
 from choquet_lab.intervals import IntervalSet, random_interval_set
 from choquet_lab.measures import (
+    ALGEBRA_TOL,
     Distortion,
     FuzzyMeasure,
-    check_chain_increments,
-    check_measure_properties,
     filtering_family,
+    measure_properties,
 )
+
+# g(a + b) > g(a) + g(b) at a = 0.9, b = 0.05, so mu is not subadditive
+NOT_SUBADDITIVE_KNOTS = [(0, 0), (0.9, 0.9), (0.95, 0.951), (1, 1)]
+# subadditive, yet the slope rises at 0.6, so mu is not submodular
+SUBADDITIVE_NOT_CONCAVE_KNOTS = [(0, 0), (0.5, 0.7), (0.6, 0.72), (0.7, 0.8), (1, 1)]
 
 
 def sq():
@@ -18,6 +25,43 @@ def sq():
 
 def sqrt_measure():
     return FuzzyMeasure.distorted(Distortion.power(0.5))
+
+
+def pwl_measure(knots):
+    return FuzzyMeasure.distorted(Distortion.piecewise_linear(knots))
+
+
+def sampled_violations(mu, trials, seed, bits=20):
+    """The capacity properties that random interval-set pairs refute.
+
+    The sampled check the exact decisions replaced, kept as their oracle:
+    it can miss a violation, but every one it finds is genuine."""
+    rng = np.random.default_rng(seed)
+    refuted = set()
+    for _ in range(trials):
+        A = random_interval_set(rng, bits=bits, allow_empty=True)
+        B = random_interval_set(rng, bits=bits, allow_empty=True)
+        mA, mB = mu(A), mu(B)
+        m_sub, m_sup = mu(A.intersection(B)), mu(A.union(B))
+        if m_sub > mA + ALGEBRA_TOL or mA > m_sup + ALGEBRA_TOL:
+            refuted.add("monotone")
+        if m_sup > mA + mB + ALGEBRA_TOL:
+            refuted.add("subadditive")
+        if m_sup + m_sub > mA + mB + ALGEBRA_TOL:
+            refuted.add("submodular")
+    return refuted
+
+
+def assert_witness_verifies(mu, witness):
+    """The witness pair violates its property by more than ALGEBRA_TOL when
+    mu re-evaluates it, and the report carries those values."""
+    A, B = IntervalSet(witness["A"]), IntervalSet(witness["B"])
+    lhs = mu(A.union(B))
+    if witness["property"] == "submodular":
+        lhs += mu(A.intersection(B))
+    rhs = mu(A) + mu(B)
+    assert lhs > rhs + ALGEBRA_TOL
+    assert (witness["lhs"], witness["rhs"]) == (lhs, rhs)
 
 
 def two_blocks():
@@ -105,12 +149,12 @@ class TestMeasure:
 
 class TestPropertyChecks:
     def test_convex_distortion_fails_subadditivity(self):
-        report = check_measure_properties(sq(), trials=200, seed=1)
-        assert not report.subadditive
-        assert report.witness is not None
-        # reproducible under the same seed
-        again = check_measure_properties(sq(), trials=200, seed=1)
-        assert report.to_dict() == again.to_dict()
+        report = measure_properties(sq())
+        assert not report.subadditive and not report.submodular
+        assert report.witness == {"property": "subadditive", "A": [[0.0, 0.5]],
+                                  "B": [[0.5, 1.0]], "lhs": 1.0, "rhs": 0.5}
+        assert_witness_verifies(sq(), report.witness)
+        assert {"subadditive", "submodular"} <= sampled_violations(sq(), trials=200, seed=1)
 
     def test_probe_pair_is_a_counterexample(self):
         # mu([0,1)) = 1 > 0.25 + 0.25 = mu([0,.5)) + mu([.5,1))
@@ -119,16 +163,16 @@ class TestPropertyChecks:
         assert mu(A.union(B)) > mu(A) + mu(B)
 
     def test_concave_distortion_passes(self):
-        report = check_measure_properties(sqrt_measure(), trials=1000, seed=2)
-        assert report.all_pass
+        assert measure_properties(sqrt_measure()).all_pass
+        assert not sampled_violations(sqrt_measure(), trials=1000, seed=2)
 
     def test_identity_passes(self):
-        report = check_measure_properties(FuzzyMeasure.lebesgue(), trials=500, seed=3)
-        assert report.all_pass
+        assert measure_properties(FuzzyMeasure.lebesgue()).all_pass
+        assert not sampled_violations(FuzzyMeasure.lebesgue(), trials=500, seed=3)
 
     def test_sectioned_passes(self):
-        report = check_measure_properties(two_blocks(), trials=1000, seed=4)
-        assert report.all_pass
+        assert measure_properties(two_blocks()).all_pass
+        assert not sampled_violations(two_blocks(), trials=1000, seed=4)
 
     def test_concave_submodular_exhaustive_grid(self):
         # independent oracle: every pair of unions of 8 grid cells
@@ -143,8 +187,50 @@ class TestPropertyChecks:
 
     def test_monotone_always(self):
         for mu in (sq(), sqrt_measure(), two_blocks()):
-            report = check_measure_properties(mu, trials=500, seed=5)
-            assert report.monotone
+            assert measure_properties(mu).monotone
+            assert "monotone" not in sampled_violations(mu, trials=500, seed=5)
+
+    def test_pwl_subadditivity_violation_has_its_peak_witness(self):
+        # the peak of g(a + b) - g(a) - g(b) is 0.951 - 0.9 - 0.05 = 1e-3
+        mu = pwl_measure(NOT_SUBADDITIVE_KNOTS)
+        report = measure_properties(mu)
+        assert not (mu.is_subadditive or report.subadditive or report.submodular)
+        assert (report.witness["A"], report.witness["B"]) == ([[0.0, 0.9]], [[0.9, 0.95]])
+        assert report.witness["lhs"] - report.witness["rhs"] == pytest.approx(1e-3)
+        assert_witness_verifies(mu, report.witness)
+
+    def test_subadditive_non_concave_pwl_has_a_kink_witness(self):
+        # the slope rises from 0.2 to 0.8 at x = 0.6 with h = 0.1: gap 0.06
+        mu = pwl_measure(SUBADDITIVE_NOT_CONCAVE_KNOTS)
+        report = measure_properties(mu)
+        assert mu.is_subadditive and report.subadditive
+        assert not (mu.is_submodular or report.submodular)
+        assert report.witness["property"] == "submodular"
+        assert report.witness["lhs"] - report.witness["rhs"] == pytest.approx(0.06)
+        assert_witness_verifies(mu, report.witness)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inner=st.sets(st.integers(1, 15), max_size=5),
+        rises=st.lists(st.integers(1, 16), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decision_is_never_weaker_than_sampled_pairs(self, inner, rises, seed):
+        # knots and random sets share the grid 1/16, where every vertex of
+        # g(a + b) - g(a) - g(b) lies, so the sampled pairs can hit the peak
+        xs = [0, *sorted(inner), 16]
+        ys = np.cumsum([0, *rises[: len(xs) - 1]])
+        mu = pwl_measure([(x / 16, y / 16) for x, y in zip(xs, ys)])
+        report = measure_properties(mu)
+        decided = {p for p in ("monotone", "subadditive", "submodular")
+                   if not getattr(report, p)}
+        assert sampled_violations(mu, trials=300, seed=seed, bits=4) <= decided
+        assert (mu.is_subadditive, mu.is_submodular) == (report.subadditive, report.submodular)
+        assert (report.witness is None) == report.all_pass
+        if report.witness is not None:
+            assert report.witness["property"] == ("submodular" if report.subadditive
+                                                  else "subadditive")
+            assert_witness_verifies(mu, report.witness)
 
 
 class TestFilteringFamily:
@@ -197,11 +283,6 @@ class TestFilteringFamily:
 
 
 class TestChainIncrements:
-    def test_identity_is_exact(self):
-        fam = filtering_family(FuzzyMeasure.lebesgue(), IntervalSet.full())
-        report = check_chain_increments(fam, samples=50, seed=8)
-        assert report.max_deviation <= 1e-12
-
     def test_square_distortion_known_values(self):
         # oracle: hand evaluation of g on the prefix difference
         fam = filtering_family(sq(), IntervalSet.full())
@@ -211,8 +292,3 @@ class TestChainIncrements:
         expected = (np.sqrt(0.75) - np.sqrt(0.25)) ** 2
         assert fam.mu(inc2) == pytest.approx(expected, abs=1e-12)
         assert abs(expected - 0.5) > 0.3  # the identity genuinely fails here
-
-    def test_report_sees_the_violation(self):
-        fam = filtering_family(sq(), IntervalSet.full())
-        report = check_chain_increments(fam, samples=200, seed=9)
-        assert report.max_deviation > 0.1

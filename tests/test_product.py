@@ -393,6 +393,14 @@ class TestPriceCommutation:
         both = integrate_product(fam, ProductStepFunction.separable(gx, phi @ np.array([2.0, 3.0])))
         assert both == pytest.approx(0.625, abs=1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sectional_values_are_rejected(self, bad):
+        fam = identity_family(K=3)
+        with pytest.raises(StructuralError, match="finite and non-negative"):
+            integrate_sectional_over(fam, [bad, 1.0, 1.0], ProductSet.full(3))
+        with pytest.raises(StructuralError, match="finite and non-negative"):
+            check_price_commutation(fam, [1.0, 1.0], [[bad, 1.0], [1.0, 1.0], [1.0, 1.0]])
+
 
 class TestLevelSets:
     def test_full_levels(self):
