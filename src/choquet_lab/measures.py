@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DegenerateSetError, StructuralError
 from .intervals import IntervalSet
 
-CHAIN_TOL = 1e-9  # |mu(A_t) - t mu(A)| bound for prefix chains
 ALGEBRA_TOL = 1e-12
 
 
@@ -177,7 +176,7 @@ class FuzzyMeasure:
 
     @property
     def is_subadditive(self) -> bool:
-        return self.mode == "sectioned" or _subadditivity_gap(self.distortion)[0] <= ALGEBRA_TOL
+        return self.mode == "sectioned" or _subadditivity_peak(self.distortion) is None
 
     @property
     def is_submodular(self) -> bool:
@@ -216,12 +215,13 @@ def filtering_family(mu: FuzzyMeasure, A: IntervalSet) -> FilteringFamily:
     return FilteringFamily(mu, A)
 
 
-def _subadditivity_gap(g: Distortion) -> tuple[float, float, float]:
-    """The maximum of g(c) - g(a) - g(c - a) over 0 <= a <= c <= 1, with the
-    (a, c) attaining it: g(a + b) - g(a) - g(b) over a, b >= 0, a + b <= 1,
-    evaluated as mu evaluates A = [0, a), B = [a, c) and A ∪ B = [0, c).
+def _subadditivity_peak(g: Distortion) -> tuple[float, float] | None:
+    """The (a, c) maximizing g(c) - g(a) - g(c - a) over 0 <= a <= c <= 1,
+    that is g(a + b) - g(a) - g(b) over a, b >= 0, a + b <= 1, evaluated as
+    mu evaluates A = [0, a), B = [a, c) and A ∪ B = [0, c); None when the
+    maximum is within ALGEBRA_TOL * max(1, g(1)), the rounding of g's values.
 
-    A concave g has maximum h(0, c) = 0.  For a convex power g,
+    For concave g the maximum is 0, at a = 0.  For a convex power g,
     g(a) + g(1 - a) is convex and symmetric, so the maximum is at
     a = b = 1/2.  For pwl g the function is linear on each cell of the
     arrangement of the lines a = x_i, b = x_j and a + b = x_l, so it peaks at
@@ -229,7 +229,7 @@ def _subadditivity_gap(g: Distortion) -> tuple[float, float, float]:
     b = x_j, c = x_l of one of them.
     """
     if g.is_concave:
-        return 0.0, 0.0, 0.0
+        return None
     if g.kind == "power":
         a, c = np.array([0.5]), np.array([1.0])
     else:
@@ -239,7 +239,7 @@ def _subadditivity_gap(g: Distortion) -> tuple[float, float, float]:
         a, c = a[keep], c[keep]
     gap = g(c) - (g(a) + g(c - a))
     i = int(np.argmax(gap))
-    return float(gap[i]), float(a[i]), float(c[i])
+    return (float(a[i]), float(c[i])) if gap[i] > ALGEBRA_TOL * max(1.0, g(1.0)) else None
 
 
 def _concavity_kink(g: Distortion) -> tuple[float, float]:
@@ -302,15 +302,15 @@ def measure_properties(mu: FuzzyMeasure) -> MeasurePropertyReport:
     concave, and subadditive iff g(a + b) <= g(a) + g(b) whenever
     a + b <= 1 (Denneberg 1994, ch. 2); submodularity implies subadditivity.
     A violated property carries an interval pair (A, B) that mu re-checks:
-    the peak of :func:`_subadditivity_gap` when subadditivity fails, else
+    the peak of :func:`_subadditivity_peak` when subadditivity fails, else
     the kink of :func:`_concavity_kink`.
     """
     if mu.is_submodular:
         return MeasurePropertyReport(True, True, True, None)
     g = mu.distortion
-    gap, a, c = _subadditivity_gap(g)
-    if gap > ALGEBRA_TOL:
-        A, B = IntervalSet.interval(0.0, a), IntervalSet.interval(a, c)
+    peak = _subadditivity_peak(g)
+    if peak is not None:
+        A, B = IntervalSet.interval(0.0, peak[0]), IntervalSet.interval(*peak)
         return MeasurePropertyReport(True, False, False, _witness(mu, "subadditive", A, B))
     x, h = _concavity_kink(g)
     A, B = IntervalSet.interval(0.0, x), IntervalSet.interval(h, min(x + h, 1.0))

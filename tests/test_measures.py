@@ -209,6 +209,17 @@ class TestPropertyChecks:
         assert report.witness["lhs"] - report.witness["rhs"] == pytest.approx(0.06)
         assert_witness_verifies(mu, report.witness)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_tight_subadditive_pwl_stays_subadditive_when_scaled(self, scale):
+        # g(a) + g(1 - a) = g(1) for every a: the maximum of
+        # g(a + b) - g(a) - g(b) is 0 along a + b = 1, and at scale 1e6 the
+        # rounding of g's values exceeds 1e-12 there
+        g = Distortion.piecewise_linear([(0, 0), (0.2, 0.3), (0.8, 0.7), (1, 1)], scale=scale)
+        mu = FuzzyMeasure.distorted(g)
+        report = measure_properties(mu)
+        assert mu.is_subadditive and report.subadditive and not report.submodular
+        assert_witness_verifies(mu, report.witness)
+
     @settings(max_examples=150, deadline=None)
     @given(
         inner=st.sets(st.integers(1, 15), max_size=5),
