@@ -22,7 +22,8 @@ points, so no superlevel set is ever built, and runs the kernel;
 ``product.integrate_product`` and ``product.fubini_check`` with one row per
 y-node.
 :func:`riemann_choquet` is the deliberately independent brute-force
-companion built on explicit interval-set unions.
+companion built on explicit interval-set unions.  :func:`integral_properties`
+decides the classical properties of the integral from the measure alone.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .intervals import IntervalSet, uniform_partition
-from .measures import FuzzyMeasure
-
-EXACT_TOL = 1e-9  # identities that hold exactly up to float rounding
+from .measures import FuzzyMeasure, measure_properties
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,49 @@ def riemann_choquet(f: StepFunction, mu: FuzzyMeasure, tnodes: int = 100_000) ->
     return total * dt
 
 
-# -- randomized property checks -----------------------------------------------
+# -- the integral properties, decided from the measure --------------------------
+
+INTEGRAL_PROPERTIES = ("homogeneity", "monotonicity", "translation", "subadditivity",
+                       "comonotone_additivity", "horizontal_additivity")
+
+
+def indicator_pair(witness: dict) -> tuple[StepFunction, StepFunction]:
+    """1_A and 1_B for the interval pair (A, B) of a measure-property witness."""
+    return tuple(StepFunction.indicator(IntervalSet(witness[s])) for s in "AB")
+
+
+def integral_properties(mu: FuzzyMeasure) -> dict:
+    """Decide the classical properties of the integral f -> choquet(f, mu).
+
+    For every monotone mu the integral is positively homogeneous, monotone,
+    translation-equivariant (f + c integrates to choquet(f) + c * mu(X)),
+    comonotone additive, and so horizontally additive, since min(f, c) and
+    f - min(f, c) are comonotone.  It is subadditive iff mu is submodular
+    (Denneberg 1994, ch. 5-6; Schmeidler 1986).  Otherwise f = 1_A and
+    g = 1_B violate it, for the pair (A, B) of the
+    :func:`measures.measure_properties` witness: 1_A + 1_B is the comonotone
+    sum 1_{A ∪ B} + 1_{A ∩ B}, which integrates to mu(A ∪ B) + mu(A ∩ B)
+    > mu(A) + mu(B).  The counterexample holds A, B and both sides as
+    :func:`choquet` computes them.
+
+    Returns name -> {"checked", "passed", "counterexample"}.
+    """
+    results = {n: {"checked": True, "passed": True, "counterexample": None}
+               for n in INTEGRAL_PROPERTIES}
+    if not mu.is_submodular:
+        witness = measure_properties(mu).witness
+        f, g = indicator_pair(witness)
+        results["subadditivity"]["passed"] = False
+        results["subadditivity"]["counterexample"] = {
+            "A": witness["A"],
+            "B": witness["B"],
+            "lhs": choquet(f + g, mu),
+            "rhs": choquet(f, mu) + choquet(g, mu),
+        }
+    return results
+
+
+# -- random step functions (generators for the sampled checks of the tests) ----
 
 
 def random_step_function(
@@ -375,100 +416,3 @@ def comonotone_pair(
     )
 
 
-@dataclass(frozen=True)
-class ChoquetPropertyReport:
-    """Per-property outcome of the randomized integral checks."""
-
-    trials: int
-    seed: int
-    results: dict  # name -> {"checked", "passed", "max_deviation", "counterexample"}
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r["passed"] for r in self.results.values() if r["checked"])
-
-    def to_dict(self) -> dict:
-        return {"trials": self.trials, "seed": self.seed, "results": self.results}
-
-
-def check_choquet_properties(
-    mu: FuzzyMeasure, trials: int = 500, seed: int = 42
-) -> ChoquetPropertyReport:
-    """Randomized checks of homogeneity, monotonicity, translation,
-    subadditivity (submodular mu only: the integral is subadditive iff mu is
-    submodular), comonotone and horizontal additivity."""
-    if trials < 1:
-        raise StructuralError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    names = [
-        "homogeneity",
-        "monotonicity",
-        "translation",
-        "subadditivity",
-        "comonotone_additivity",
-        "horizontal_additivity",
-    ]
-    res = {
-        n: {
-            "checked": n != "subadditivity" or mu.is_submodular,
-            "passed": True,
-            "max_deviation": 0.0,
-            "counterexample": None,
-        }
-        for n in names
-    }
-
-    def record(name, dev, payload):
-        r = res[name]
-        r["max_deviation"] = max(r["max_deviation"], dev)
-        if dev > EXACT_TOL and r["passed"]:
-            r["passed"] = False
-            r["counterexample"] = payload
-
-    for _ in range(trials):
-        f = random_step_function(rng)
-        intf = choquet(f, mu)
-
-        c = float(rng.uniform(0, 3))
-        record(
-            "homogeneity",
-            abs(choquet(f.scaled(c), mu) - c * intf),
-            {"c": c, "values": f.values.tolist()},
-        )
-
-        bump = StepFunction(f.cells, rng.uniform(0, 1, size=len(f.cells)), validate=False)
-        record(
-            "monotonicity",
-            max(0.0, intf - choquet(f + bump, mu)),
-            {"values": f.values.tolist()},
-        )
-
-        record(
-            "translation",
-            abs(choquet(f.shifted(c), mu) - intf - c * mu.total),
-            {"c": c, "values": f.values.tolist()},
-        )
-
-        if res["subadditivity"]["checked"]:
-            g = random_step_function(rng)
-            record(
-                "subadditivity",
-                max(0.0, choquet(f + g, mu) - intf - choquet(g, mu)),
-                {"f": f.values.tolist(), "g": g.values.tolist()},
-            )
-
-        cf, ch = comonotone_pair(rng)
-        record(
-            "comonotone_additivity",
-            abs(choquet(cf + ch, mu) - choquet(cf, mu) - choquet(ch, mu)),
-            {"f": cf.values.tolist(), "h": ch.values.tolist()},
-        )
-
-        cut = float(rng.uniform(0, f.max_value + 0.5))
-        record(
-            "horizontal_additivity",
-            abs(intf - choquet(f.clipped(cut), mu) - choquet(f.excess_over(cut), mu)),
-            {"c": cut, "values": f.values.tolist()},
-        )
-
-    return ChoquetPropertyReport(trials, seed, res)

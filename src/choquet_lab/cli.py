@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import fixtures, io
-from .choquet import check_choquet_properties, choquet
+from .choquet import choquet, integral_properties
 from .economy import (
     check_walras,
     endowment_is_walrasian,
@@ -58,17 +58,17 @@ def _cmd_integrate(args) -> int:
 def _cmd_check_measure(args) -> int:
     mu = io.measure_from_json(io.load_json(args.measure))
     measure_rep = measure_properties(mu)
-    integral_rep = check_choquet_properties(mu, trials=args.trials, seed=args.seed)
     report = {
         "schema": SCHEMA,
         "command": "check-measure",
         "seed": args.seed,
         # the exact decisions take no trials or seed; both are echoed
         "measure_properties": {"trials": args.trials, "seed": args.seed, **measure_rep.to_dict()},
-        "integral_properties": integral_rep.to_dict(),
+        "integral_properties": {"results": integral_properties(mu)},
     }
     _emit(report, args.out)
-    return 0 if measure_rep.all_pass and integral_rep.all_pass else 2
+    # the integral is subadditive iff mu is submodular, so measure_rep decides
+    return 0 if measure_rep.all_pass else 2
 
 
 def _cmd_fubini_check(args) -> int:
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     common(p, seed=False)
 
-    p = sub.add_parser("check-measure", help="measure property decisions and integral checks")
+    p = sub.add_parser("check-measure", help="measure and integral property decisions")
     p.add_argument("--measure", required=True)
     p.add_argument("--trials", type=int, default=500)
     common(p)

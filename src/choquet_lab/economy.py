@@ -30,9 +30,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .choquet import StepFunction, choquet_restricted
+from .choquet import StepFunction, choquet_restricted, indicator_pair
 from .errors import InvalidPriceError, StructuralError
-from .intervals import IntervalSet, random_interval_set
+from .intervals import random_interval_set
 from .lp import linprog
 from .measures import measure_properties
 from .product import (
@@ -48,6 +48,9 @@ from .product import (
 
 FEASIBILITY_TOL = 1e-8
 PRICE_TOL = 1e-9
+# HiGHS' default feasibility tolerance, 1e-7, exceeds PRICE_TOL and the size
+# of p . z on a price cloud; the price LP is solved at this one instead
+LP_TOL = 1e-10
 DEMAND_TOL = 1e-6
 BUDGET_TOL = 1e-12
 
@@ -544,7 +547,7 @@ def sample_excess_points(
 @dataclass(frozen=True)
 class PriceSearchResult:
     price: np.ndarray | None
-    margin: float  # optimal min_j p . z_j over the sample cloud
+    margin: float  # min_j p . z_j over the sample cloud at the LP's price
     samples_used: int
     violations: list[ExcessSample] = field(default_factory=list)
 
@@ -589,15 +592,17 @@ def find_price(
         b_eq=[1.0],
         bounds=[(0.0, 1.0)] * n + [(None, None)],
         method="highs",
+        options={"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL},
     )
     if res.status != 0:
         raise StructuralError(f"price LP failed: {res.message}")
     p = np.clip(res.x[:n], 0.0, None)
     p = p / p.sum()
-    margin = float(res.x[-1])
+    # the LP's own t carries its feasibility tolerance; decide at p itself
+    gaps = Z @ p
+    margin = float(gaps.min())
     if margin >= -PRICE_TOL:
         return PriceSearchResult(p, margin, m)
-    gaps = Z @ p
     order = np.argsort(gaps)
     violations = [cloud[j] for j in order if gaps[j] < -PRICE_TOL]
     return PriceSearchResult(None, margin, m, violations)
@@ -628,6 +633,12 @@ def check_wealth_dominance(eco: Economy, f, p) -> WealthDominanceReport:
 
 
 # -- improvement machinery ------------------------------------------------------
+
+# the improvement search: tau levels {0, 1/LEVELS, .., 1} on YBLOCKS y-blocks
+# of nodes, and the demand rows at DEMAND_GRID steps of the price simplex
+LEVELS = 4
+YBLOCKS = 8
+DEMAND_GRID = 50
 
 
 @dataclass(frozen=True)
@@ -716,9 +727,10 @@ class ExhaustedReport:
         }
 
 
-def _block_level_coalitions(eco: Economy, levels: int, yblocks: int, rng, budget: int):
-    """Level-set coalitions with tau quantized to {0, 1/L, .., 1} on y-blocks."""
-    K = eco.K
+def _block_level_coalitions(eco: Economy, rng, budget: int):
+    """Level-set coalitions with tau quantized to {0, 1/LEVELS, .., 1} on
+    YBLOCKS y-blocks."""
+    K, levels, yblocks = eco.K, LEVELS, YBLOCKS
     edges = np.linspace(0, K, yblocks + 1).astype(int)
 
     def from_blocks(block_levels):
@@ -786,9 +798,6 @@ def search_improvement(
     f,
     mode: str = "improve",
     budget: int = 500,
-    levels: int = 4,
-    yblocks: int = 8,
-    demand_grid: int = 50,
     seed: int = 42,
 ):
     """Look for a coalition and allocation improving f: a verified
@@ -801,7 +810,7 @@ def search_improvement(
     the Choquet integral of the submodular section measure is subadditive,
     so any g preferred to f on an active section k has
     p . integral g dmu_k > p . e_k mu_k(S_k), and that section cannot
-    balance.  The search arguments are unused.
+    balance.  ``budget`` and ``seed`` are unused.
 
     ``improve`` is a budgeted search over level-set and random coalitions
     and the endowment and demand candidates; exhaustion is evidence, not
@@ -822,8 +831,8 @@ def search_improvement(
         return ExhaustedReport(mode, eco.K, 1, 0, eco.K)
 
     rng = np.random.default_rng(seed)
-    sectionals = list(_sectional_candidates(eco, demand_grid))
-    coalitions = list(_block_level_coalitions(eco, levels, yblocks, rng, budget // 5))
+    sectionals = list(_sectional_candidates(eco, DEMAND_GRID))
+    coalitions = list(_block_level_coalitions(eco, rng, budget // 5))
     for _ in range(min(20, budget // 10)):
         coalitions.append(
             ProductSet(tuple(random_interval_set(rng, allow_empty=True) for _ in range(eco.K)))
@@ -1016,13 +1025,12 @@ def condition_c1_witness(fam: SectionFamily) -> SubadditivityViolationWitness | 
     k = next((k for k, mu in enumerate(fam.measures) if not mu.is_submodular), None)
     if k is None:
         return None
-    pair = measure_properties(fam.measures[k]).witness
+    fA, fB = indicator_pair(measure_properties(fam.measures[k]).witness)
     zero = StepFunction.constant(0.0)
 
     def on_node(section: StepFunction) -> ProductStepFunction:
         return ProductStepFunction(tuple(section if j == k else zero for j in range(fam.K)))
 
-    fA, fB = (StepFunction.indicator(IntervalSet(pair[s])) for s in "AB")
     f, g = on_node(fA), on_node(fB)
     lhs = integrate_product(fam, on_node(fA + fB))
     return SubadditivityViolationWitness(

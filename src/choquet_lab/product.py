@@ -524,15 +524,15 @@ class RangeResult:
         }
 
 
-def _realize_levels(fam: SectionFamily, phi, levels, target) -> RangeResult | None:
-    """The feasible result for ``levels`` when the set they build achieves
-    ``target`` within REALIZE_TOL, else None."""
+def _realize_levels(fam: SectionFamily, phi, levels, target) -> RangeResult:
+    """The set ``levels`` builds and its integral, feasible within
+    REALIZE_TOL * max(1, max |target|) of ``target``: past |target| ~ 1e10
+    REALIZE_TOL alone is below the float spacing of the target."""
     H = product_set_from_levels(fam, levels)
     achieved = np.atleast_1d(integrate_sectional_over(fam, phi, H))
     deviation = float(np.max(np.abs(achieved - target)))
-    if deviation <= REALIZE_TOL:
-        return RangeResult(True, levels, H, achieved, deviation, None)
-    return None
+    feasible = deviation <= REALIZE_TOL * max(1.0, float(np.max(np.abs(target))))
+    return RangeResult(feasible, levels, H, achieved, deviation, None)
 
 
 def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
@@ -546,8 +546,7 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     (phi >= 0) needs none: the candidates fill [0, a] with a = mean(u), so
     the LP's optimum is max(0, -T, T - a), one level T/a on every node
     realizes any T in [0, a], and d = +1 (T > a) or d = -1 (T < 0)
-    separates the rest, d * T > mean(max(0, d * u)).  Only when rounding
-    keeps the one level from meeting REALIZE_TOL are the LPs solved.
+    separates the rest, d * T > mean(max(0, d * u)).
     """
     if not fam.convex_type:
         raise UnsupportedFamilyError("range realization needs a convex-type family")
@@ -567,11 +566,7 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
         if max(0.0, -T, T - a) > 1e-8:
             return RangeResult(False, None, None, None, None, np.array([1.0 if T > a else -1.0]))
         level = min(max(T, 0.0), a) / a if a > 0 else 0.0
-        result = _realize_levels(fam, phi, np.full(K, level), target)
-        if result is not None:
-            return result
-        # Past |T| ~ 1e10 REALIZE_TOL is below the float spacing of T, and
-        # one level can miss it by rounding; the LPs below try their vertex.
+        return _realize_levels(fam, phi, np.full(K, level), target)
 
     # min s  s.t.  |U^T tau / K - target| <= s componentwise, tau in [0,1]
     c = np.zeros(K + 1)
@@ -583,7 +578,7 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status == 0 and res.fun <= 1e-8:
         result = _realize_levels(fam, phi, np.clip(res.x[:K], 0.0, 1.0), target)
-        if result is not None:
+        if result.feasible:
             return result
 
     # infeasible: find d with d.target > sup_{H} d.integral = (1/K) sum max(0, d.u_k)

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_lab.choquet import (
+    INTEGRAL_PROPERTIES,
     StepFunction,
     _choquet_block,
-    check_choquet_properties,
     choquet,
     choquet_restricted,
     comonotone_pair,
+    integral_properties,
     random_step_function,
     riemann_choquet,
     superlevel_set,
@@ -17,6 +18,8 @@ from choquet_lab.choquet import (
 from choquet_lab.errors import StructuralError
 from choquet_lab.intervals import IntervalSet
 from choquet_lab.measures import Distortion, FuzzyMeasure
+
+EXACT_TOL = 1e-9  # integral identities that hold exactly up to float rounding
 
 
 def sq():
@@ -168,41 +171,118 @@ class TestVectorIntegral:
         assert out == pytest.approx([2.0, 1.25])
 
 
+def integral_deviations(mu, rng) -> dict:
+    """One random draw of each integral property's kernel identity: how far
+    choquet misses it on random_step_function and comonotone_pair draws
+    (> 0 is a violation)."""
+    f, g = random_step_function(rng), random_step_function(rng)
+    cf, ch = comonotone_pair(rng)
+    bump = StepFunction(f.cells, rng.uniform(0, 1, size=len(f.cells)), validate=False)
+    c, cut = float(rng.uniform(0, 3)), float(rng.uniform(0, f.max_value + 0.5))
+
+    def C(h):
+        return choquet(h, mu)
+
+    return {
+        "homogeneity": abs(C(f.scaled(c)) - c * C(f)),
+        "monotonicity": C(f) - C(f + bump),
+        "translation": abs(C(f.shifted(c)) - C(f) - c * mu.total),
+        "subadditivity": C(f + g) - C(f) - C(g),
+        "comonotone_additivity": abs(C(cf + ch) - C(cf) - C(ch)),
+        "horizontal_additivity": abs(C(f) - C(f.clipped(cut)) - C(f.excess_over(cut))),
+    }
+
+
+def sampled_integral_violations(mu, trials, seed) -> set:
+    """The integral properties that random step functions refute, the
+    oracle of :func:`integral_properties`: it can miss a violation, but
+    every one it finds is genuine."""
+    rng = np.random.default_rng(seed)
+    tol = EXACT_TOL * max(1.0, mu.total)
+    return {name for _ in range(trials)
+            for name, dev in integral_deviations(mu, rng).items() if dev > tol}
+
+
+def assert_decision_verifies(mu, results):
+    """Every property is decided; only subadditivity can fail, exactly when
+    mu is not submodular, and its counterexample re-verifies through choquet."""
+    assert list(results) == list(INTEGRAL_PROPERTIES)
+    assert all(r["checked"] for r in results.values())
+    assert [n for n, r in results.items() if not r["passed"]] == (
+        [] if mu.is_submodular else ["subadditivity"])
+    cx = results["subadditivity"]["counterexample"]
+    assert (cx is None) == mu.is_submodular
+    if cx is not None:
+        f, g = (StepFunction.indicator(IntervalSet(cx[s])) for s in "AB")
+        lhs, rhs = choquet(f + g, mu), choquet(f, mu) + choquet(g, mu)
+        assert (cx["lhs"], cx["rhs"]) == (lhs, rhs)
+        assert lhs > rhs + EXACT_TOL
+
+
+@st.composite
+def measures(draw):
+    """Power (alpha in [0.1, 4]), concave or arbitrary pwl on the grid 1/16,
+    identity and sectioned measures."""
+    kind = draw(st.sampled_from(["power", "pwl", "concave pwl", "identity", "sectioned"]))
+    if kind == "power":
+        return FuzzyMeasure.distorted(Distortion.power(draw(st.integers(1, 40)) / 10))
+    if kind == "identity":
+        return FuzzyMeasure.lebesgue()
+    if kind == "sectioned":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        nblocks = draw(st.integers(1, 4))
+        return FuzzyMeasure.sectioned(random_blocks(rng, nblocks), rng.uniform(0.1, 3.0, nblocks))
+    xs = [0, *sorted(draw(st.sets(st.integers(1, 15), max_size=5))), 16]
+    slopes = draw(st.lists(st.integers(1, 16), min_size=len(xs) - 1, max_size=len(xs) - 1))
+    if kind == "concave pwl":
+        slopes = sorted(slopes, reverse=True)
+    ys = np.cumsum([0, *(s * (b - a) for s, a, b in zip(slopes, xs, xs[1:]))])
+    return FuzzyMeasure.distorted(Distortion.piecewise_linear(
+        [(x / 16, y / ys[-1]) for x, y in zip(xs, ys)]))
+
+
 class TestPropertyChecks:
     def test_all_pass_for_subadditive(self):
-        mu = FuzzyMeasure.distorted(Distortion.power(0.5))
-        report = check_choquet_properties(mu, trials=500, seed=42)
-        assert report.all_pass
-        assert report.results["subadditivity"]["checked"]
-
-    def test_subadditivity_skipped_for_convex_distortion(self):
-        report = check_choquet_properties(sq(), trials=100, seed=1)
-        assert not report.results["subadditivity"]["checked"]
-        for name in (
-            "homogeneity",
-            "monotonicity",
-            "translation",
-            "comonotone_additivity",
-            "horizontal_additivity",
-        ):
-            assert report.results[name]["passed"], name
-
-    def test_subadditivity_skipped_for_subadditive_non_concave_distortion(self):
-        # mu is subadditive but not submodular, so its integral is not
-        # subadditive: the check is gated on submodularity
-        mu = FuzzyMeasure.distorted(Distortion.piecewise_linear(
-            [(0, 0), (0.5, 0.7), (0.6, 0.72), (0.7, 0.8), (1, 1)]))
-        assert mu.is_subadditive and not mu.is_submodular
-        report = check_choquet_properties(mu, trials=100, seed=1)
-        assert not report.results["subadditivity"]["checked"]
-        assert report.all_pass
+        for mu in (FuzzyMeasure.distorted(Distortion.power(0.5)), FuzzyMeasure.lebesgue()):
+            results = integral_properties(mu)
+            assert all(r["passed"] for r in results.values())
+            assert_decision_verifies(mu, results)
+            assert not sampled_integral_violations(mu, trials=300, seed=42)
 
     def test_sectioned_measure_properties(self):
         mu = FuzzyMeasure.sectioned(
             [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])], [1.0, 2.0]
         )
-        report = check_choquet_properties(mu, trials=300, seed=3)
-        assert report.all_pass
+        results = integral_properties(mu)
+        assert all(r["passed"] for r in results.values())
+        assert not sampled_integral_violations(mu, trials=300, seed=3)
+
+    def test_convex_distortion_has_an_indicator_counterexample(self):
+        results = integral_properties(sq())
+        assert_decision_verifies(sq(), results)
+        cx = results["subadditivity"]["counterexample"]
+        assert (cx["A"], cx["B"]) == ([[0.0, 0.5]], [[0.5, 1.0]])
+        assert (cx["lhs"], cx["rhs"]) == (1.0, 0.5)
+        assert sampled_integral_violations(sq(), trials=200, seed=1) == {"subadditivity"}
+
+    def test_subadditive_non_concave_distortion_has_a_counterexample(self):
+        # mu is subadditive but not submodular, so its integral is not
+        # subadditive: the counterexample comes from the submodularity witness
+        mu = FuzzyMeasure.distorted(Distortion.piecewise_linear(
+            [(0, 0), (0.5, 0.7), (0.6, 0.72), (0.7, 0.8), (1, 1)]))
+        assert mu.is_subadditive and not mu.is_submodular
+        results = integral_properties(mu)
+        assert_decision_verifies(mu, results)
+        cx = results["subadditivity"]["counterexample"]
+        assert cx["lhs"] - cx["rhs"] == pytest.approx(0.06)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mu=measures(), seed=st.integers(0, 2**32 - 1))
+    def test_decision_is_never_weaker_than_sampled_functions(self, mu, seed):
+        results = integral_properties(mu)
+        assert_decision_verifies(mu, results)
+        decided = {n for n, r in results.items() if not r["passed"]}
+        assert sampled_integral_violations(mu, trials=20, seed=seed) <= decided
 
     def test_zero_scaling(self):
         f = random_step_function(np.random.default_rng(5))

@@ -11,6 +11,7 @@ import pytest
 
 import choquet_lab
 from choquet_lab import io
+from choquet_lab.choquet import INTEGRAL_PROPERTIES
 from choquet_lab.cli import main
 from choquet_lab.economy import Economy, Preferences
 from choquet_lab.fixtures import (
@@ -280,7 +281,15 @@ class TestCheckMeasure:
         lhs = mu(A.union(B)) + (mu(A.intersection(B)) if subadditive else 0.0)
         assert lhs == witness["lhs"] and witness["rhs"] == mu(A) + mu(B)
         assert lhs > mu(A) + mu(B) + 1e-12
-        assert report["integral_properties"]["results"]["subadditivity"]["checked"] is False
+        # not submodular, so the integral is not subadditive: 1_A + 1_B is
+        # the counterexample, and the other properties hold
+        integral = report["integral_properties"]
+        assert list(integral) == ["results"]
+        decided = {n: (r["checked"], r["passed"]) for n, r in integral["results"].items()}
+        assert decided == {n: (True, n != "subadditivity") for n in INTEGRAL_PROPERTIES}
+        cx = integral["results"]["subadditivity"]["counterexample"]
+        assert (cx["A"], cx["B"]) == (witness["A"], witness["B"])
+        assert cx["lhs"] > cx["rhs"] + 1e-9
 
 
 class TestFubiniCheck:
@@ -597,21 +606,21 @@ def report_digest(case, tmp_path, capsys):
 
 PINNED_REPORTS = {
     "check-measure identity seed42":
-        (0, "ed7a83aa22a0888f0a12b5cd84f32107bfeb679d48757b4b90b40bcec460e377"),
+        (0, "1c5d06996e6db6e9a617ae24439315bcecc983b025558753d342a9dad70ddec2"),
     "check-measure identity seed7":
-        (0, "f7ee9da5c2fec7b24a6a37c744330f3d9f0131b028c2fc1f9500f31c7ac9c516"),
+        (0, "009b11605644516ee806d92e363ba46dbec8fdebdf898b397fadeab3b76b9ffe"),
     "check-measure sqrt seed42":
-        (0, "65eeb89e4ebf932920c3c7984ce59a0ab0c7db2fc50fcf002a86552a669ab0ab"),
+        (0, "1c5d06996e6db6e9a617ae24439315bcecc983b025558753d342a9dad70ddec2"),
     "check-measure sqrt seed7":
-        (0, "3550a7dea9478bc11d9fff1477c394464dcf38607fd1b23e7a9cde355d9ea0d4"),
+        (0, "009b11605644516ee806d92e363ba46dbec8fdebdf898b397fadeab3b76b9ffe"),
     "check-measure square seed42":
-        (2, "56121ff427288b9c269a600274f7fa3621cf0e6856081f44033add3d1df4bbd6"),
+        (2, "6516fee559960fd14e110fb54c85d77c12d72f94c4e6884553b21a15f4d662ad"),
     "check-measure square seed7":
-        (2, "bad8f74023f0084d4223c3cde5b27dd087a585eab99007c1de0da27442536d2c"),
+        (2, "ad7e7cf5ba848838ce9b60034f8d33207b0916d7695f400ba55eab387da36bc3"),
     "check-measure two-block seed42":
-        (0, "80e239ab791166aa3101eec8eb36bb5bd912e7f5847770584afef6d038a65deb"),
+        (0, "1c5d06996e6db6e9a617ae24439315bcecc983b025558753d342a9dad70ddec2"),
     "check-measure two-block seed7":
-        (0, "4634134d18cf559ac15e416a21a1a43f44f4728406cd69b649755b988e30e531"),
+        (0, "009b11605644516ee806d92e363ba46dbec8fdebdf898b397fadeab3b76b9ffe"),
     "cobb_douglas core allocation":
         (0, "14848b1722f88d4e82b9edc02d54ab1130492d5ec77ce54690e0aaa6dbf8642a"),
     "cobb_douglas core endowment":
@@ -621,7 +630,7 @@ PINNED_REPORTS = {
     "cobb_douglas large-core endowment":
         (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
     "cobb_douglas walras found allocation":
-        (0, "c1e431e677a3b4e83053d8f634c398909410d412eedb8a9ae8e5b759ac014fe2"),
+        (0, "0b7981240453f8362dfcd68d03c53342be82faac466d75d8447c126ba24ea607"),
     "cobb_douglas walras found endowment":
         (2, "7e00b7cfa706c0fa0571cf021ba49f9e7da61aa24c5fd6203d0d9d72dafcd08b"),
     "cobb_douglas walras price0 allocation":
@@ -632,7 +641,7 @@ PINNED_REPORTS = {
         (2, "33efced519da0e6d7d3521a94d1bc96e0de44cc6256b5a752d61e05f097ec494"),
     "cobb_douglas walras price1 endowment":
         (2, "401bf256d539e165c292f0d84f0f6ac10770c6cb6911d4704d2d847f26873ce3"),
-    "demo cobb-douglas": (0, "c7de126c1fec44d9bdce67a0f6dfaecda5b31d96bed288e74b59495423414ae4"),
+    "demo cobb-douglas": (0, "fb36d047392152dda642fa0d402a921ea594cf76608206198ae78829d78606ca"),
     "demo dominance-split":
         (2, "1ea453cc1d63f27be9babf609000ad23c3206866616bc3af04ba6246808d514b"),
     "dominance core allocation":
@@ -685,9 +694,9 @@ PINNED_REPORTS = {
     "linear large-core endowment":
         (0, "60e85995583a787765fc07c86e7119ba414826b8c2bb8309893ef4c5aba305bc"),
     "linear walras found allocation":
-        (2, "a3a37e51ac8a703a6583241cc1bb4ce13e0913d7f3f8543ea03efb0eaea04ec6"),
+        (2, "83e7f7a360a610caf0def3472f19636032d5032e593c228ff619dba63043aab0"),
     "linear walras found endowment":
-        (2, "9f30e860d609703da44653ae95b3eadc677e41ff392b56109f1e69d3786607c4"),
+        (2, "c55d543872d26a7e065e6b12540481992343383df8c912b1b9309d709ead0264"),
     "linear walras price0 allocation":
         (2, "05636267cb826baab604dc90c7219c7de014457d77c4e23f44699aadd2459b33"),
     "linear walras price0 endowment":
@@ -708,7 +717,7 @@ PINNED_REPORTS = {
     "split walras found allocation":
         (2, "177277834d2846109f59279b38961d20dc42fd37495695044c8506c5a0b11f78"),
     "split walras found endowment":
-        (2, "26bb35d1f24ce98ade319fd45d4c61bfa1d6ca2ff40d37c4be01f352f5c3e5e9"),
+        (2, "e142a780be0a443fd480545fb75a86cb7a52340e3dd054800971c7ef8003d894"),
     "split walras price0 allocation":
         (2, "980d018ceccd4826def5942c4a3220a4a4b18b7339712312b5430a145f43366f"),
     "split walras price0 endowment":

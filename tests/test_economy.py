@@ -380,6 +380,18 @@ class TestFindPrice:
         assert res.found
         assert np.max(np.abs(res.price - 0.5)) <= 1e-3
 
+    @pytest.mark.parametrize("seed", [1689472368, 1218864899, 1531525505])
+    def test_a_found_price_supports_its_cloud(self, cd_economy, equilibrium, seed):
+        # At HiGHS' default feasibility tolerance, 1e-7, the LP's t called
+        # these clouds supported at prices with min p . z < -PRICE_TOL, which
+        # check_walras then rejected at most nodes
+        res = find_price(cd_economy, equilibrium, samples=200, seed=seed)
+        Z = np.array([smp.z for smp in sample_excess_points(cd_economy, equilibrium, 200, seed)])
+        assert res.found and res.margin >= -economy.PRICE_TOL
+        assert np.min(Z @ res.price) >= -economy.PRICE_TOL
+        assert np.max(np.abs(res.price - 0.5)) <= 1e-12
+        assert check_walras(cd_economy, equilibrium, res.price).verdict
+
     def test_single_good_economy(self):
         fam = SectionFamily.homothetic(Distortion.identity(), K=10)
         prefs = Preferences("coordinate_dominance", 1, jsets=((0,),) * 10)
@@ -870,8 +882,8 @@ class TestArrayPathsAgainstScalar:
 PINNED_CLOUD_SIZE = 1801
 PINNED_LABELS_SHA256 = "abb31d6eb7876f21822a1829700accb51919ae791a588e1df07c3195e51bb005"
 PINNED_SAMPLES_USED = 1799
-PINNED_PRICE = [0.5000000097517194, 0.49999999024828057]
-PINNED_MARGIN = 1.94089596086374e-10
+PINNED_PRICE = [0.49999999999999317, 0.5000000000000069]
+PINNED_MARGIN = 1.0047536304324951e-12
 PINNED_CLOUD = {  # sum of node measures, sum of z, intervals over all coalitions
     7: (11008.26341621938, [1147.5950417053173, 2331.5634779806783], 21158),
     42: (11631.611571688643, [1626.0268836065356, 1060.0647069891581], 22476),

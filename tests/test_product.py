@@ -526,12 +526,17 @@ class TestRangeRealize:
             assert d.shape == (1,) and abs(d[0]) == 1.0
             assert d[0] * T > np.mean(np.maximum(0.0, d[0] * u))
 
-    def test_a_scalar_target_the_one_level_misses_goes_to_the_lp(self):
-        # REALIZE_TOL is below the float spacing of 1e10: the one level
-        # 1e10 / 1.7e10 misses the target by rounding, an LP vertex meets it.
-        res = range_realize(square_family(K=3), np.full(3, 1.7e10), 1e10)
-        assert res.feasible and res.deviation <= REALIZE_TOL
-        assert len(set(res.levels.tolist())) > 1
+    @pytest.mark.parametrize("T, phi", [(1e10, 1.7e10), (1e308, 1.7e308)], ids=["1e10", "1e308"])
+    def test_large_scalar_targets_need_no_lp(self, monkeypatch, T, phi):
+        # REALIZE_TOL is below the float spacing of 1e10, so the tolerance
+        # scales with |T|; the one level T / phi then meets it
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a scalar target solved an LP")
+
+        monkeypatch.setattr("choquet_lab.product.linprog", no_lp)
+        res = range_realize(square_family(K=3), np.full(3, phi), T)
+        assert res.feasible and res.deviation <= REALIZE_TOL * T
+        assert res.levels.tolist() == [T / phi] * 3
 
     def test_non_finite_inputs_are_rejected(self):
         fam = square_family(K=4)
