@@ -268,6 +268,12 @@ class TestBudget:
         assert budget_check(cd_economy, [0.5, 0.5], [2.0, 0.0], 5)
         assert not budget_check(cd_economy, [0.5, 0.5], [3.0, 0.0], 5)
 
+    def test_tolerance_covers_rounding_not_an_overspend(self, cd_economy):
+        # wealth p . e_k = 1: an overspend of 1e-10 is rejected, one of 1e-13
+        # is inside BUDGET_TOL
+        assert not budget_check(cd_economy, [0.5, 0.5], [1.0 + 2e-10, 1.0], 5)
+        assert budget_check(cd_economy, [0.5, 0.5], [1.0 + 2e-13, 1.0], 5)
+
 
 class TestMaximality:
     def test_equilibrium_maximal_everywhere(self, cd_economy, equilibrium):
@@ -735,6 +741,29 @@ class TestArrayPathsAgainstScalar:
             np.testing.assert_array_equal(rows, expected)
             np.testing.assert_array_equal(mask, defined)
 
+    @pytest.mark.parametrize("fam_kind", ["identity", "power", "pwl", "sectioned"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pref_kind=st.sampled_from(["cobb_douglas", "linear", "coordinate_dominance"]),
+        K=st.integers(1, 7),
+        n=st.integers(1, 3),
+    )
+    def test_every_excess_sample_re_derives_from_its_generators(
+        self, fam_kind, seed, pref_kind, K, n
+    ):
+        # bit for bit, at every sample of the cloud: the node measures are
+        # section_measures of the coalition, and z is the mean over nodes of
+        # (s - e) * w
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K, n)
+        f = eco.endowment * rng.uniform(0.8, 1.2, size=(K, 1))
+        for smp in sample_excess_points(eco, f, samples=40, seed=seed):
+            np.testing.assert_array_equal(
+                smp.node_measures, section_measures(eco.fam, smp.coalition))
+            z = np.mean((smp.selection - eco.endowment) * smp.node_measures[:, None], axis=0)
+            assert smp.z.tobytes() == z.tobytes(), smp.label
+
     def test_cobb_douglas_candidates_equal_the_node_demands(self, cd_economy):
         # bit for bit: the demand a_k * (p . e_k) / p of every node
         rng = np.random.default_rng(5)
@@ -931,11 +960,15 @@ class TestPinnedOutputs:
 def stream_economy(name, cd_economy, equilibrium):
     if name.startswith("cobb_douglas"):
         return cd_economy, equilibrium
-    pref_kind, fam_kind, eco_seed = {
-        "linear": ("linear", "sectioned", 11),
-        "coordinate_dominance": ("coordinate_dominance", "pwl", 12),
+    pref_kind, fam_kind, eco_seed, n = {
+        "linear": ("linear", "sectioned", 11, 3),
+        "coordinate_dominance": ("coordinate_dominance", "pwl", 12, 3),
+        # scalar pow for the chains, the node measures and the contour rebalance
+        "power": ("cobb_douglas", "power", 13, 3),
+        # the n == 1 contour path and one-column excess means
+        "one_good": ("cobb_douglas", "sectioned", 14, 1),
     }[name]
-    eco = random_economy(np.random.default_rng(eco_seed), pref_kind, fam_kind, K=30, n=3)
+    eco = random_economy(np.random.default_rng(eco_seed), pref_kind, fam_kind, K=30, n=n)
     return eco, eco.endowment
 
 
@@ -1005,6 +1038,28 @@ PINNED_STREAMS = {  # (economy, sampling seed) -> (digests, final generator stat
         {"bit_generator": "PCG64", "has_uint32": 1, "uinteger": 2588086938,
          "state": {"state": 32720738304528261629379889144818435075,
                    "inc": 278272906083703887290699702293328866393}},
+    ),
+    ("power", 5): (
+        {
+            "z": "bced6d7541819c32c77d87850389f054a4c0c2a3737094ce63cd8eacd030293a",
+            "selection": "120dbfc4b7ec33c77fa1b96fb2cab6247b129752a3c8fbdb67bd11eb0885dfa2",
+            "node_measures": "70125953b3289fa54ab00fc29732d8c8d8459e3f9f80c8225964a910b5882603",
+            "coalitions": "63655eb199b95815d58d8312bf209119dda467ced492e1a42e8765f7753ceacd",
+        },
+        {"bit_generator": "PCG64", "has_uint32": 1, "uinteger": 1168671935,
+         "state": {"state": 169946910211006336927212342187497662496,
+                   "inc": 233193750087604940414945475171846202189}},
+    ),
+    ("one_good", 6): (
+        {
+            "z": "f7dc2c18030c3746a223644dadaa817db7562234db0758af883b96d56cb47359",
+            "selection": "8c8d430b5f1507c24b9fae02412501c1b3500f28bcde514fc9ecd3ba94862c9f",
+            "node_measures": "a462b581f06a3e9af2928ba2873c878266410a9c98c9f56e5236d06a58a89d60",
+            "coalitions": "0745a2f3b5b5feffd9a5851809529393837cfcfb4c7fa639df10934e728a11fd",
+        },
+        {"bit_generator": "PCG64", "has_uint32": 1, "uinteger": 3612239695,
+         "state": {"state": 298613725271532087876887450986949664438,
+                   "inc": 48033170148846378449264849981880743275}},
     ),
 }
 
