@@ -25,20 +25,24 @@ witness is re-verified against the definitions before being returned.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
 
 from .choquet import StepFunction, choquet_restricted, indicator_pair
 from .errors import InvalidPriceError, StructuralError
-from .intervals import random_interval_set
+from .intervals import _cut_ends, _draw_cuts, _from_ends
 from .lp import linprog
-from .measures import measure_properties
+from .measures import _pow, measure_properties
 from .product import (
     ProductSet,
     ProductStepFunction,
     SectionFamily,
+    _chain_ends,
+    _node_measures,
     as_sectional,
     integrate_product,
     integrate_sectional_over,
@@ -181,57 +185,23 @@ class Preferences:
 
     # -- upper-contour sampling (for the excess cloud) -----------------------
 
-    def contour_boundary(self, k: int, ref: np.ndarray, axis: int, delta: float):
-        """A point on the indifference/dominance boundary through ``ref``,
-        nudged by ``delta`` along ``axis`` and rebalanced on the rest: the
-        scalar reference that the tests hold :meth:`contour_rows` to."""
-        ref = np.asarray(ref, dtype=float)
-        if self.kind == "cobb_douglas":
-            if ref.min() <= 0 or delta <= -1:
-                return None
-            a = self.exponents[k]
-            if self.n == 1:
-                return ref.copy()
-            out = ref.copy()
-            out[axis] = ref[axis] * (1.0 + delta)
-            r = (1.0 + delta) ** (-a[axis] / (1.0 - a[axis]))
-            if not np.isfinite(r) or r > 1e6:
-                return None  # rebalance explodes when the axis exponent nears 1
-            rest = np.arange(self.n) != axis
-            out[rest] = ref[rest] * r
-            return out
-        if self.kind == "linear":
-            if self.n == 1:
-                return ref.copy()
-            w = self.weights[k]
-            other = (axis + 1) % self.n
-            out = ref.copy()
-            out[axis] += delta / w[axis]
-            out[other] -= delta / w[other]
-            return out if out.min() >= 0 else None
-        # dominance: J-coordinates pinned at ref, the others are free
-        out = ref.copy()
-        free = [i for i in range(self.n) if i not in self.jsets[k]]
-        for i in free:
-            out[i] = max(0.0, ref[i] + delta)
-        return out
-
     def contour_rows(self, F: np.ndarray, axes: np.ndarray, deltas: np.ndarray):
-        """``contour_boundary(k, F[k], axes[k], deltas[k])`` for every node k
-        as one (K, n) array, with the (K,) mask of the nodes where that is not
-        None; a node outside the mask keeps its row F[k]."""
+        """Points on the indifference (dominance) boundary through the rows
+        F[r] of an allocation (K, n) or a stack of them (R K, n), node r % K,
+        nudged by deltas[r] along axes[r] and rebalanced on the other goods,
+        with the mask of the rows where one exists (a Cobb-Douglas rebalance
+        can explode, a linear one leave the orthant); others keep F[r]."""
         out = F.copy()
-        K, n = F.shape
+        R, n = F.shape
+        node = np.arange(R) % self.K
         if self.kind == "cobb_douglas":
             ok = (F.min(axis=1) > 0) & (deltas > -1)
             if n == 1:
                 return out, ok
             idx = np.flatnonzero(ok)
-            a = self.exponents[idx, axes[idx]]
+            a = self.exponents[node[idx], axes[idx]]
             grow = 1.0 + deltas[idx]
-            # Scalar pow per node, as contour_boundary computes it: numpy's
-            # array power differs from scalar pow in the last bit on some hosts.
-            r = np.array([g**x for g, x in zip(grow.tolist(), -a / (1.0 - a))])
+            r = _pow(grow, -a / (1.0 - a))
             keep = np.isfinite(r) & (r <= 1e6)  # the rebalance explodes as a -> 1
             ok[idx] = keep
             idx, grow, r = idx[keep], grow[keep], r[keep]
@@ -240,16 +210,15 @@ class Preferences:
             return out, ok
         if self.kind == "linear":
             if n == 1:
-                return out, np.ones(K, dtype=bool)
-            w, rows = self.weights, np.arange(K)
-            other = (axes + 1) % n
-            out[rows, axes] += deltas / w[rows, axes]
-            out[rows, other] -= deltas / w[rows, other]
+                return out, np.ones(R, dtype=bool)
+            rows, other = np.arange(R), (axes + 1) % n
+            out[rows, axes] += deltas / self.weights[node, axes]
+            out[rows, other] -= deltas / self.weights[node, other]
             ok = out.min(axis=1) >= 0
             out[~ok] = F[~ok]
             return out, ok
-        out = np.where(self._jmask, F, np.maximum(0.0, F + deltas[:, None]))
-        return out, np.ones(K, dtype=bool)
+        out = np.where(self._jmask[node], F, np.maximum(0.0, F + deltas[:, None]))
+        return out, np.ones(R, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -431,24 +400,71 @@ def check_walras(eco: Economy, f, p) -> WalrasReport:
 
 @dataclass(frozen=True)
 class ExcessSample:
-    """One point z = integral_H s dm - integral_H e dm with its generators."""
+    """One point z = integral_H s dm - integral_H e dm with its generators;
+    the coalition H is built from its draws when first read."""
 
     z: np.ndarray
     selection: np.ndarray  # (K, n), s(y_k) weakly preferred to f(y_k)
-    coalition: ProductSet
     node_measures: np.ndarray  # mu_k(H_k) per node
     label: str
+    _make: Callable[[], ProductSet] = field(repr=False, compare=False)
+
+    @cached_property
+    def coalition(self) -> ProductSet:
+        return self._make()
 
 
 def _excess(eco: Economy, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.atleast_1d(np.mean((s - eco.endowment) * w[:, None], axis=0))
 
 
-def _sample_from(
-    eco: Economy, s: np.ndarray, H: ProductSet, w: np.ndarray, label: str
-) -> ExcessSample:
-    """The sample of selection s over H, whose node measures are w."""
-    return ExcessSample(_excess(eco, s, w), s, H, w.copy(), label)
+def _coalition(fam: SectionFamily, draw) -> ProductSet:
+    """The coalition drawn as K levels (its level set) or as K cut arrays."""
+    if isinstance(draw, np.ndarray):
+        return product_set_from_levels(fam, draw)
+    return ProductSet(tuple(_from_ends(a, b) for a, b in zip(*_cut_ends(draw))))
+
+
+def _coalition_measures(fam: SectionFamily, draws) -> np.ndarray:
+    """Node measures (C, K) of the coalitions :func:`_coalition` builds from
+    ``draws``, from their sections' end points; each distinct level's chain
+    is walked once."""
+    K = fam.K
+    W = np.empty((len(draws), K))
+    levels = np.array([isinstance(d, np.ndarray) for d in draws], dtype=bool)
+    if levels.any():
+        tau = np.array([d for d, level in zip(draws, levels) if level])
+        ts, back = np.unique(tau, return_inverse=True)
+        W[levels] = _node_measures(fam, *(a[back.reshape(tau.shape)] for a in _chain_ends(fam, ts)))
+    if not levels.all():
+        ends = _cut_ends([c for d, level in zip(draws, levels) if not level for c in d])
+        W[~levels] = _node_measures(fam, *(a.reshape(-1, K, a.shape[-1]) for a in ends))
+    return W
+
+
+def _draw_cloud(rng, K: int, n: int, samples: int):
+    """The random draws of :func:`sample_excess_points`, in stream order and
+    raw: per sample its coalition (as K levels, 1 on X and on a single node,
+    or as K cut arrays); per row (node k of sample i at row i K + k) the axis
+    and the nudge; the shifted rows and their shifts."""
+    integers, random = rng.integers, rng.random
+    draws, axes, nudges, shifted, shifts = [], [], [], [], []
+    for i in range(samples):
+        kind = int(integers(4))
+        for row in range(i * K, (i + 1) * K):
+            axes.append(integers(n))
+            nudges.append(random())
+            if random() < 0.5:
+                shifted.append(row)
+                shifts.append(random(n))
+        if kind == 1:
+            draws.append(random(K))
+        elif kind == 2:
+            draws.append([_draw_cuts(rng, allow_empty=True) for _ in range(K)])
+        else:
+            draws.append(np.ones(K) if kind == 0 else (np.arange(K) == integers(K)) * 1.0)
+    shifts = np.array(shifts).reshape(len(shifted), n)
+    return draws, np.array(axes, dtype=np.intp), np.array(nudges), shifted, shifts
 
 
 def sample_excess_points(
@@ -458,90 +474,65 @@ def sample_excess_points(
     to f(y) and coalitions H (level sets, random section unions, single nodes).
 
     Deterministic probes come first: unit-vector translations of f over the
-    full space, then two-sided boundary nudges of f at every node, built as
-    one :meth:`Preferences.contour_rows` call per (axis, delta, sign); the
-    remainder is seeded-random.  The node measures of a coalition are
-    evaluated once and shared by all its samples.
+    full space, then two-sided boundary nudges of f at every node; the
+    remainder is seeded-random.
 
     The stream is made by these calls, in this order, per random sample: one
     ``rng.integers(4)`` for the coalition kind; per node, ``rng.integers(n)``
     for the axis, ``rng.random()`` for the nudge in [-0.5, 1), ``rng.random()``
     for the coin and, on heads, ``rng.random(n)`` for a shift in [0, 0.5)^n;
     then the coalition's draws (``rng.random(K)`` levels, K
-    :func:`random_interval_set` calls, or ``rng.integers(K)`` for a node).
+    :func:`random_interval_set` draws, or ``rng.integers(K)`` for a node).
     numpy defines ``rng.uniform(lo, hi)`` as lo + (hi - lo) * u for the next
-    double u, so the raw doubles are collected in lists and mapped once per
-    sample as arrays; the values and the generator state are those of the
-    ``uniform`` calls.  The integer draws stay scalar and in place: they take
-    32-bit halves of the generator's 64-bit words, so batching or moving them
-    would change every later draw.  The selection is then built as one
-    :meth:`Preferences.contour_rows` call.
+    double u, so the raw doubles are kept and mapped once as arrays; the
+    values and the generator state are those of the ``uniform`` calls.  The
+    integer draws stay scalar and in place: they take 32-bit halves of the
+    generator's 64-bit words, so batching or moving them would change every
+    later draw.
+
+    The rest is built after the draws, as arrays: every selection in one
+    :meth:`Preferences.contour_rows` call, every node measure from section
+    end points (:func:`product._node_measures`) and every z as one mean.
     """
     f = _allocation(eco, f)
-    rng = np.random.default_rng(seed)
-    integers, random = rng.integers, rng.random
-    K, n = eco.K, eco.n
-    full, empty = ProductSet.full(K), ProductSet.empty(K)
-    w_full = section_measures(eco.fam, full)
-    out: list[ExcessSample] = []
+    K, n, fam = eco.K, eco.n, eco.fam
+    draws, axes, nudges, shifted, shifts = _draw_cloud(np.random.default_rng(seed), K, n, samples)
+    w_full, w_empty = _coalition_measures(fam, [np.ones(K), np.zeros(K)])
 
-    for i in range(n):
-        s = f.copy()
-        s[:, i] += 1.0
-        out.append(_sample_from(eco, s, full, w_full, f"probe-positive-{i}"))
-    out.append(_sample_from(eco, f + 1.0, full, w_full, "probe-ones"))
-    out.append(_sample_from(eco, f.copy(), empty, section_measures(eco.fam, empty), "probe-empty"))
-    out.append(_sample_from(eco, f.copy(), full, w_full, "probe-reflexive"))
-
-    singles = []  # (coalition, node measures) of each single-node coalition
-    for k in range(K):
-        H = ProductSet.single(K, k)
-        singles.append((H, section_measures(eco.fam, H)))
-    # Boundary nudges of f: one contour_rows call per (axis, delta, sign),
-    # emitted in (node, axis, delta, sign) order.  z is the mean over nodes
-    # of (s - e) * w; every other node has w = 0 and adds a signed zero, which
-    # leaves this node's term (nonzero or +0.0, as e > 0 and w_k > 0) as is.
     signed = np.ravel([(d, -d) for d in (2e-4, 2e-3, 2e-2, 0.2)])
-    probes = [
-        eco.prefs.contour_rows(f, np.full(K, axis), np.full(K, d))
-        for axis in range(n)
-        for d in signed
-    ]
-    P = np.array([pts for pts, _ in probes])  # (8 n, K, n)
-    emit = np.array([ok for _, ok in probes]) & ~(P.min(axis=2) < 0)
-    Z = (P - eco.endowment) * w_full[:, None] / K
-    for k, j in zip(*np.nonzero(emit.T)):
-        s = f.copy()
-        s[k] = P[j, k]
-        H, w = singles[k]
-        out.append(ExcessSample(Z[j, k], s, H, w.copy(), f"boundary-{k}-{j // 8}"))
+    nprobe = 8 * n  # boundary nudges, one block of K rows per (axis, delta, sign)
+    rows, ok = eco.prefs.contour_rows(
+        np.tile(f, (nprobe + samples, 1)),
+        np.concatenate([np.repeat(np.arange(nprobe) // 8, K), axes]),
+        # rng.uniform(-0.5, 1.0) per node
+        np.concatenate([np.repeat(np.tile(signed, n), K), -0.5 + 1.5 * nudges]),
+    )
+    # rng.uniform(0, 0.5, n) per shift, which keeps a shifted row inside the contour set
+    rows[nprobe * K + np.array(shifted, dtype=np.intp)] += 0.5 * shifts
 
-    for _ in range(samples):
-        kind = int(integers(4))
-        axes, nudges, shifted, shifts = [], [], [], []
-        for k in range(K):
-            axes.append(integers(n))
-            nudges.append(random())
-            if random() < 0.5:
-                shifted.append(k)
-                shifts.append(random(n))
-        # rng.uniform(-0.5, 1.0) per node; rng.uniform(0, 0.5, n) per shift,
-        # which keeps a shifted row inside the contour set
-        s, _ = eco.prefs.contour_rows(f, np.array(axes), -0.5 + 1.5 * np.array(nudges))
-        if shifted:
-            s[shifted] += 0.5 * np.array(shifts)
-        if kind == 0:
-            H, w = full, w_full
-        elif kind == 1:
-            H = product_set_from_levels(eco.fam, random(K))  # rng.uniform(0, 1, K)
-            w = section_measures(eco.fam, H)
-        elif kind == 2:
-            H = ProductSet(tuple(random_interval_set(rng, allow_empty=True) for _ in range(K)))
-            w = section_measures(eco.fam, H)
-        else:
-            H, w = singles[int(integers(K))]
-        out.append(_sample_from(eco, s, H, w, "random"))
-    return out
+    # Boundary nudges of f, in (node, axis, delta, sign) order, each over its
+    # single node: every other node has w = 0 and adds a signed zero to the
+    # mean, which leaves this node's term (nonzero or +0.0, as e > 0 and
+    # w_k > 0) as is.
+    P = rows[: nprobe * K].reshape(nprobe, K, n)
+    nodes, blocks = np.nonzero((ok[: nprobe * K].reshape(nprobe, K) & ~(P.min(axis=2) < 0)).T)
+    W = np.concatenate([[w_full] * (n + 1), [w_empty, w_full],
+                        np.where(np.arange(K) == nodes[:, None], w_full, w_empty),
+                        _coalition_measures(fam, draws)])
+    S = np.concatenate([f + np.eye(n)[:, None, :], [f + 1.0, f, f],
+                        np.broadcast_to(f, (len(nodes), K, n)), rows[nprobe * K :].reshape(-1, K, n)])
+    S[n + 3 + np.arange(len(nodes)), nodes] = P[blocks, nodes]
+    Z = np.concatenate([  # 256 samples at a time, which bounds the temporaries
+        np.mean((S[i : i + 256] - eco.endowment) * W[i : i + 256, :, None], axis=1)
+        for i in range(0, len(S), 256)
+    ])
+    labels = [f"probe-positive-{i}" for i in range(n)] + ["probe-ones", "probe-empty", "probe-reflexive"]
+    labels += [f"boundary-{k}-{j // 8}" for k, j in zip(nodes.tolist(), blocks.tolist())]
+    full = partial(ProductSet.full, K)
+    makers = [full] * (n + 1) + [partial(ProductSet.empty, K), full]
+    makers += [partial(ProductSet.single, K, k) for k in nodes.tolist()]
+    makers += [partial(_coalition, fam, draw) for draw in draws]
+    return [ExcessSample(*sample) for sample in zip(Z, S, W, labels + ["random"] * samples, makers)]
 
 
 @dataclass(frozen=True)
@@ -727,37 +718,23 @@ class ExhaustedReport:
         }
 
 
-def _block_level_coalitions(eco: Economy, rng, budget: int):
-    """Level-set coalitions with tau quantized to {0, 1/LEVELS, .., 1} on
-    YBLOCKS y-blocks."""
-    K, levels, yblocks = eco.K, LEVELS, YBLOCKS
-    edges = np.linspace(0, K, yblocks + 1).astype(int)
-
-    def from_blocks(block_levels):
-        tau = np.zeros(K)
-        for b, lv in enumerate(block_levels):
-            tau[edges[b]: edges[b + 1]] = lv
-        return product_set_from_levels(eco.fam, tau)
-
-    yield ProductSet.full(K)
-    for l in range(1, levels):
-        yield from_blocks([l / levels] * yblocks)
-    for b in range(yblocks):
-        for l in range(1, levels + 1):
-            bl = [0.0] * yblocks
-            bl[b] = l / levels
-            yield from_blocks(bl)
-    for b in range(yblocks):
-        bl = [1.0] * yblocks
-        bl[b] = 0.0
-        yield from_blocks(bl)
+def _block_levels(eco: Economy, rng, budget: int) -> np.ndarray:
+    """Level profiles (C, K) of the level-set coalitions: tau quantized to
+    {0, 1/LEVELS, .., 1} on YBLOCKS y-blocks of nodes, X itself first, then
+    ``budget`` random profiles that are not all 0."""
+    levels, yblocks = LEVELS, YBLOCKS
+    rows = [np.full(yblocks, l / levels) for l in (levels, *range(1, levels))]
+    rows += [b * (l / levels) for b in np.eye(yblocks) for l in range(1, levels + 1)]
+    rows += list(1.0 - np.eye(yblocks))
     count = 0
     while count < budget:
         bl = rng.integers(0, levels + 1, size=yblocks) / levels
         if bl.max() == 0:
             continue
-        yield from_blocks(bl)
+        rows.append(bl)
         count += 1
+    edges = np.linspace(0, eco.K, yblocks + 1).astype(int)
+    return np.array(rows)[:, np.repeat(np.arange(yblocks), np.diff(edges))]
 
 
 def _price_grid(n: int, resolution: int):
@@ -781,16 +758,30 @@ def _sectional_candidates(eco: Economy, demand_grid: int):
             yield rows, f"demand@{np.round(p, 4).tolist()}"
 
 
+def _node_means(G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``np.mean(G * w[:, None], axis=1)`` for every row w of W, (C, P, n), as
+    numpy rounds it for one w: summed node after node when n > 1, pairwise
+    along the contiguous nodes when n == 1."""
+    if G.shape[2] == 1:
+        return np.mean(G[None, :, :, 0] * W[:, None, :], axis=2)[..., None]
+    G, W = np.ascontiguousarray(G.transpose(1, 0, 2)), W.T[:, :, None, None]  # node-major
+    total = G[0] * W[0]
+    for g, w in zip(G[1:], W[1:]):
+        total += g * w
+    return total / len(G)
+
+
 def _screen_sectionals(
-    eco: Economy, G: np.ndarray, prefers: np.ndarray, w: np.ndarray
+    eco: Economy, G: np.ndarray, prefers: np.ndarray, W: np.ndarray
 ) -> np.ndarray:
     """Which of the stacked sectional candidates G (P, K, n) balance with the
     endowment in the mean over a coalition with node measures w and are
-    strictly preferred on every node of positive measure.  ``prefers`` is
+    strictly preferred on every node of positive measure, (C, P) for the
+    node measures W (C, K) of C coalitions.  ``prefers`` is
     ``strict_rows(G, f)``."""
-    target = np.mean(eco.endowment * w[:, None], axis=0)
-    gaps = np.max(np.abs(np.mean(G * w[:, None], axis=1) - target), axis=1)
-    return ~(gaps > FEASIBILITY_TOL) & np.all(prefers[:, w > 0], axis=1)
+    target = np.mean(eco.endowment * W[..., None], axis=1)
+    gaps = np.max(np.abs(_node_means(G, W) - target[:, None]), axis=2)
+    return ~(gaps > FEASIBILITY_TOL) & ~np.any(~prefers & (W[:, None, :] > 0), axis=2)
 
 
 def search_improvement(
@@ -832,27 +823,23 @@ def search_improvement(
 
     rng = np.random.default_rng(seed)
     sectionals = list(_sectional_candidates(eco, DEMAND_GRID))
-    coalitions = list(_block_level_coalitions(eco, rng, budget // 5))
+    draws = list(_block_levels(eco, rng, budget // 5))
     for _ in range(min(20, budget // 10)):
-        coalitions.append(
-            ProductSet(tuple(random_interval_set(rng, allow_empty=True) for _ in range(eco.K)))
-        )
+        draws.append([_draw_cuts(rng, allow_empty=True) for _ in range(eco.K)])
+    W = _coalition_measures(eco.fam, draws)
 
-    checked = 0
     G = np.array([g for g, _ in sectionals])  # (P, K, n)
-    prefers = eco.prefs.strict_rows(G, f)  # (P, K)
-    for S in coalitions:
-        w = section_measures(eco.fam, S)
-        if not np.any(w > 0):
-            continue
-        checked += len(sectionals)
-        for j in np.flatnonzero(_screen_sectionals(eco, G, prefers, w)):
+    passed = _screen_sectionals(eco, G, eco.prefs.strict_rows(G, f), W)
+    active = np.flatnonzero(np.any(W > 0, axis=1))
+    for c in active:  # a coalition is built only for a candidate it screens in
+        for j in np.flatnonzero(passed[c]):
             g, src = sectionals[j]
+            S = _coalition(eco.fam, draws[c])
             witness = ImprovementWitness(mode, S, ProductStepFunction.sectional(g), src)
             ok, _ = verify_improvement(eco, f, witness)
             if ok:
                 return witness
-    return ExhaustedReport(mode, len(coalitions), len(sectionals), 0, checked)
+    return ExhaustedReport(mode, len(draws), len(sectionals), 0, len(active) * len(sectionals))
 
 
 def sectionalize(eco: Economy, s: ProductStepFunction, A: ProductSet) -> np.ndarray:
@@ -992,7 +979,8 @@ def endowment_is_walrasian(eco: Economy, seed: int = 42) -> EndowmentReport:
         return EndowmentReport(report.verdict, price, report, None)
     full = ProductSet.full(eco.K)
     s = np.where(eco.prefs._jmask, eco.endowment, 0.0)
-    sample = _sample_from(eco, s, full, section_measures(eco.fam, full), "dominance-infimum")
+    w = section_measures(eco.fam, full)
+    sample = ExcessSample(_excess(eco, s, w), s, w, "dominance-infimum", lambda: full)
     failure = PriceSearchResult(None, float(sample.z.max()), 1, [sample])
     return EndowmentReport(False, None, None, failure)
 

@@ -45,9 +45,10 @@ class IntervalSet:
                 merged.append((a, b))
             end = b
         object.__setattr__(self, "intervals", tuple(merged))
-        # Python's float sum() (compensated from 3.12 on); one term is exact
-        length = merged[0][1] - merged[0][0] if len(merged) == 1 else sum(b - a for a, b in merged)
-        object.__setattr__(self, "_length", float(length))
+        length = 0.0  # left to right, as the array formulas of product sum it
+        for a, b in merged:
+            length += b - a
+        object.__setattr__(self, "_length", length)
 
     # -- constructors -------------------------------------------------
 
@@ -129,27 +130,9 @@ class IntervalSet:
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersection(other.complement())
 
-    # -- prefix chains ----------------------------------------------------
-
     def prefix(self, length: float) -> "IntervalSet":
         """Left prefix of this set with total Lebesgue measure ``length``."""
-        total = self.lebesgue
-        if length <= 0.0:
-            return IntervalSet.empty()
-        if length >= total - 1e-15:
-            return self
-        out = []
-        remaining = length
-        for a, b in self.intervals:
-            w = b - a
-            if w <= remaining:
-                out.append((a, b))
-                remaining -= w
-            else:
-                if a + remaining > a:  # guard against float-underflow slivers
-                    out.append((a, a + remaining))
-                break
-        return IntervalSet(out)
+        return _from_ends(*_prefix_ends(self, length)) if self.intervals else self
 
 
 def _reject(pairs, a: float, b: float):
@@ -179,10 +162,52 @@ def random_interval_set(
     allow_empty: bool = False,
 ) -> IntervalSet:
     """Random union of up to ``max_intervals`` disjoint dyadic intervals."""
+    lo, hi = _cut_ends([_draw_cuts(rng, max_intervals, bits, allow_empty)], bits)
+    return _from_ends(lo[0], hi[0])
+
+
+_NO_CUTS = np.empty(0, dtype=np.int64)
+
+
+def _draw_cuts(rng, max_intervals: int = 4, bits: int = GRID_BITS, allow_empty: bool = False):
+    """The draws of :func:`random_interval_set`: its end points in units of
+    2**-bits, distinct and unsorted, two per interval."""
     npieces = int(rng.integers(0 if allow_empty else 1, max_intervals + 1))
     if npieces == 0:
-        return _EMPTY
-    grid = 1 << bits
-    cuts = rng.choice(grid + 1, size=2 * npieces, replace=False)
-    cuts.sort()
-    return IntervalSet((cuts / float(grid)).reshape(npieces, 2).tolist())
+        return _NO_CUTS
+    return rng.choice((1 << bits) + 1, size=2 * npieces, replace=False)
+
+
+def _from_ends(lo: np.ndarray, hi: np.ndarray) -> IntervalSet:
+    """The set of the pieces [lo, hi) with lo < hi, padding dropped."""
+    keep = lo < hi
+    return IntervalSet(zip(lo[keep].tolist(), hi[keep].tolist())) if keep.any() else _EMPTY
+
+
+def _cut_ends(draws, bits: int = GRID_BITS) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (len(draws), pieces): the intervals [lo, hi) of each
+    :func:`_draw_cuts` draw, left to right, padded with [0, 0)."""
+    sizes = np.array([cuts.size for cuts in draws], dtype=np.intp)
+    ends = np.full((len(draws), max(2, sizes.max(initial=0))), np.inf)
+    ends[np.arange(ends.shape[1]) < sizes[:, None]] = np.concatenate([_NO_CUTS, *draws])
+    ends.sort(axis=1)  # the padding sorts last
+    ends = np.where(ends < np.inf, ends / float(1 << bits), 0.0)
+    return ends[:, 0::2], ends[:, 1::2]
+
+
+def _prefix_ends(base: IntervalSet, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each length.shape + (intervals of base,): the left prefix
+    of ``base`` of Lebesgue measure ``length``, at every entry, padded with
+    [0, 0); all of base from lebesgue(base) - 1e-15 on."""
+    remaining = np.asarray(length, dtype=float)
+    whole = (remaining > 0.0) & (remaining >= base.lebesgue - 1e-15)
+    live = (remaining > 0.0) & ~whole
+    lo, hi = [], []
+    for a, b in base.intervals:
+        fits = b - a <= remaining
+        cut = live & ~fits & (a + remaining > a)  # no sliver that rounds away
+        lo.append(np.where(whole | (live & fits) | cut, a, 0.0))
+        hi.append(np.where(whole | (live & fits), b, np.where(cut, a + remaining, 0.0)))
+        remaining = np.where(live & fits, remaining - (b - a), remaining)
+        live = live & fits
+    return np.stack(lo, axis=-1), np.stack(hi, axis=-1)

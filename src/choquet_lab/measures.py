@@ -90,26 +90,35 @@ class Distortion:
             base = np.interp(s, self._xs, self._ys)
         return self.scale * base
 
-    def inverse(self, u: float) -> float:
-        """g^{-1}(u); exact for all three kinds (pwl by segment interpolation)."""
-        v = float(u) / self.scale
+    def inverse(self, u):
+        """g^{-1}(u) for u >= 0, a float or entry by entry over an ndarray;
+        exact for all three kinds (pwl by segment interpolation)."""
+        v = np.asarray(u, dtype=float) / self.scale
         if self.kind == "power":
-            return v ** (1.0 / self.alpha)
-        if self.kind == "identity":
-            return v
-        return float(np.interp(v, self._ys, self._xs))
+            v = _pow(v, 1.0 / self.alpha)
+        elif self.kind == "pwl":
+            v = np.interp(v, self._ys, self._xs)
+        return v if isinstance(u, np.ndarray) else float(v)
 
     @property
     def is_concave(self) -> bool:
         if self.kind == "power":
             return self.alpha <= 1.0
-        if self.kind == "identity":
-            return True
-        slopes = [
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.knots, self.knots[1:])
-        ]
-        return all(s1 <= s0 + 1e-12 for s0, s1 in zip(slopes, slopes[1:]))
+        return self.kind == "identity" or not _kinks(self).any()
+
+
+def _pow(x, e) -> np.ndarray:
+    """x ** e for x > 0 or e > 0, entry by entry by libm's scalar pow, which
+    numpy's array power can differ from in the last bit; an overflow gives
+    inf, as numpy's scalar power does."""
+    x, e = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(e, dtype=float))
+    pairs = list(zip(x.ravel().tolist(), e.ravel().tolist()))
+    try:
+        out = [b**p for b, p in pairs]
+    except OverflowError:  # Python's float pow raises where numpy's gives inf
+        with np.errstate(over="ignore"):
+            out = [np.float64(b) ** p for b, p in pairs]
+    return np.array(out, dtype=float).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -219,27 +228,35 @@ def _subadditivity_peak(g: Distortion) -> tuple[float, float] | None:
     """The (a, c) maximizing g(c) - g(a) - g(c - a) over 0 <= a <= c <= 1,
     that is g(a + b) - g(a) - g(b) over a, b >= 0, a + b <= 1, evaluated as
     mu evaluates A = [0, a), B = [a, c) and A ∪ B = [0, c); None when the
-    maximum is within ALGEBRA_TOL * max(1, g(1)), the rounding of g's values.
+    maximum is 0 (for pwl g, within ALGEBRA_TOL * max(1, g(1)), the rounding
+    of g's values).
 
-    For concave g the maximum is 0, at a = 0.  For a convex power g,
-    g(a) + g(1 - a) is convex and symmetric, so the maximum is at
-    a = b = 1/2.  For pwl g the function is linear on each cell of the
-    arrangement of the lines a = x_i, b = x_j and a + b = x_l, so it peaks at
-    a vertex: a = x_i with c = x_i + x_j or c = x_l, or the mirror image
-    b = x_j, c = x_l of one of them.
+    For concave g the maximum is 0, at a = 0.  A power g with alpha > 1 is
+    convex: g(a) + g(1 - a) is convex and symmetric, so the maximum is at
+    a = b = 1/2, g(1) (1 - 2^(1 - alpha)) > 0 however small it rounds.  For
+    pwl g the function is linear on each cell of the arrangement of the
+    lines a = x_i, b = x_j and a + b = x_l, so it peaks at a vertex: a = x_i
+    with c = x_i + x_j or c = x_l, or the mirror image b = x_j, c = x_l of
+    one of them.
     """
     if g.is_concave:
         return None
     if g.kind == "power":
-        a, c = np.array([0.5]), np.array([1.0])
-    else:
-        xi, xj = np.meshgrid(g._xs, g._xs, indexing="ij")
-        a, c = np.concatenate([xi, xi]).ravel(), np.concatenate([xi + xj, xj]).ravel()
-        keep = (a <= c) & (c <= 1.0)
-        a, c = a[keep], c[keep]
+        return 0.5, 1.0
+    xi, xj = np.meshgrid(g._xs, g._xs, indexing="ij")
+    a, c = np.concatenate([xi, xi]).ravel(), np.concatenate([xi + xj, xj]).ravel()
+    keep = (a <= c) & (c <= 1.0)
+    a, c = a[keep], c[keep]
     gap = g(c) - (g(a) + g(c - a))
     i = int(np.argmax(gap))
     return (float(a[i]), float(c[i])) if gap[i] > ALGEBRA_TOL * max(1.0, g(1.0)) else None
+
+
+def _kinks(g: Distortion) -> np.ndarray:
+    """Per inner knot of a pwl g, does the slope rise there by more than its
+    rounding: s_i > s_{i-1} + 1e-12 max(1, s_i)."""
+    slopes = np.diff(g._ys) / np.diff(g._xs)
+    return slopes[1:] > slopes[:-1] + 1e-12 * np.maximum(1.0, slopes[1:])
 
 
 def _concavity_kink(g: Distortion) -> tuple[float, float]:
@@ -257,8 +274,7 @@ def _concavity_kink(g: Distortion) -> tuple[float, float]:
     dx = np.diff(g._xs)
     slopes = np.diff(g._ys) / dx
     h = np.minimum(dx[:-1], dx[1:])
-    kinks = slopes[1:] > slopes[:-1] + 1e-12  # the test of Distortion.is_concave
-    i = int(np.argmax(np.where(kinks, h * (slopes[1:] - slopes[:-1]), -np.inf)))
+    i = int(np.argmax(np.where(_kinks(g), h * (slopes[1:] - slopes[:-1]), -np.inf)))
     return float(g._xs[i + 1]), float(h[i])
 
 

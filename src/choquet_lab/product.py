@@ -21,9 +21,9 @@ import numpy as np
 
 from .choquet import StepFunction, _integrate_block
 from .errors import StructuralError, UnsupportedFamilyError
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _from_ends, _prefix_ends
 from .lp import linprog
-from .measures import Distortion, FuzzyMeasure
+from .measures import Distortion, FuzzyMeasure, _pow
 
 DEFAULT_K = 100
 LEVEL_TOL = 1e-9  # |mu_k(H_k) - tau_k mu_k(X)| for constructed sets
@@ -135,19 +135,8 @@ class SectionFamily:
 
     def uniform_chain(self, t: float) -> IntervalSet:
         """X_t with mu_k(X_t) = t * mu_k(X) for all nodes simultaneously."""
-        if not self.convex_type:
-            raise UnsupportedFamilyError("heterogeneous families are not uniformly filtering")
-        if t <= 0.0:
-            return IntervalSet.empty()
-        if t >= 1.0:
-            return IntervalSet.full()
-        if self.mode == "homothetic":
-            g = self.measures[0].distortion
-            return IntervalSet.full().prefix(g.inverse(t * g(1.0)))
-        out = IntervalSet.empty()
-        for blk in self.blocks:
-            out = out.union(blk.prefix(t * blk.lebesgue))
-        return out
+        lo, hi = _chain_ends(self, [t])
+        return _from_ends(lo[0], hi[0])
 
 
 @dataclass(frozen=True)
@@ -284,6 +273,43 @@ def section_measures(fam: SectionFamily, H: ProductSet) -> np.ndarray:
             value = seen[key] = mu(sec)
         values.append(value)
     return np.array(values, dtype=float)
+
+
+def _lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Total length of the pieces [lo, hi) in the last axis, added left to
+    right as IntervalSet adds them; a piece with hi <= lo adds nothing."""
+    return np.add.accumulate(np.where(lo < hi, hi - lo, 0.0), axis=-1)[..., -1]
+
+
+def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """mu_k(H_k) for sections given as pieces [lo, hi) (..., K, pieces),
+    padded with [0, 0): bit for bit :func:`section_measures` of the sets
+    they make, when the pieces are the sets' intervals left to right (within
+    each block, for a sectioned measure).  As mu does, g takes the length,
+    and w_i |H_k ∩ E_i| / |E_i| is added block by block."""
+    out = np.empty(lo.shape[:-1])
+    groups: dict[int, list[int]] = {}
+    for k, mu in enumerate(fam.measures):
+        key = id(mu.distortion) if mu.mode == "distorted" else id(mu.blocks)
+        groups.setdefault(key, []).append(k)
+    for nodes in groups.values():
+        mu = fam.measures[nodes[0]]
+        idx = nodes if len(nodes) < fam.K else slice(None)
+        a, b = lo[..., idx, :], hi[..., idx, :]
+        if mu.mode == "distorted":  # a power g by scalar pow, as mu takes it
+            g, length = mu.distortion, _lengths(a, b)
+            out[..., idx] = g.scale * _pow(length, g.alpha) if g.kind == "power" else g(length)
+            continue
+        total = np.zeros(a.shape[:-1])
+        weights = np.array([fam.measures[k].weights for k in nodes])
+        for blk, w in zip(mu.blocks, weights.T):
+            part = _lengths(  # pieces of H_k ∩ E_i, left to right
+                np.concatenate([np.maximum(a, c) for c, _ in blk.intervals], axis=-1),
+                np.concatenate([np.minimum(b, d) for _, d in blk.intervals], axis=-1),
+            )
+            total = np.where(w > 0, total + w * part / blk.lebesgue, total)
+        out[..., idx] = total
+    return out
 
 
 def product_measure(fam: SectionFamily, H: ProductSet) -> float:
@@ -496,9 +522,32 @@ def product_set_from_levels(fam: SectionFamily, levels) -> ProductSet:
     _check_sections(fam, levels.shape[0])
     if not (levels.min() >= -1e-12 and levels.max() <= 1 + 1e-12):  # NaN fails too
         raise StructuralError("levels must lie in [0,1]")
-    ts = levels.tolist()
-    chains = {t: fam.uniform_chain(t) for t in set(ts)}
-    return ProductSet(tuple(chains[t] for t in ts))
+    ts, back = np.unique(levels, return_inverse=True)
+    chains = [_from_ends(a, b) for a, b in zip(*_chain_ends(fam, ts))]
+    return ProductSet(tuple(chains[i] for i in back.ravel().tolist()))
+
+
+def _chain_ends(fam: SectionFamily, levels) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (levels, pieces): the pieces [lo, hi) of the uniform
+    chain X_t at every level t, block by block, padded with [0, 0).  X_t is
+    empty for t <= 0 and [0, 1) for t >= 1; in between, a homothetic family
+    takes the prefix of [0, 1) of length g^{-1}(t g(1)) and a sectioned one
+    the prefix of length t |E_i| of every block E_i."""
+    if not fam.convex_type:
+        raise UnsupportedFamilyError("heterogeneous families are not uniformly filtering")
+    t = np.asarray(levels, dtype=float)
+    inner = (t > 0.0) & (t < 1.0)
+    if fam.mode == "homothetic":
+        g = fam.measures[0].distortion
+        prefixes = [(IntervalSet.full(), g.inverse(np.clip(t, 0.0, 1.0) * g(1.0)))]
+    else:
+        prefixes = [(blk, t * blk.lebesgue) for blk in fam.blocks]
+    ends = [_prefix_ends(base, np.where(inner, length, 0.0)) for base, length in prefixes]
+    lo, hi = (np.concatenate(e, axis=-1) for e in zip(*ends))
+    full = t >= 1.0
+    lo[full], hi[full] = 0.0, 0.0
+    hi[full, 0] = 1.0
+    return lo, hi
 
 
 @dataclass(frozen=True)

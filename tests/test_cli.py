@@ -248,6 +248,15 @@ class TestCheckMeasure:
                      str(path))
         assert main(["check-measure", "--measure", str(path), "--trials", "200"]) == 0
 
+    def test_large_linear_knots_pass(self, tmp_path, capsys):
+        # g(s) = 1e6 s: both slopes are 1e6, and they round ~1e-10 apart
+        path = tmp_path / "linear.json"
+        io.dump_json({"mode": "distorted", "distortion": {
+            "kind": "pwl", "knots": [[0, 0], [0.3, 3e5], [1, 1e6]]}}, str(path))
+        assert main(["check-measure", "--measure", str(path)]) == 0
+        props = json.loads(capsys.readouterr().out)["measure_properties"]
+        assert props["submodular"] is True and props["witness"] is None
+
     def test_determinism(self, tmp_path, square_measure_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

@@ -112,6 +112,42 @@ def prefers(prefs, k, u, v, strict=True, tol=0.0) -> bool:
     return bool(uu > uv if strict else uu >= uv - tol)
 
 
+def contour_boundary(prefs, k, ref, axis, delta):
+    """A point on the indifference/dominance boundary through ``ref``, nudged
+    by ``delta`` along ``axis`` and rebalanced on the rest, or None: the
+    scalar reference of ``Preferences.contour_rows``, one node at a time."""
+    ref = np.asarray(ref, dtype=float)
+    if prefs.kind == "cobb_douglas":
+        if ref.min() <= 0 or delta <= -1:
+            return None
+        a = prefs.exponents[k]
+        if prefs.n == 1:
+            return ref.copy()
+        out = ref.copy()
+        out[axis] = ref[axis] * (1.0 + delta)
+        r = (1.0 + delta) ** (-a[axis] / (1.0 - a[axis]))
+        if not np.isfinite(r) or r > 1e6:
+            return None  # rebalance explodes when the axis exponent nears 1
+        rest = np.arange(prefs.n) != axis
+        out[rest] = ref[rest] * r
+        return out
+    if prefs.kind == "linear":
+        if prefs.n == 1:
+            return ref.copy()
+        w = prefs.weights[k]
+        other = (axis + 1) % prefs.n
+        out = ref.copy()
+        out[axis] += delta / w[axis]
+        out[other] -= delta / w[other]
+        return out if out.min() >= 0 else None
+    # dominance: J-coordinates pinned at ref, the others are free
+    out = ref.copy()
+    for i in range(prefs.n):
+        if i not in prefs.jsets[k]:
+            out[i] = max(0.0, ref[i] + delta)
+    return out
+
+
 # Every public entry that takes an allocation f, called at price (1/2, 1/2).
 ALLOCATION_ENTRIES = {
     "check_excess_convexity": lambda eco, f: check_excess_convexity(eco, f, trials=5),
@@ -406,6 +442,28 @@ class TestFindPrice:
         assert res.found
         assert res.price == pytest.approx([1.0])
 
+    def test_coalitions_are_built_only_where_they_are_read(
+        self, cd_economy, equilibrium, monkeypatch
+    ):
+        # find_price builds no coalition, and each violation builds its own
+        # once, when read; the improve search builds one per candidate that
+        # it hands to the verifier
+        built, verified = [], []
+        init, verify = ProductSet.__init__, economy.verify_improvement
+        monkeypatch.setattr(ProductSet, "__init__", lambda *a: built.append(1) or init(*a))
+        monkeypatch.setattr(economy, "verify_improvement", lambda *a: verified.append(1) or verify(*a))
+        assert find_price(cd_economy, equilibrium, samples=200, seed=42).found and not built
+        y = cd_economy.fam.ygrid
+        res = find_price(cd_economy, np.column_stack([2 * (1 - y), 2 * y]), samples=200, seed=7)
+        assert res.violations and not built
+        for smp in res.violations + res.violations:
+            assert smp.coalition.K == K
+        assert len(built) == len(res.violations)
+        built.clear()
+        for f in (equilibrium, 0.5 * cd_economy.endowment):
+            search_improvement(cd_economy, f, "improve", seed=3)
+        assert verified and len(built) == len(verified)
+
     def test_anti_equilibrium_fails_with_violations(self, cd_economy):
         y = cd_economy.fam.ygrid
         f_anti = np.column_stack([2 * (1 - y), 2 * y])
@@ -677,7 +735,7 @@ def random_economy(rng, pref_kind: str, fam_kind: str, K: int, n: int) -> Econom
         fam = SectionFamily.homothetic(Distortion.identity(), K=K)
     if pref_kind == "cobb_douglas":
         a = rng.uniform(0.05, 1.0, size=(K, n))
-        if n > 1 and rng.random() < 0.3:  # the rebalance of contour_boundary explodes
+        if n > 1 and rng.random() < 0.3:  # the Cobb-Douglas contour rebalance explodes
             a[:, 0] = rng.choice([10.0, 500.0], size=K) * a[:, 1:].sum(axis=1)
         prefs = Preferences("cobb_douglas", n, exponents=a / a.sum(axis=1, keepdims=True))
     elif pref_kind == "linear":
@@ -723,20 +781,20 @@ class TestArrayPathsAgainstScalar:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in scalar power")
     @settings(max_examples=80, deadline=None)
-    @given(**ECONOMY_DRAWS)
-    def test_contour_rows_equal_contour_boundary(self, seed, pref_kind, fam_kind, K, n):
+    @given(**ECONOMY_DRAWS, stack=st.integers(1, 3))
+    def test_contour_rows_equal_contour_boundary(self, seed, pref_kind, fam_kind, K, n, stack):
         rng = np.random.default_rng(seed)
         eco = random_economy(rng, pref_kind, fam_kind, K, n)
-        for _ in range(5):
-            F = rng.uniform(0.0, 3.0, size=(K, n))
-            F[rng.random((K, n)) < 0.15] = 0.0  # Cobb-Douglas has no contour there
-            axes = rng.integers(0, n, size=K)
-            deltas = rng.uniform(-1.5, 1.5, size=K)
-            expected, defined = F.copy(), np.zeros(K, dtype=bool)
-            for k in range(K):
-                pt = eco.prefs.contour_boundary(k, F[k], int(axes[k]), float(deltas[k]))
+        for _ in range(5):  # rows r of `stack` allocations, at node r % K
+            F = rng.uniform(0.0, 3.0, size=(stack * K, n))
+            F[rng.random((stack * K, n)) < 0.15] = 0.0  # Cobb-Douglas has no contour there
+            axes = rng.integers(0, n, size=stack * K)
+            deltas = rng.uniform(-1.5, 1.5, size=stack * K)
+            expected, defined = F.copy(), np.zeros(stack * K, dtype=bool)
+            for r in range(stack * K):
+                pt = contour_boundary(eco.prefs, r % K, F[r], int(axes[r]), float(deltas[r]))
                 if pt is not None:
-                    expected[k], defined[k] = pt, True
+                    expected[r], defined[r] = pt, True
             rows, mask = eco.prefs.contour_rows(F, axes, deltas)
             np.testing.assert_array_equal(rows, expected)
             np.testing.assert_array_equal(mask, defined)
@@ -798,7 +856,7 @@ class TestArrayPathsAgainstScalar:
             w = section_measures(eco.fam, S)
             if not np.any(w > 0):
                 continue
-            screened = _screen_sectionals(eco, G, strict, w)
+            screened = _screen_sectionals(eco, G, strict, w[None])[0]
             for j, (g, src) in enumerate(sectionals):
                 witness = ImprovementWitness("improve", S, ProductStepFunction.sectional(g), src)
                 accepted = verify_improvement(eco, f, witness)[0]

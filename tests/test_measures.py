@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,31 @@ class TestPropertyChecks:
         assert not (mu.is_submodular or report.submodular)
         assert report.witness["property"] == "submodular"
         assert report.witness["lhs"] - report.witness["rhs"] == pytest.approx(0.06)
+        assert_witness_verifies(mu, report.witness)
+
+    @pytest.mark.parametrize("alpha", [1 + 1e-15, 1 + 1e-12])
+    def test_power_above_one_is_not_subadditive(self, alpha):
+        # g(1) - 2 g(1/2) = 1 - 2^(1 - alpha) > 0 for every alpha > 1, however
+        # far below ALGEBRA_TOL it rounds
+        mu = FuzzyMeasure.distorted(Distortion.power(alpha))
+        report = measure_properties(mu)
+        assert not mu.is_subadditive and not report.subadditive and not report.submodular
+        witness = report.witness
+        assert (witness["A"], witness["B"]) == ([[0.0, 0.5]], [[0.5, 1.0]])
+        gap = -math.expm1((1 - alpha) * math.log(2))
+        assert witness["lhs"] > witness["rhs"]
+        assert witness["lhs"] - witness["rhs"] == pytest.approx(gap, abs=2**-52)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e6])
+    def test_slope_tolerance_is_relative(self, magnitude):
+        # g(s) = magnitude * s is concave although its two slopes differ by
+        # rounding; a rise of 1e-10 of the slope is a kink at any magnitude
+        line = Distortion.piecewise_linear([(0, 0), (0.3, 0.3 * magnitude), (1, magnitude)])
+        assert line.is_concave and measure_properties(FuzzyMeasure.distorted(line)).all_pass
+        top = 0.5 * magnitude + 0.5 * magnitude * (1 + 1e-10)
+        mu = pwl_measure([(0, 0), (0.5, 0.5 * magnitude), (1, top)])
+        report = measure_properties(mu)
+        assert not mu.distortion.is_concave and not report.submodular
         assert_witness_verifies(mu, report.witness)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
