@@ -415,7 +415,8 @@ class ExcessSample:
 
 
 def _excess(eco: Economy, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.atleast_1d(np.mean((s - eco.endowment) * w[:, None], axis=0))
+    """z of selections s (..., K, n) over node measures w (..., K)."""
+    return np.mean((s - eco.endowment) * w[..., None], axis=-2)
 
 
 def _coalition(fam: SectionFamily, draw) -> ProductSet:
@@ -522,10 +523,8 @@ def sample_excess_points(
     S = np.concatenate([f + np.eye(n)[:, None, :], [f + 1.0, f, f],
                         np.broadcast_to(f, (len(nodes), K, n)), rows[nprobe * K :].reshape(-1, K, n)])
     S[n + 3 + np.arange(len(nodes)), nodes] = P[blocks, nodes]
-    Z = np.concatenate([  # 256 samples at a time, which bounds the temporaries
-        np.mean((S[i : i + 256] - eco.endowment) * W[i : i + 256, :, None], axis=1)
-        for i in range(0, len(S), 256)
-    ])
+    # 256 samples at a time, which bounds the temporaries
+    Z = np.concatenate([_excess(eco, S[i : i + 256], W[i : i + 256]) for i in range(0, len(S), 256)])
     labels = [f"probe-positive-{i}" for i in range(n)] + ["probe-ones", "probe-empty", "probe-reflexive"]
     labels += [f"boundary-{k}-{j // 8}" for k, j in zip(nodes.tolist(), blocks.tolist())]
     full = partial(ProductSet.full, K)

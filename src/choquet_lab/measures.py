@@ -112,12 +112,12 @@ def _pow(x, e) -> np.ndarray:
     numpy's array power can differ from in the last bit; an overflow gives
     inf, as numpy's scalar power does."""
     x, e = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(e, dtype=float))
-    pairs = list(zip(x.ravel().tolist(), e.ravel().tolist()))
+    bases, powers = x.ravel().tolist(), e.ravel().tolist()
     try:
-        out = [b**p for b, p in pairs]
+        out = [b**p for b, p in zip(bases, powers)]
     except OverflowError:  # Python's float pow raises where numpy's gives inf
         with np.errstate(over="ignore"):
-            out = [np.float64(b) ** p for b, p in pairs]
+            out = [np.float64(b) ** p for b, p in zip(bases, powers)]
     return np.array(out, dtype=float).reshape(x.shape)
 
 
