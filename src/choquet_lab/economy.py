@@ -775,9 +775,8 @@ def _screen_sectionals(
 ) -> np.ndarray:
     """Which of the stacked sectional candidates G (P, K, n) balance with the
     endowment in the mean over a coalition with node measures w and are
-    strictly preferred on every node of positive measure, (C, P) for the
-    node measures W (C, K) of C coalitions.  ``prefers`` is
-    ``strict_rows(G, f)``."""
+    strictly preferred on every node of positive measure: (C, P), one row
+    per row w of W (C, K).  ``prefers`` is ``strict_rows(G, f)``."""
     target = np.mean(eco.endowment * W[..., None], axis=1)
     gaps = np.max(np.abs(_node_means(G, W) - target[:, None]), axis=2)
     return ~(gaps > FEASIBILITY_TOL) & ~np.any(~prefers & (W[:, None, :] > 0), axis=2)
