@@ -521,11 +521,13 @@ def sample_excess_points(
                         np.where(np.arange(K) == nodes[:, None], w_full, w_empty),
                         _coalition_measures(fam, draws)])
     S = np.concatenate([f + np.eye(n)[:, None, :], [f + 1.0, f, f],
-                        np.broadcast_to(f, (len(nodes), K, n)), rows[nprobe * K :].reshape(-1, K, n)])
+                        np.broadcast_to(f, (len(nodes), K, n)),
+                        rows[nprobe * K :].reshape(-1, K, n)])
     S[n + 3 + np.arange(len(nodes)), nodes] = P[blocks, nodes]
-    # 256 samples at a time, which bounds the temporaries
-    Z = np.concatenate([_excess(eco, S[i : i + 256], W[i : i + 256]) for i in range(0, len(S), 256)])
-    labels = [f"probe-positive-{i}" for i in range(n)] + ["probe-ones", "probe-empty", "probe-reflexive"]
+    chunks = range(0, len(S), 256)  # which bounds the temporaries
+    Z = np.concatenate([_excess(eco, S[i : i + 256], W[i : i + 256]) for i in chunks])
+    labels = [f"probe-positive-{i}" for i in range(n)]
+    labels += ["probe-ones", "probe-empty", "probe-reflexive"]
     labels += [f"boundary-{k}-{j // 8}" for k, j in zip(nodes.tolist(), blocks.tolist())]
     full = partial(ProductSet.full, K)
     makers = [full] * (n + 1) + [partial(ProductSet.empty, K), full]
