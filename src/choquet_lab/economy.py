@@ -649,9 +649,7 @@ class ImprovementWitness:
         }
 
 
-def verify_improvement(
-    eco: Economy, f, witness: ImprovementWitness, balance_tol: float = FEASIBILITY_TOL
-) -> tuple[bool, dict]:
+def verify_improvement(eco: Economy, f, witness: ImprovementWitness) -> tuple[bool, dict]:
     """Re-check an improvement witness against the definitions.
 
     (i1) the allocation is strictly preferred to f on every non-null part of
@@ -685,11 +683,11 @@ def verify_improvement(
     target = eco.endowment * w[:, None]
     if witness.mode == "strongly_improve":
         gap = np.max(np.abs(section_int - target))
-        if gap > balance_tol:
+        if gap > FEASIBILITY_TOL:
             return False, {"reason": "per-section balance violated", "gap": float(gap)}
     else:
         gap = np.max(np.abs(np.mean(section_int - target, axis=0)))
-        if gap > balance_tol:
+        if gap > FEASIBILITY_TOL:
             return False, {"reason": "balance violated", "gap": float(gap)}
     return True, {"balance_gap": float(gap)}
 

@@ -10,8 +10,7 @@ produced by distortion inverses may land off the grid, which is fine for the
 Sets are immutable.  The constructor sorts, checks and merges its pairs in
 one pass and stores the Lebesgue length, summed left to right over the merged
 intervals, so ``lebesgue`` is an attribute read.  ``empty()`` and ``full()``
-return one shared instance each, so coalitions built from them share section
-objects (which ``product.section_measures`` evaluates once per object).
+return one shared instance each.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,6 +34,35 @@ def _check_keys(obj: dict, what: str, required: set, optional: set = frozenset()
         raise ConfigError(f"{what}: missing keys {sorted(missing)}")
     if unknown:
         raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
+
+
+def _tag(data, what: str, tag: str, needs: dict, optional=()) -> str:
+    """Check the keys of an object whose ``tag`` key names its kind, and
+    return the tag.  ``needs`` maps each tag value to the keys that value
+    needs (a tuple among them needs one of its keys); a key any value needs,
+    or one in ``optional``, may appear with every value.  The tag is matched
+    with ``==``, as a list or an object is an unhashable tag."""
+    alternatives = {name: [k if isinstance(k, tuple) else (k,) for k in keys]
+                    for name, keys in needs.items()}
+    known = {key for groups in alternatives.values() for group in groups for key in group}
+    _check_keys(data, what, {tag}, known | set(optional))
+    for name, groups in alternatives.items():
+        if data[tag] == name:
+            for group in groups:
+                if not any(key in data for key in group):
+                    raise ConfigError(f"{what}: {name} {tag} needs {' or '.join(group)}")
+            return name
+    raise ConfigError(f"{what}: unknown {tag} {data[tag]!r}")
+
+
+@contextmanager
+def _as_config(what: str):
+    """Raise a StructuralError of the block as ConfigError("{what}: ...");
+    a ConfigError passes unchanged."""
+    try:
+        yield
+    except StructuralError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _integer(value, what: str) -> int:
@@ -107,23 +137,15 @@ def distortion_to_json(g: Distortion) -> dict:
 
 
 def distortion_from_json(data) -> Distortion:
-    _check_keys(data, "distortion", {"kind"}, {"alpha", "knots", "scale"})
-    kind = data["kind"]
+    needs = {"power": ("alpha",), "identity": (), "pwl": ("knots",)}
+    kind = _tag(data, "distortion", "kind", needs, {"scale"})
     scale = _number(data.get("scale", 1.0), "distortion: scale")
-    try:
+    with _as_config("distortion"):
         if kind == "power":
-            if "alpha" not in data:
-                raise ConfigError("distortion: power kind needs alpha")
             return Distortion.power(_number(data["alpha"], "distortion: alpha"), scale=scale)
         if kind == "identity":
             return Distortion.identity(scale=scale)
-        if kind == "pwl":
-            if "knots" not in data:
-                raise ConfigError("distortion: pwl kind needs knots")
-            return Distortion.piecewise_linear(_pairs(data["knots"], "knots"), scale=scale)
-    except StructuralError as exc:
-        raise ConfigError(f"distortion: {exc}") from exc
-    raise ConfigError(f"distortion: unknown kind {kind!r}")
+        return Distortion.piecewise_linear(_pairs(data["knots"], "knots"), scale=scale)
 
 
 def _block_pair(blk: IntervalSet) -> list[float]:
@@ -143,24 +165,16 @@ def measure_to_json(mu: FuzzyMeasure) -> dict:
 
 
 def measure_from_json(data) -> FuzzyMeasure:
-    _check_keys(data, "measure", {"mode"}, {"distortion", "blocks", "weights"})
-    mode = data["mode"]
-    try:
+    needs = {"distorted": ("distortion",), "sectioned": ("blocks", "weights")}
+    mode = _tag(data, "measure", "mode", needs)
+    with _as_config("measure"):
         if mode == "distorted":
-            if "distortion" not in data:
-                raise ConfigError("measure: distorted mode needs a distortion")
             return FuzzyMeasure.distorted(distortion_from_json(data["distortion"]))
-        if mode == "sectioned":
-            if "blocks" not in data or "weights" not in data:
-                raise ConfigError("measure: sectioned mode needs blocks and weights")
-            blocks = [IntervalSet([p]) for p in _pairs(data["blocks"], "blocks")]
-            weights = _numbers(data["weights"], "measure: weights")
-            if weights.ndim != 1:
-                raise ConfigError("measure: weights must be a list of numbers")
-            return FuzzyMeasure.sectioned(blocks, weights)
-    except StructuralError as exc:
-        raise ConfigError(f"measure: {exc}") from exc
-    raise ConfigError(f"measure: unknown mode {mode!r}")
+        blocks = [IntervalSet([p]) for p in _pairs(data["blocks"], "blocks")]
+        weights = _numbers(data["weights"], "measure: weights")
+        if weights.ndim != 1:
+            raise ConfigError("measure: weights must be a list of numbers")
+        return FuzzyMeasure.sectioned(blocks, weights)
 
 
 # -- step functions --------------------------------------------------------------
@@ -179,18 +193,16 @@ def step_function_from_json(data) -> StepFunction:
     _check_keys(data, "step function", {"cells", "values"})
     cells = tuple(IntervalSet([p]) for p in _pairs(data["cells"], "cells"))
     values = _value_rows(data["values"], "step function: values")
-    try:
+    with _as_config("step function"):
         return StepFunction(cells, values)
-    except StructuralError as exc:
-        raise ConfigError(f"step function: {exc}") from exc
 
 
 def product_function_from_json(data, K: int) -> ProductStepFunction:
     """{"kind":"uniform","function":{...}} | {"kind":"sectional","values":[...]}
     | {"kind":"sections","sections":[{...}, ...]}"""
-    _check_keys(data, "product function", {"kind"}, {"function", "values", "sections"})
-    kind = data["kind"]
-    try:
+    needs = {"uniform": ("function",), "sectional": ("values",), "sections": ("sections",)}
+    kind = _tag(data, "product function", "kind", needs)
+    with _as_config("product function"):
         if kind == "uniform":
             return ProductStepFunction.uniform(step_function_from_json(data["function"]), K)
         if kind == "sectional":
@@ -200,15 +212,11 @@ def product_function_from_json(data, K: int) -> ProductStepFunction:
             if values.shape[0] != K:
                 raise ConfigError(f"product function: need {K} sectional values")
             return ProductStepFunction.sectional(values)
-        if kind == "sections":
-            listed = _list(data["sections"], "product function: sections")
-            sections = tuple(step_function_from_json(s) for s in listed)
-            if len(sections) != K:
-                raise ConfigError(f"product function: need {K} sections")
-            return ProductStepFunction(sections)
-    except (StructuralError, KeyError) as exc:
-        raise ConfigError(f"product function: {exc}") from exc
-    raise ConfigError(f"product function: unknown kind {kind!r}")
+        listed = _list(data["sections"], "product function: sections")
+        sections = tuple(step_function_from_json(s) for s in listed)
+        if len(sections) != K:
+            raise ConfigError(f"product function: need {K} sections")
+        return ProductStepFunction(sections)
 
 
 # -- section families --------------------------------------------------------------
@@ -238,47 +246,40 @@ def family_to_json(fam: SectionFamily) -> dict:
 
 
 def family_from_json(data) -> SectionFamily:
-    _check_keys(
-        data,
-        "family",
-        {"mode"},
-        {"K", "distortion", "normalized", "blocks", "yintervals", "weights", "measures"},
-    )
-    mode = data["mode"]
+    """K (100 by default) must agree with the rows of sectioned weights and
+    the measures of a heterogeneous family, which give the node count."""
+    needs = {
+        "homothetic": ("distortion",),
+        "sectioned": ("blocks", ("yintervals", "weights")),
+        "heterogeneous": ("measures",),
+    }
+    mode = _tag(data, "family", "mode", needs, {"K", "normalized"})
     K = _integer(data.get("K", 100), "family: K")
     if not 0 < K <= MAX_NODES:
         raise ConfigError(f"family: K must be between 1 and {MAX_NODES}")
     normalized = data.get("normalized", True)
     if not isinstance(normalized, bool):
         raise ConfigError(f"family: normalized must be true or false (got {normalized!r})")
-    try:
+    with _as_config("family"):
         if mode == "homothetic":
-            if "distortion" not in data:
-                raise ConfigError("family: homothetic mode needs a distortion")
             return SectionFamily.homothetic(
                 distortion_from_json(data["distortion"]), K=K, normalized=normalized
             )
         if mode == "sectioned":
-            if "blocks" not in data:
-                raise ConfigError("family: sectioned mode needs blocks")
             blocks = [IntervalSet([p]) for p in _pairs(data["blocks"], "blocks")]
             if "yintervals" in data:
                 return SectionFamily.from_y_intervals(
                     blocks, _pairs(data["yintervals"], "yintervals"), K=K, normalized=normalized
                 )
-            if "weights" not in data:
-                raise ConfigError("family: sectioned mode needs yintervals or weights")
             weights = _numbers(data["weights"], "family: weights")
-            return SectionFamily.sectioned(blocks, weights, normalized=normalized)
-        if mode == "heterogeneous":
-            if "measures" not in data:
-                raise ConfigError("family: heterogeneous mode needs measures")
-            return SectionFamily.heterogeneous(
+            fam = SectionFamily.sectioned(blocks, weights, normalized=normalized)
+        else:
+            fam = SectionFamily.heterogeneous(
                 [measure_from_json(m) for m in _list(data["measures"], "family: measures")]
             )
-    except StructuralError as exc:
-        raise ConfigError(f"family: {exc}") from exc
-    raise ConfigError(f"family: unknown mode {mode!r}")
+    if "K" in data and fam.K != K:
+        raise ConfigError(f"family: K is {K} but the {mode} data give K = {fam.K}")
+    return fam
 
 
 # -- economies -----------------------------------------------------------------------
@@ -298,40 +299,31 @@ def _node_matrix(data, K: int, n: int | None, what: str) -> np.ndarray:
 
 
 def preferences_from_json(data, K: int, n: int) -> Preferences:
-    _check_keys(data, "preferences", {"kind"}, {"exponents", "weights", "coords"})
-    kind = data["kind"]
-    try:
+    needs = {"cobb_douglas": ("exponents",), "linear": ("weights",),
+             "coordinate_dominance": ("coords",)}
+    kind = _tag(data, "preferences", "kind", needs)
+    with _as_config("preferences"):
         if kind == "cobb_douglas":
-            if "exponents" not in data:
-                raise ConfigError("preferences: cobb_douglas needs exponents")
             return Preferences(
                 "cobb_douglas", n, exponents=_node_matrix(data["exponents"], K, n, "exponents")
             )
         if kind == "linear":
-            if "weights" not in data:
-                raise ConfigError("preferences: linear needs weights")
             return Preferences(
                 "linear", n, weights=_node_matrix(data["weights"], K, n, "weights")
             )
-        if kind == "coordinate_dominance":
-            if "coords" not in data:
-                raise ConfigError("preferences: coordinate_dominance needs coords (1-based)")
-            rows = data["coords"]
-            if not isinstance(rows, list) or not rows:
-                raise ConfigError("preferences: coords must be a non-empty list")
-            if len(rows) == 1:
-                rows = rows * K
-            if len(rows) != K:
-                raise ConfigError(f"preferences: need {K} coordinate sets")
-            if not all(isinstance(row, list) for row in rows):
-                raise ConfigError("preferences: each coordinate set must be a list")
-            jsets = tuple(
-                tuple(_integer(j, "preferences: coords") - 1 for j in row) for row in rows
-            )
-            return Preferences("coordinate_dominance", n, jsets=jsets)
-    except StructuralError as exc:
-        raise ConfigError(f"preferences: {exc}") from exc
-    raise ConfigError(f"preferences: unknown kind {kind!r}")
+        rows = data["coords"]
+        if not isinstance(rows, list) or not rows:
+            raise ConfigError("preferences: coords must be a non-empty list")
+        if len(rows) == 1:
+            rows = rows * K
+        if len(rows) != K:
+            raise ConfigError(f"preferences: need {K} coordinate sets")
+        if not all(isinstance(row, list) for row in rows):
+            raise ConfigError("preferences: each coordinate set must be a list")
+        jsets = tuple(
+            tuple(_integer(j, "preferences: coords") - 1 for j in row) for row in rows
+        )
+        return Preferences("coordinate_dominance", n, jsets=jsets)
 
 
 def preferences_to_json(prefs: Preferences) -> dict:
@@ -362,10 +354,8 @@ def economy_from_json(data) -> Economy:
         raise ConfigError("economy: n must be positive")
     endowment = _node_matrix(data["endowment"], fam.K, n, "endowment")
     prefs = preferences_from_json(data["preferences"], fam.K, n)
-    try:
+    with _as_config("economy"):
         return Economy(fam, endowment, prefs)
-    except StructuralError as exc:
-        raise ConfigError(f"economy: {exc}") from exc
 
 
 # -- sectional allocations and prices ---------------------------------------------------

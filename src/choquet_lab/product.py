@@ -199,21 +199,9 @@ class ProductStepFunction:
         phi = np.asarray(values, dtype=float)
         if phi.shape[0] != H.K:
             raise StructuralError("section-count mismatch between phi and H")
-        sections = []
-        for v, sec in zip(phi, H.sections):
-            if np.isscalar(v) or np.ndim(v) == 0:
-                sections.append(StepFunction.indicator(sec, float(v)))
-            else:
-                comp = sec.complement()
-                if sec.is_empty:
-                    sections.append(StepFunction.constant(np.zeros_like(v)))
-                elif comp.is_empty:
-                    sections.append(StepFunction.constant(v))
-                else:
-                    sections.append(
-                        StepFunction((sec, comp), np.array([v, np.zeros_like(v)]), validate=False)
-                    )
-        return ProductStepFunction(tuple(sections))
+        return ProductStepFunction(
+            tuple(StepFunction.constant(v).restrict(sec) for v, sec in zip(phi, H.sections))
+        )
 
     @staticmethod
     def separable(gx: StepFunction, hy) -> "ProductStepFunction":
@@ -255,24 +243,15 @@ def as_sectional(values, fam: SectionFamily) -> np.ndarray:
 
 
 def section_measures(fam: SectionFamily, H: ProductSet) -> np.ndarray:
-    """The node-measure vector mu_k(H_k), k = 0..K-1.
-
-    Each distinct (measure, section) pair is evaluated once.  Homothetic
-    families share one measure object, and ``full``, ``single`` and level-set
-    coalitions share section objects, so such a coalition costs one scalar
-    evaluation per distinct section instead of one per node.  Every entry is
-    the scalar ``mu(section)``, so the vector equals the per-node loop.
-    """
+    """The node-measure vector mu_k(H_k), k = 0..K-1, from the end points
+    of the sections by :func:`_node_measures`: every entry is the scalar
+    ``mu(section)``, so the vector equals the per-node loop."""
     _check_sections(fam, H.K)
-    seen: dict[tuple[int, int], float] = {}
-    values = []
-    for mu, sec in zip(fam.measures, H.sections):
-        key = (id(mu), id(sec))
-        value = seen.get(key)
-        if value is None:
-            value = seen[key] = mu(sec)
-        values.append(value)
-    return np.array(values, dtype=float)
+    counts = np.array([len(sec.intervals) for sec in H.sections])
+    ends = np.zeros((counts.size, max(1, counts.max()), 2))  # padded with [0, 0)
+    pairs = [pair for sec in H.sections for pair in sec.intervals]
+    ends[np.arange(ends.shape[1]) < counts[:, None]] = np.array(pairs).reshape(-1, 2)
+    return _node_measures(fam, ends[..., 0], ends[..., 1])
 
 
 def _lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -283,22 +262,31 @@ def _lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """mu_k(H_k) for sections given as pieces [lo, hi) (..., K, pieces),
-    padded with [0, 0): bit for bit :func:`section_measures` of the sets
-    they make, when the pieces are the sets' intervals left to right (within
-    each block, for a sectioned measure).  As mu does, g takes the length,
-    and w_i |H_k ∩ E_i| / |E_i| is added block by block."""
+    padded with [0, 0): bit for bit the scalar mu of the sets they make,
+    when the pieces are the sets' intervals left to right (within each
+    block, for a sectioned measure).  As mu does, g takes the length,
+    and w_i |H_k ∩ E_i| / |E_i| is added block by block.  Nodes whose
+    distortions share a kind (and knots) go in one pass, with their own
+    alpha and scale, so a family of distinct distortions is not a pass per
+    node."""
     out = np.empty(lo.shape[:-1])
-    groups: dict[int, list[int]] = {}
+    groups: dict[object, list[int]] = {}
     for k, mu in enumerate(fam.measures):
-        key = id(mu.distortion) if mu.mode == "distorted" else id(mu.blocks)
+        g = mu.distortion
+        key = (g.kind, g.knots) if mu.mode == "distorted" else id(mu.blocks)
         groups.setdefault(key, []).append(k)
     for nodes in groups.values():
         mu = fam.measures[nodes[0]]
         idx = nodes if len(nodes) < fam.K else slice(None)
         a, b = lo[..., idx, :], hi[..., idx, :]
-        if mu.mode == "distorted":  # a power g by scalar pow, as mu takes it
-            g, length = mu.distortion, _lengths(a, b)
-            out[..., idx] = g.scale * _pow(length, g.alpha) if g.kind == "power" else g(length)
+        if mu.mode == "distorted":  # scale * base, a power base by scalar pow, as mu takes it
+            gs = [fam.measures[k].distortion for k in nodes]
+            g, length = gs[0], _lengths(a, b)
+            if g.kind == "power":
+                base = _pow(length, [h.alpha for h in gs])
+            else:
+                base = replace(g, scale=1.0)(length)
+            out[..., idx] = np.array([h.scale for h in gs]) * base
             continue
         total = np.zeros(a.shape[:-1])
         weights = np.array([fam.measures[k].weights for k in nodes])

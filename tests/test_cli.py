@@ -146,6 +146,10 @@ NON_FINITE = {
     "family K a fraction": fubini(family_text(K="2.5")),
     "family K a boolean": fubini(family_text(K="true")),
     "family normalized a string": fubini(family_text(normalized='"false"')),
+    "family K other than its weight rows": fubini(
+        '{"K": 3, "mode": "sectioned", ' + BLOCKS + ', "weights": [[1, 2], [2, 1]]}'),
+    "family K other than its measures": fubini(
+        '{"K": 5, "mode": "heterogeneous", "measures": [' + GOOD_MEASURE + "]}"),
     "tnodes above 2**52": fubini(family_text(), "--tnodes", "100000000000000000000"),
     "economy n not an integer": walras(economy_text().replace('"n": 2', '"n": "two"')),
     "economy n a fraction": walras(economy_text().replace('"n": 2', '"n": 2.9')),

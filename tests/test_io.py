@@ -110,6 +110,19 @@ class TestFamily:
         fam = io.family_from_json(data)
         assert not fam.convex_type
 
+    @pytest.mark.parametrize("data", [
+        {"K": 100, "mode": "sectioned", "blocks": [[0, 0.5], [0.5, 1]],
+         "weights": [[1, 2], [2, 1]]},
+        {"K": 5, "mode": "heterogeneous", "measures": [{"mode": "distorted",
+                                                        "distortion": {"kind": "identity"}}]},
+    ])
+    def test_a_given_K_must_agree_with_the_data(self, data):
+        with pytest.raises(ConfigError, match=f"K is {data['K']} but"):
+            io.family_from_json(data)
+        K = len(data.get("weights", data.get("measures")))
+        assert io.family_from_json({**data, "K": K}).K == K
+        assert io.family_from_json({k: v for k, v in data.items() if k != "K"}).K == K
+
 
 class TestEconomy:
     def test_round_trip(self):
@@ -197,6 +210,34 @@ class TestFiles:
         text = io.dump_json({"b": 1, "a": [2.5]}, str(out))
         assert out.read_text() == text
         assert text.index('"a"') < text.index('"b"')  # sorted keys
+
+
+# One document per tagged loader that lacks a key its tag needs, and that key.
+TAGGED = {
+    "distortion": (io.distortion_from_json, {"kind": "power"}, "alpha"),
+    "measure": (io.measure_from_json, {"mode": "sectioned", "blocks": [[0, 1]]}, "weights"),
+    "product function": (lambda d: io.product_function_from_json(d, 2), {"kind": "uniform"},
+                         "function"),
+    "family": (io.family_from_json, {"mode": "sectioned", "blocks": [[0, 1]]},
+               "yintervals or weights"),
+    "preferences": (lambda d: io.preferences_from_json(d, 2, 2), {"kind": "linear"}, "weights"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(TAGGED))
+def test_a_missing_needed_key_is_named(loader):
+    load, data, key = TAGGED[loader]
+    with pytest.raises(ConfigError, match=f"needs {key}$"):
+        load(data)
+
+
+@pytest.mark.parametrize("loader", sorted(TAGGED))
+@pytest.mark.parametrize("tag", [[1], {}])
+def test_an_unhashable_tag_is_a_config_error(loader, tag):
+    load, data, _ = TAGGED[loader]
+    (name,) = {"kind", "mode"} & set(data)
+    with pytest.raises(ConfigError, match="unknown"):
+        load({name: tag})
 
 
 def test_intro_family_fixture_serializes():

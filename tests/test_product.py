@@ -30,6 +30,7 @@ from choquet_lab.product import (
     product_measure,
     product_set_from_levels,
     range_realize,
+    section_measures,
 )
 
 
@@ -115,6 +116,22 @@ class TestProductMeasure:
         with pytest.raises(StructuralError):
             product_measure(fam, ProductSet.full(9))
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 7))
+    def test_section_measures_of_any_family_equal_the_node_loop(self, seed, K):
+        # families with one measure (and one distortion) object per node
+        rng = np.random.default_rng(seed)
+        families = [
+            SectionFamily.heterogeneous([random_measure(rng) for _ in range(K)]),
+            SectionFamily.homothetic(random_distortion(rng), K=K, normalized=False,
+                                     scales=rng.uniform(0.5, 2.0, size=K)),
+        ]
+        for fam in families:
+            for _ in range(4):
+                H = ProductSet(tuple(random_interval_set(rng, allow_empty=True) for _ in range(K)))
+                expected = np.array([mu(sec) for mu, sec in zip(fam.measures, H.sections)])
+                np.testing.assert_array_equal(section_measures(fam, H), expected)
+
     def test_monotone_on_nested_pairs(self):
         fam = square_family(K=20)
         rng = np.random.default_rng(0)
@@ -179,6 +196,12 @@ class TestSectionalOver:
         a = integrate_sectional_over(fam, phi, H)
         b = integrate_product(fam, ProductStepFunction.sectional_on(phi, H))
         assert np.max(np.abs(a - b)) <= 1e-9
+
+    @pytest.mark.parametrize("phi", [[-1.0, 1.0], [[-1.0, 0.0], [1.0, 1.0]]])
+    def test_cut_rejects_negative_values_on_empty_sections(self, phi):
+        H = ProductSet((IntervalSet.empty(), IntervalSet.full()))
+        with pytest.raises(StructuralError):
+            ProductStepFunction.sectional_on(phi, H)
 
     def test_sectional_additivity(self):
         fam = intro_family(K=20)
