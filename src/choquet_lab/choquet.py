@@ -9,15 +9,17 @@ v_{n+1} = 0, the sorted-threshold sum
 is exact; a run of equal values only adds zero drops.  Every measure here is
 mu(A) = G(sum of per-cell keys over the cells of A).  A distorted measure
 has the cell lengths as keys and its distortion as G.  A sectioned one has
-the cell masses as keys (a cells x blocks overlap matrix times the weights)
-and G = identity.  So one private kernel, :func:`_choquet_block`, integrates
-a whole (rows x cells) block of functions that share one partition: one
-argsort per row (numpy's default sort, redone stable when a row has equal
-values, so the order is always the stable one), one cumulative sum of the
-keys and one vectorised G.  It returns the integrals together with the
-threshold table.
-:func:`_integrate_block` reads the keys off the partition's interval end
-points, so no superlevel set is ever built, and runs the kernel;
+the cell masses sum_i w_i |cell ∩ E_i| / |E_i| as keys and G = identity.
+So one private kernel, :func:`_choquet_block`, integrates a whole
+(rows x cells) block of functions that share one partition: one argsort per
+row (numpy's default sort, redone stable when a row has equal values, so the
+order is always the stable one), one cumulative sum of the keys and one
+vectorised G.  It returns the integrals together with the threshold table.
+:func:`_integrate_block` reads the keys off the partition's padded end
+points (``intervals._ends``) with the formulas that measure every array of
+interval sets, the lengths of ``intervals._lengths`` and the block overlaps
+|cell ∩ E_i| of ``measures._block_lengths``, so no superlevel set is ever
+built, and runs the kernel;
 :func:`choquet` calls it with one row per component,
 ``product.integrate_product`` and ``product.fubini_check`` with one row per
 y-node.
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .intervals import IntervalSet, uniform_partition
-from .measures import FuzzyMeasure, measure_properties
+from .intervals import IntervalSet, _ends, _lengths, uniform_partition
+from .measures import FuzzyMeasure, _block_lengths, measure_properties
 
 
 @dataclass(frozen=True)
@@ -172,70 +174,31 @@ def superlevel_set(f: StepFunction, t: float) -> IntervalSet:
 # -- the sorted-threshold kernel ---------------------------------------------
 
 
-def _pieces(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Owning cell, left end and right end of every interval of ``cells``."""
-    table = np.array(
-        [(i, a, b) for i, cell in enumerate(cells) for a, b in cell.intervals], dtype=float
-    ).reshape(-1, 3)
-    return table[:, 0].astype(np.intp), table[:, 1], table[:, 2]
-
-
-def _block_fractions(pieces, ncells: int, blocks) -> np.ndarray:
-    """(cells, blocks) matrix of lebesgue(cell ∩ E_i) / lebesgue(E_i).
-
-    Cell pieces are pairwise disjoint and so are block pieces, so a cell piece
-    and a block piece overlap in one interval that starts at the later of
-    their left ends, and no other piece starts inside it.  At every left end x
-    the last cell piece and the last block piece starting at or before x are
-    the only candidates, which keeps the work at O(cell pieces + block pieces).
-    Blocks may leave gaps within the cover tolerance, so a candidate pair
-    counts only when its overlap starts at x itself.
-    """
-    owner, lo, hi = pieces
-    if not lo.size:
-        return np.zeros((ncells, len(blocks)))
-    b_owner, b_lo, b_hi = _pieces(blocks)
-    # np.union1d(lo, b_lo) by the same sort and mask; np.unique would import
-    # numpy.ma, ~15 ms of every process that integrates a sectioned measure
-    left = np.sort(np.concatenate((lo, b_lo)))
-    keep = np.ones(left.shape, dtype=bool)
-    keep[1:] = left[1:] != left[:-1]
-    left = left[keep]
-
-    def last_start(starts):
-        order = np.argsort(starts, kind="stable")
-        return order[np.maximum(np.searchsorted(starts[order], left, side="right") - 1, 0)]
-
-    p, q = last_start(lo), last_start(b_lo)
-    start = np.maximum(lo[p], b_lo[q])
-    width = np.where(start == left, np.clip(np.minimum(hi[p], b_hi[q]) - start, 0.0, None), 0.0)
-    overlap = np.bincount(owner[p] * len(blocks) + b_owner[q], width, ncells * len(blocks))
-    return overlap.reshape(ncells, len(blocks)) / np.bincount(b_owner, b_hi - b_lo)
-
-
-def _measure_rows(measures, pieces, ncells: int):
+def _measure_rows(measures, lo: np.ndarray, hi: np.ndarray):
     """Cell keys and level map of rows measured by ``measures`` (one per row,
-    or one for all rows) on the cells of one partition.
+    or one for all rows) on the cells of one partition, given by the end
+    points (cells, pieces) of :func:`intervals._ends`.
 
     Every measure here is mu(A) = G(sum of the keys of the cells in A): a
     distorted measure has the cell lengths as keys and its distortion as G, a
     sectioned one has the cell masses as keys and G = identity (``None``).
     Keys are (cells,) when all rows share them and (rows, cells) otherwise;
-    the level map takes the (rows, cells) cumulative keys.
+    the level map takes the (rows, cells) cumulative keys.  Rows of mixed
+    modes or block partitions are keyed one by one.
     """
-    owner, lo, hi = pieces
     first = measures[0]
-    if all(mu.mode == "distorted" for mu in measures):
-        lengths = np.bincount(owner, hi - lo, ncells)
-        g = first.distortion
-        if all(mu.distortion == g for mu in measures):
-            return lengths, g
-    elif all(mu.mode == "sectioned" and mu.blocks == first.blocks for mu in measures):
-        fractions = _block_fractions(pieces, ncells, first.blocks)
+    if all(mu.mode == "distorted" for mu in measures):  # the lengths are every row's keys
+        lengths, gs = _lengths(lo, hi), [mu.distortion for mu in measures]
+        if all(g == gs[0] for g in gs):
+            return lengths, gs[0]
+        return lengths, lambda cum: np.array([g(c) for c, g in zip(cum, gs)])
+    if all(mu.mode == "sectioned" and mu.blocks == first.blocks for mu in measures):
+        sizes = [blk.lebesgue for blk in first.blocks]
+        fractions = _block_lengths(lo, hi, first.blocks) / sizes  # |cell ∩ E_i| / |E_i|
         keys = np.array([mu.weights for mu in measures]) @ fractions.T
         return (keys[0] if len(measures) == 1 else keys), None
-    rows = [_measure_rows((mu,), pieces, ncells) for mu in measures]  # one row each
-    keys = np.array([k for k, _ in rows]).reshape(len(rows), ncells)
+    rows = [_measure_rows((mu,), lo, hi) for mu in measures]  # one row each
+    keys = np.array([k for k, _ in rows]).reshape(len(rows), lo.shape[0])
 
     def levels(cum):
         return np.array([c if g is None else g(c) for c, (_, g) in zip(cum, rows)])
@@ -279,7 +242,7 @@ def _integrate_block(values: np.ndarray, measures, cells):
     """Integrals and threshold table (v, L) of the rows of ``values``
     (rows, cells) on the partition ``cells``, row r measured by measures[r]
     (or all rows by measures[0] when only one is given)."""
-    keys, levels = _measure_rows(measures, _pieces(cells), len(cells))
+    keys, levels = _measure_rows(measures, *_ends(cells))
     return _choquet_block(values, keys, levels)
 
 

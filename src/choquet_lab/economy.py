@@ -276,6 +276,13 @@ def _allocation(eco: Economy, f) -> np.ndarray:
     return f
 
 
+def _price(eco: Economy, p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (eco.n,):
+        raise InvalidPriceError(f"price must have {eco.n} entries (got shape {p.shape})")
+    return normalize_price(p)
+
+
 def is_feasible(eco: Economy, f) -> tuple[bool, float]:
     """Integral balance with the endowment, componentwise within 1e-8."""
     f = _allocation(eco, f)
@@ -290,7 +297,7 @@ def is_feasible(eco: Economy, f) -> tuple[bool, float]:
 
 
 def budget_check(eco: Economy, p, bundle, k: int) -> bool:
-    p = normalize_price(p)
+    p = _price(eco, p)
     bundle = np.asarray(bundle, dtype=float)
     if bundle.min() < 0:
         raise StructuralError("bundles must be non-negative")
@@ -355,7 +362,7 @@ def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray |
     """Is f(y_k) preference-maximal in the budget set at node k?  Row k of
     :func:`check_walras`'s decision: (True, None), or False and a violator
     (None when f(y_k) is over budget)."""
-    ok, violators = _budget_rows(eco, normalize_price(p), _allocation(eco, f))
+    ok, violators = _budget_rows(eco, _price(eco, p), _allocation(eco, f))
     violator = violators[k]
     return bool(ok[k]), None if np.isnan(violator).any() else violator
 
@@ -386,7 +393,7 @@ def check_walras(eco: Economy, f, p) -> WalrasReport:
     """(w1) feasibility and (w2) per-node budget maximality."""
     f = _allocation(eco, f)
     feasible, dev = is_feasible(eco, f)
-    ok, violators = _budget_rows(eco, normalize_price(p), f)
+    ok, violators = _budget_rows(eco, _price(eco, p), f)
     first = None
     if not ok.all():
         k = int(np.argmin(ok))
@@ -618,7 +625,7 @@ class WealthDominanceReport:
 
 def check_wealth_dominance(eco: Economy, f, p) -> WealthDominanceReport:
     f = _allocation(eco, f)
-    p = normalize_price(p)
+    p = _price(eco, p)
     diff = (f - eco.endowment) @ p
     bad = [(int(k), float(-d)) for k, d in enumerate(diff) if d < -PRICE_TOL]
     return WealthDominanceReport(not bad, bad, float(np.max(np.abs(diff))))

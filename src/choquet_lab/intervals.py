@@ -131,7 +131,7 @@ class IntervalSet:
 
     def prefix(self, length: float) -> "IntervalSet":
         """Left prefix of this set with total Lebesgue measure ``length``."""
-        return _from_ends(*_prefix_ends(self, length)) if self.intervals else self
+        return _from_ends(*_prefix_ends(self, length))
 
 
 def _reject(pairs, a: float, b: float):
@@ -183,6 +183,23 @@ def _from_ends(lo: np.ndarray, hi: np.ndarray) -> IntervalSet:
     return IntervalSet(zip(lo[keep].tolist(), hi[keep].tolist())) if keep.any() else _EMPTY
 
 
+def _ends(sets) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (len(sets), pieces): the intervals [lo, hi) of every
+    set, left to right, padded with [0, 0)."""
+    counts = [len(s.intervals) for s in sets]
+    width = max(counts, default=0) or 1
+    pad = ((0.0, 0.0),) * width
+    pairs = [pair for s, n in zip(sets, counts) for pair in s.intervals + pad[n:]]
+    ends = np.array(pairs, dtype=float).reshape(len(counts), width, 2)
+    return ends[..., 0], ends[..., 1]
+
+
+def _lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Total length of the pieces [lo, hi) in the last axis, added left to
+    right as IntervalSet adds them; a piece with hi <= lo adds nothing."""
+    return np.add.accumulate(np.where(lo < hi, hi - lo, 0.0), axis=-1)[..., -1]
+
+
 def _cut_ends(draws, bits: int = GRID_BITS) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), each (len(draws), pieces): the intervals [lo, hi) of each
     :func:`_draw_cuts` draw, left to right, padded with [0, 0)."""
@@ -197,12 +214,13 @@ def _cut_ends(draws, bits: int = GRID_BITS) -> tuple[np.ndarray, np.ndarray]:
 def _prefix_ends(base: IntervalSet, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), each length.shape + (intervals of base,): the left prefix
     of ``base`` of Lebesgue measure ``length``, at every entry, padded with
-    [0, 0); all of base from lebesgue(base) - 1e-15 on."""
+    [0, 0); all of base from lebesgue(base) - 1e-15 on.  An empty base has
+    one [0, 0) piece."""
     remaining = np.asarray(length, dtype=float)
     whole = (remaining > 0.0) & (remaining >= base.lebesgue - 1e-15)
     live = (remaining > 0.0) & ~whole
     lo, hi = [], []
-    for a, b in base.intervals:
+    for a, b in base.intervals or ((0.0, 0.0),):
         fits = b - a <= remaining
         cut = live & ~fits & (a + remaining > a)  # no sliver that rounds away
         lo.append(np.where(whole | (live & fits) | cut, a, 0.0))

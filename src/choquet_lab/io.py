@@ -39,18 +39,29 @@ def _check_keys(obj: dict, what: str, required: set, optional: set = frozenset()
 def _tag(data, what: str, tag: str, needs: dict, optional=()) -> str:
     """Check the keys of an object whose ``tag`` key names its kind, and
     return the tag.  ``needs`` maps each tag value to the keys that value
-    needs (a tuple among them needs one of its keys); a key any value needs,
-    or one in ``optional``, may appear with every value.  The tag is matched
-    with ``==``, as a list or an object is an unhashable tag."""
-    alternatives = {name: [k if isinstance(k, tuple) else (k,) for k in keys]
-                    for name, keys in needs.items()}
-    known = {key for groups in alternatives.values() for group in groups for key in group}
-    _check_keys(data, what, {tag}, known | set(optional))
-    for name, groups in alternatives.items():
+    needs (a tuple among them needs exactly one of its keys); ``optional``
+    names the keys every value may also carry, or maps each value to its
+    own.  A key no value takes is reported first, then an unknown tag, then
+    a missing key, then a key of another value.  The tag is matched with
+    ``==``, as a list or an object is an unhashable tag."""
+    groups = {name: [k if isinstance(k, tuple) else (k,) for k in keys]
+              for name, keys in needs.items()}
+    if not isinstance(optional, dict):
+        optional = dict.fromkeys(needs, optional)
+    takes = {name: {key for group in groups[name] for key in group} | set(optional[name])
+             for name in needs}
+    _check_keys(data, what, {tag}, set().union(*takes.values()))
+    for name in needs:
         if data[tag] == name:
-            for group in groups:
-                if not any(key in data for key in group):
+            for group in groups[name]:
+                given = [key for key in group if key in data]
+                if not given:
                     raise ConfigError(f"{what}: {name} {tag} needs {' or '.join(group)}")
+                if len(given) > 1:
+                    raise ConfigError(f"{what}: {name} {tag} takes one of {', '.join(given)}")
+            other = sorted(set(data) - {tag} - takes[name])
+            if other:
+                raise ConfigError(f"{what}: {name} {tag} takes no {', '.join(other)}")
             return name
     raise ConfigError(f"{what}: unknown {tag} {data[tag]!r}")
 
@@ -253,7 +264,9 @@ def family_from_json(data) -> SectionFamily:
         "sectioned": ("blocks", ("yintervals", "weights")),
         "heterogeneous": ("measures",),
     }
-    mode = _tag(data, "family", "mode", needs, {"K", "normalized"})
+    optional = {"homothetic": ("K", "normalized"), "sectioned": ("K", "normalized"),
+                "heterogeneous": ("K",)}
+    mode = _tag(data, "family", "mode", needs, optional)
     K = _integer(data.get("K", 100), "family: K")
     if not 0 < K <= MAX_NODES:
         raise ConfigError(f"family: K must be between 1 and {MAX_NODES}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSetError, StructuralError
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _from_ends, _lengths, _prefix_ends
 
 ALGEBRA_TOL = 1e-12
 
@@ -201,20 +201,8 @@ class FilteringFamily:
     base: IntervalSet
 
     def at(self, t: float) -> IntervalSet:
-        if t <= 0.0:
-            return IntervalSet.empty()
-        if t >= 1.0:
-            return self.base
-        if self.mu.mode == "distorted":
-            g = self.mu.distortion
-            length = g.inverse(t * g(self.base.lebesgue))
-            return self.base.prefix(length)
-        parts = IntervalSet.empty()
-        for blk in self.mu.blocks:
-            piece = self.base.intersection(blk)
-            if not piece.is_empty:
-                parts = parts.union(piece.prefix(t * piece.lebesgue))
-        return parts
+        lo, hi = _chain_ends(self.mu, self.base, [t])
+        return _from_ends(lo[0], hi[0])
 
 
 def filtering_family(mu: FuzzyMeasure, A: IntervalSet) -> FilteringFamily:
@@ -222,6 +210,40 @@ def filtering_family(mu: FuzzyMeasure, A: IntervalSet) -> FilteringFamily:
     if A.lebesgue <= 0.0:
         raise DegenerateSetError("filtering chain needs lebesgue(A) > 0")
     return FilteringFamily(mu, A)
+
+
+def _chain_ends(mu: FuzzyMeasure, base: IntervalSet, levels) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each levels.shape + (pieces,): the pieces [lo, hi) of the
+    chain A_t of ``mu`` on ``base`` at every level t, padded with [0, 0).
+    A_t is empty for t <= 0 and all of base for t >= 1; in between, a
+    distorted mu takes the left prefix of base of length g^{-1}(t g(|base|))
+    and a sectioned one the left prefix of length t |base ∩ E_i| of every
+    base ∩ E_i, block by block (base itself follows as the last pieces, so
+    A_1 is base even where the blocks leave a gap)."""
+    t = np.asarray(levels, dtype=float)
+    inner = (t > 0.0) & (t < 1.0)
+    whole = np.where(t >= 1.0, base.lebesgue, 0.0)
+    if mu.mode == "distorted":
+        g = mu.distortion
+        length = g.inverse(np.clip(t, 0.0, 1.0) * g(base.lebesgue))
+        parts = [(base, np.where(inner, length, whole))]
+    else:
+        cuts = [base.intersection(blk) for blk in mu.blocks]
+        parts = [(p, np.where(inner, t * p.lebesgue, 0.0)) for p in cuts] + [(base, whole)]
+    ends = [_prefix_ends(p, length) for p, length in parts]
+    return tuple(np.concatenate(e, axis=-1) for e in zip(*ends))
+
+
+def _block_lengths(lo: np.ndarray, hi: np.ndarray, blocks) -> np.ndarray:
+    """(..., blocks): |A ∩ E_i| for every block E_i of ``blocks``, for the
+    sets A given as pieces [lo, hi) in the last axis, padded with [0, 0).
+    When the pieces are A's intervals left to right, the pieces of A ∩ E_i
+    are added left to right, as IntervalSet measures A.intersection(E_i)."""
+    return np.stack([
+        _lengths(np.concatenate([np.maximum(lo, c) for c, _ in blk.intervals], axis=-1),
+                 np.concatenate([np.minimum(hi, d) for _, d in blk.intervals], axis=-1))
+        for blk in blocks
+    ], axis=-1)
 
 
 def _subadditivity_peak(g: Distortion) -> tuple[float, float] | None:

@@ -21,9 +21,10 @@ import numpy as np
 
 from .choquet import StepFunction, _integrate_block
 from .errors import StructuralError, UnsupportedFamilyError
-from .intervals import IntervalSet, _from_ends, _prefix_ends
+from .intervals import IntervalSet, _ends, _from_ends, _lengths
 from .lp import linprog
-from .measures import Distortion, FuzzyMeasure, _pow
+from .measures import Distortion, FuzzyMeasure, _block_lengths, _pow
+from .measures import _chain_ends as _measure_chain_ends
 
 DEFAULT_K = 100
 LEVEL_TOL = 1e-9  # |mu_k(H_k) - tau_k mu_k(X)| for constructed sets
@@ -132,11 +133,6 @@ class SectionFamily:
     @property
     def totals(self) -> np.ndarray:
         return np.array([mu.total for mu in self.measures])
-
-    def uniform_chain(self, t: float) -> IntervalSet:
-        """X_t with mu_k(X_t) = t * mu_k(X) for all nodes simultaneously."""
-        lo, hi = _chain_ends(self, [t])
-        return _from_ends(lo[0], hi[0])
 
 
 @dataclass(frozen=True)
@@ -247,17 +243,7 @@ def section_measures(fam: SectionFamily, H: ProductSet) -> np.ndarray:
     of the sections by :func:`_node_measures`: every entry is the scalar
     ``mu(section)``, so the vector equals the per-node loop."""
     _check_sections(fam, H.K)
-    counts = np.array([len(sec.intervals) for sec in H.sections])
-    ends = np.zeros((counts.size, max(1, counts.max()), 2))  # padded with [0, 0)
-    pairs = [pair for sec in H.sections for pair in sec.intervals]
-    ends[np.arange(ends.shape[1]) < counts[:, None]] = np.array(pairs).reshape(-1, 2)
-    return _node_measures(fam, ends[..., 0], ends[..., 1])
-
-
-def _lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Total length of the pieces [lo, hi) in the last axis, added left to
-    right as IntervalSet adds them; a piece with hi <= lo adds nothing."""
-    return np.add.accumulate(np.where(lo < hi, hi - lo, 0.0), axis=-1)[..., -1]
+    return _node_measures(fam, *_ends(H.sections))
 
 
 def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -265,7 +251,8 @@ def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.nda
     padded with [0, 0): bit for bit the scalar mu of the sets they make,
     when the pieces are the sets' intervals left to right (within each
     block, for a sectioned measure).  As mu does, g takes the length,
-    and w_i |H_k ∩ E_i| / |E_i| is added block by block.  Nodes whose
+    and w_i |H_k ∩ E_i| / |E_i| is added block by block, the overlaps
+    from :func:`measures._block_lengths`.  Nodes whose
     distortions share a kind (and knots) go in one pass, with their own
     alpha and scale, so a family of distinct distortions is not a pass per
     node."""
@@ -290,12 +277,9 @@ def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.nda
             continue
         total = np.zeros(a.shape[:-1])
         weights = np.array([fam.measures[k].weights for k in nodes])
-        for blk, w in zip(mu.blocks, weights.T):
-            part = _lengths(  # pieces of H_k ∩ E_i, left to right
-                np.concatenate([np.maximum(a, c) for c, _ in blk.intervals], axis=-1),
-                np.concatenate([np.minimum(b, d) for _, d in blk.intervals], axis=-1),
-            )
-            total = np.where(w > 0, total + w * part / blk.lebesgue, total)
+        parts = _block_lengths(a, b, mu.blocks)
+        for i, (blk, w) in enumerate(zip(mu.blocks, weights.T)):
+            total = np.where(w > 0, total + w * parts[..., i] / blk.lebesgue, total)
         out[..., idx] = total
     return out
 
@@ -507,35 +491,24 @@ def product_set_from_levels(fam: SectionFamily, levels) -> ProductSet:
     Nodes with equal levels share one chain set, built once.
     """
     levels = np.asarray(levels, dtype=float)
-    _check_sections(fam, levels.shape[0])
+    if levels.shape != (fam.K,):
+        raise StructuralError(f"levels must be one number per node, ({fam.K},), not {levels.shape}")
     if not (levels.min() >= -1e-12 and levels.max() <= 1 + 1e-12):  # NaN fails too
         raise StructuralError("levels must lie in [0,1]")
     ts, back = np.unique(levels, return_inverse=True)
     chains = [_from_ends(a, b) for a, b in zip(*_chain_ends(fam, ts))]
-    return ProductSet(tuple(chains[i] for i in back.ravel().tolist()))
+    return ProductSet(tuple(chains[i] for i in back.tolist()))
 
 
 def _chain_ends(fam: SectionFamily, levels) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi), each (levels, pieces): the pieces [lo, hi) of the uniform
-    chain X_t at every level t, block by block, padded with [0, 0).  X_t is
-    empty for t <= 0 and [0, 1) for t >= 1; in between, a homothetic family
-    takes the prefix of [0, 1) of length g^{-1}(t g(1)) and a sectioned one
-    the prefix of length t |E_i| of every block E_i."""
+    """(lo, hi), each (levels, pieces): the uniform chain X_t at every level
+    t, that is the chain of node 0's measure on X (:func:`measures._chain_ends`):
+    a homothetic family's prefix of length g^{-1}(t g(1)) is every node's
+    chain, and so is a sectioned family's prefix of length t |E_i| of every
+    block E_i."""
     if not fam.convex_type:
         raise UnsupportedFamilyError("heterogeneous families are not uniformly filtering")
-    t = np.asarray(levels, dtype=float)
-    inner = (t > 0.0) & (t < 1.0)
-    if fam.mode == "homothetic":
-        g = fam.measures[0].distortion
-        prefixes = [(IntervalSet.full(), g.inverse(np.clip(t, 0.0, 1.0) * g(1.0)))]
-    else:
-        prefixes = [(blk, t * blk.lebesgue) for blk in fam.blocks]
-    ends = [_prefix_ends(base, np.where(inner, length, 0.0)) for base, length in prefixes]
-    lo, hi = (np.concatenate(e, axis=-1) for e in zip(*ends))
-    full = t >= 1.0
-    lo[full], hi[full] = 0.0, 0.0
-    hi[full, 0] = 1.0
-    return lo, hi
+    return _measure_chain_ends(fam.measures[0], IntervalSet.full(), levels)
 
 
 @dataclass(frozen=True)

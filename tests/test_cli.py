@@ -150,6 +150,15 @@ NON_FINITE = {
         '{"K": 3, "mode": "sectioned", ' + BLOCKS + ', "weights": [[1, 2], [2, 1]]}'),
     "family K other than its measures": fubini(
         '{"K": 5, "mode": "heterogeneous", "measures": [' + GOOD_MEASURE + "]}"),
+    "homothetic family with weights": fubini(
+        '{"K": 2, "mode": "homothetic", "distortion": {"kind": "identity"}, '
+        '"weights": [[5, 1]]}'),
+    "sectioned family with yintervals and weights": fubini(
+        '{"K": 2, "mode": "sectioned", ' + BLOCKS + ', "yintervals": [[0, 0.5], [0.5, 1]], '
+        '"weights": [[5, 1], [1, 5]]}'),
+    "heterogeneous family with normalized": fubini(
+        '{"K": 1, "mode": "heterogeneous", "normalized": true, "measures": [' + GOOD_MEASURE
+        + "]}"),
     "tnodes above 2**52": fubini(family_text(), "--tnodes", "100000000000000000000"),
     "economy n not an integer": walras(economy_text().replace('"n": 2', '"n": "two"')),
     "economy n a fraction": walras(economy_text().replace('"n": 2', '"n": 2.9')),

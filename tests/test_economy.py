@@ -280,6 +280,32 @@ class TestValidation:
             Preferences("cobb_douglas", 2, exponents=[[0.5, bad]] * 4)
 
 
+class TestPriceShape:
+    # a price with a wrong number of goods (n = 2 here) is an InvalidPriceError
+    # in every check, not numpy's matmul error
+    BAD = ([0.3, 0.3, 0.4], [1.0], [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_check_walras(self, cd_economy, equilibrium, p):
+        with pytest.raises(InvalidPriceError, match="price must have 2 entries"):
+            check_walras(cd_economy, equilibrium, p)
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_check_wealth_dominance(self, cd_economy, equilibrium, p):
+        with pytest.raises(InvalidPriceError, match="price must have 2 entries"):
+            check_wealth_dominance(cd_economy, equilibrium, p)
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_is_maximal_in_budget(self, cd_economy, equilibrium, p):
+        with pytest.raises(InvalidPriceError, match="price must have 2 entries"):
+            is_maximal_in_budget(cd_economy, p, equilibrium, 3)
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_budget_check(self, cd_economy, p):
+        with pytest.raises(InvalidPriceError, match="price must have 2 entries"):
+            budget_check(cd_economy, p, cd_economy.endowment[3], 3)
+
+
 class TestFeasibility:
     def test_endowment_is_feasible(self, cd_economy):
         ok, dev = is_feasible(cd_economy, cd_economy.endowment)

@@ -123,6 +123,35 @@ class TestFamily:
         assert io.family_from_json({**data, "K": K}).K == K
         assert io.family_from_json({k: v for k, v in data.items() if k != "K"}).K == K
 
+    @pytest.mark.parametrize("data, message", [
+        ({"K": 2, "mode": "homothetic", "distortion": {"kind": "identity"}, "measures": 3,
+          "weights": [[5, 1]]}, "homothetic mode takes no measures, weights"),
+        ({"K": 2, "mode": "sectioned", "blocks": [[0, 0.5], [0.5, 1]],
+          "yintervals": [[0, 0.5], [0.5, 1]], "weights": [[5, 1], [1, 5]]},
+         "sectioned mode takes one of yintervals, weights"),
+        ({"mode": "heterogeneous", "normalized": True, "measures": [
+            {"mode": "distorted", "distortion": {"kind": "identity", "scale": 2.0}}]},
+         "heterogeneous mode takes no normalized"),
+    ])
+    def test_keys_of_another_mode_are_rejected(self, data, message):
+        # each of these loaded before, the extra keys unread
+        with pytest.raises(ConfigError, match=message):
+            io.family_from_json(data)
+
+    @pytest.mark.parametrize("fam", [
+        SectionFamily.homothetic(Distortion.power(2.0), K=3),
+        SectionFamily.homothetic(Distortion.identity(), K=3, scales=[1, 2, 3], normalized=False),
+        SectionFamily.sectioned([IntervalSet([(0, 0.5)]), IntervalSet([(0.5, 1)])],
+                                [[5, 1], [1, 5]], normalized=False),
+        intro_sectioned_family(4),
+        SectionFamily.heterogeneous([FuzzyMeasure.lebesgue(), FuzzyMeasure.distorted(
+            Distortion.power(0.5, scale=2.0))]),
+    ])
+    def test_every_mode_round_trips_through_its_own_keys(self, fam):
+        data = io.family_to_json(fam)
+        again = io.family_from_json(json.loads(io.dump_json(data, None)))
+        assert io.family_to_json(again) == data
+
 
 class TestEconomy:
     def test_round_trip(self):

@@ -16,7 +16,7 @@ from test_choquet import (
 from choquet_lab.choquet import StepFunction, comonotone_pair, random_step_function
 from choquet_lab.errors import StructuralError, UnsupportedFamilyError
 from choquet_lab.intervals import IntervalSet, random_interval_set
-from choquet_lab.measures import Distortion, FuzzyMeasure
+from choquet_lab.measures import Distortion, FuzzyMeasure, filtering_family
 from choquet_lab.product import (
     REALIZE_TOL,
     ProductSet,
@@ -84,19 +84,19 @@ class TestSectionFamily:
         fam = SectionFamily.heterogeneous(measures)
         assert not fam.convex_type
         with pytest.raises(UnsupportedFamilyError):
-            fam.uniform_chain(0.5)
+            product_set_from_levels(fam, np.full(10, 0.5))
         with pytest.raises(UnsupportedFamilyError):
             range_realize(fam, np.ones(10), np.array([0.5]))
 
     def test_uniform_chain_homothetic(self):
         fam = square_family()
-        X_t = fam.uniform_chain(0.25)
+        X_t = product_set_from_levels(fam, np.full(fam.K, 0.25)).sections[0]
         assert X_t == IntervalSet([(0.0, 0.5)])  # g^{-1}(0.25) = 0.5
 
     def test_uniform_chain_sectioned_hits_every_node(self):
         fam = intro_family(K=10)
         for t in (0.2, 0.5, 0.9):
-            X_t = fam.uniform_chain(t)
+            X_t = product_set_from_levels(fam, np.full(fam.K, t)).sections[0]
             for mu in fam.measures:
                 assert mu(X_t) == pytest.approx(t * mu.total, abs=1e-9)
 
@@ -444,6 +444,26 @@ class TestLevelSets:
         for sec, mu in zip(H.sections, fam.measures):
             assert sec == IntervalSet([(0.0, 0.5)])
             assert mu(sec) == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("levels", [np.full((10, 2), 0.5), 0.5, np.full((1, 10), 0.5)])
+    def test_levels_are_one_per_node(self, levels):
+        # a (K, m) array made a K*m-section set and a scalar an IndexError
+        with pytest.raises(StructuralError, match="one number per node"):
+            product_set_from_levels(identity_family(K=10), levels)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 0.875, 1.0])
+    @pytest.mark.parametrize("fam", [
+        square_family(K=6),
+        SectionFamily.homothetic(Distortion.piecewise_linear([(0, 0), (0.3, 0.6), (1, 1)]), K=6),
+        intro_family(K=6),
+        SectionFamily.sectioned(random_blocks(np.random.default_rng(3), 3),
+                                np.full((6, 3), 1.0)),
+    ], ids=["power", "pwl", "intro", "multi-interval blocks"])
+    def test_a_node_chain_is_the_uniform_chain(self, fam, t):
+        # the filtering chain of any node's measure on X is the uniform chain
+        X_t = product_set_from_levels(fam, np.full(fam.K, t)).sections[0]
+        for mu in fam.measures:
+            assert filtering_family(mu, IntervalSet.full()).at(t).intervals == X_t.intervals
 
     def test_level_postcondition_random(self):
         rng = np.random.default_rng(5)
