@@ -184,14 +184,11 @@ def _measure_rows(measures, lo: np.ndarray, hi: np.ndarray):
     sectioned one has the cell masses as keys and G = identity (``None``).
     Keys are (cells,) when all rows share them and (rows, cells) otherwise;
     the level map takes the (rows, cells) cumulative keys.  Rows of mixed
-    modes or block partitions are keyed one by one.
+    modes, distortions or block partitions are keyed one by one.
     """
     first = measures[0]
-    if all(mu.mode == "distorted" for mu in measures):  # the lengths are every row's keys
-        lengths, gs = _lengths(lo, hi), [mu.distortion for mu in measures]
-        if all(g == gs[0] for g in gs):
-            return lengths, gs[0]
-        return lengths, lambda cum: np.array([g(c) for c, g in zip(cum, gs)])
+    if all(mu.mode == "distorted" and mu.distortion == first.distortion for mu in measures):
+        return _lengths(lo, hi), first.distortion
     if all(mu.mode == "sectioned" and mu.blocks == first.blocks for mu in measures):
         sizes = [blk.lebesgue for blk in first.blocks]
         fractions = _block_lengths(lo, hi, first.blocks) / sizes  # |cell ∩ E_i| / |E_i|

@@ -36,19 +36,18 @@ def _check_keys(obj: dict, what: str, required: set, optional: set = frozenset()
         raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
 
 
-def _tag(data, what: str, tag: str, needs: dict, optional=()) -> str:
+def _tag(data, what: str, tag: str, needs: dict, optional: dict | None = None) -> str:
     """Check the keys of an object whose ``tag`` key names its kind, and
     return the tag.  ``needs`` maps each tag value to the keys that value
     needs (a tuple among them needs exactly one of its keys); ``optional``
-    names the keys every value may also carry, or maps each value to its
-    own.  A key no value takes is reported first, then an unknown tag, then
-    a missing key, then a key of another value.  The tag is matched with
-    ``==``, as a list or an object is an unhashable tag."""
+    maps a tag value to the keys it may also carry.  A key no value takes is
+    reported first, then an unknown tag, then a missing key, then a key of
+    another value.  The tag is matched with ``==``, as a list or an object
+    is an unhashable tag."""
     groups = {name: [k if isinstance(k, tuple) else (k,) for k in keys]
               for name, keys in needs.items()}
-    if not isinstance(optional, dict):
-        optional = dict.fromkeys(needs, optional)
-    takes = {name: {key for group in groups[name] for key in group} | set(optional[name])
+    optional = optional or {}
+    takes = {name: {key for group in groups[name] for key in group} | set(optional.get(name, ()))
              for name in needs}
     _check_keys(data, what, {tag}, set().union(*takes.values()))
     for name in needs:
@@ -149,7 +148,7 @@ def distortion_to_json(g: Distortion) -> dict:
 
 def distortion_from_json(data) -> Distortion:
     needs = {"power": ("alpha",), "identity": (), "pwl": ("knots",)}
-    kind = _tag(data, "distortion", "kind", needs, {"scale"})
+    kind = _tag(data, "distortion", "kind", needs, dict.fromkeys(needs, ("scale",)))
     scale = _number(data.get("scale", 1.0), "distortion: scale")
     with _as_config("distortion"):
         if kind == "power":
