@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: integrate, check-measure, fubini-check, range-demo,
-economy-check, demo.  Exit codes: 0 success, 2 property violation (witness
-in the report), 1 structural or configuration error.  Identical arguments
-and input files produce byte-identical reports.
+economy-check, demo.  Each handler returns its report and exit code;
+:func:`main` adds the ``schema`` and ``command`` keys and writes the report
+once, to ``--out`` or to stdout.  ``integrate`` prints its value line on
+stdout and writes a report only with ``--out``.  Exit codes: 0 success, 2
+property violation (witness in the report), 1 structural or configuration
+error, an unwritable ``--out`` included.  Identical arguments and input
+files produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -34,58 +38,39 @@ from .product import ProductStepFunction, fubini_check, range_realize
 SCHEMA = "choquet-lab/1"
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = io.dump_json(report, out)
-    if not out:
-        sys.stdout.write(text)
-
-
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(args) -> tuple[dict | None, int]:
     mu = io.measure_from_json(io.load_json(args.measure))
     f = io.step_function_from_json(io.load_json(args.function))
     value = choquet(f, mu)
     components = np.atleast_1d(value)  # one per component of a vector f
     print(" ".join(f"{v:.12g}" for v in components))
-    if args.out:
-        io.dump_json(
-            {"schema": SCHEMA, "command": "integrate",
-             "value": components.tolist() if f.is_vector else value},
-            args.out,
-        )
-    return 0
+    # stdout carries the value line; the JSON report goes to --out alone
+    report = {"value": components.tolist() if f.is_vector else value} if args.out else None
+    return report, 0
 
 
-def _cmd_check_measure(args) -> int:
+def _cmd_check_measure(args) -> tuple[dict, int]:
     mu = io.measure_from_json(io.load_json(args.measure))
     measure_rep = measure_properties(mu)
     report = {
-        "schema": SCHEMA,
-        "command": "check-measure",
         "seed": args.seed,
         # the exact decisions take no trials or seed; both are echoed
         "measure_properties": {"trials": args.trials, "seed": args.seed, **measure_rep.to_dict()},
         "integral_properties": {"results": integral_properties(mu)},
     }
-    _emit(report, args.out)
     # the integral is subadditive iff mu is submodular, so measure_rep decides
-    return 0 if measure_rep.all_pass else 2
+    return report, 0 if measure_rep.all_pass else 2
 
 
-def _cmd_fubini_check(args) -> int:
+def _cmd_fubini_check(args) -> tuple[dict, int]:
     fam = io.family_from_json(io.load_json(args.config))
     f = io.product_function_from_json(io.load_json(args.function), fam.K)
     rep = fubini_check(fam, f, tnodes=args.tnodes)
-    report = {
-        "schema": SCHEMA,
-        "command": "fubini-check",
-        "tolerance": args.tolerance,
-        **rep.to_dict(),
-    }
-    _emit(report, args.out)
-    return 0 if rep.deviation <= args.tolerance else 2
+    report = {"tolerance": args.tolerance, **rep.to_dict()}
+    return report, 0 if rep.deviation <= args.tolerance else 2
 
 
-def _cmd_range_demo(args) -> int:
+def _cmd_range_demo(args) -> tuple[dict, int]:
     try:
         target = np.array([float(tok) for tok in args.target.split(",") if tok.strip()])
     except ValueError as exc:
@@ -103,26 +88,17 @@ def _cmd_range_demo(args) -> int:
     else:
         phi = np.ones((fam.K, target.size))
     res = range_realize(fam, phi, target)
-    report = {
-        "schema": SCHEMA,
-        "command": "range-demo",
-        "target": target.tolist(),
-        **res.to_dict(),
-    }
-    _emit(report, args.out)
-    return 0 if res.feasible else 2
+    return {"target": target.tolist(), **res.to_dict()}, 0 if res.feasible else 2
 
 
-def _cmd_economy_check(args) -> int:
+def _cmd_economy_check(args) -> tuple[dict, int]:
     eco = io.economy_from_json(io.load_json(args.config))
     f = (
         io.allocation_from_json(io.load_json(args.allocation), eco.K, eco.n)
         if args.allocation
         else eco.endowment.copy()
     )
-    report: dict = {"schema": SCHEMA, "command": "economy-check", "mode": args.mode}
-    code = 0
-
+    report: dict = {"mode": args.mode}
     if args.mode == "walras":
         if args.price:
             price = io.price_from_json(io.load_json(args.price), eco.n)
@@ -130,37 +106,22 @@ def _cmd_economy_check(args) -> int:
             search = find_price(eco, f, samples=args.samples, seed=args.seed)
             report["price_search"] = search.to_dict()
             if not search.found:
-                report["walras"] = None
-                report["price"] = None
-                _emit(report, args.out)
-                return 2
+                return {**report, "walras": None, "price": None}, 2
             price = search.price
         rep = check_walras(eco, f, price)
         report["price"] = list(map(float, np.asarray(price, dtype=float)))
         report["walras"] = rep.to_dict()
-        code = 0 if rep.verdict else 2
-    elif args.mode in ("core", "large-core"):
-        mode = "improve" if args.mode == "core" else "strongly_improve"
-        res = search_improvement(eco, f, mode, budget=args.budget, seed=args.seed)
-        if res.found:
-            report["core_search"] = {"witness": res.to_dict(), "searched": None}
-            code = 2
-        else:
-            report["core_search"] = res.to_dict()
-            code = 0
-    elif args.mode == "endowment":
+        return report, 0 if rep.verdict else 2
+    if args.mode == "endowment":
         rep = endowment_is_walrasian(eco, seed=args.seed)
-        report["endowment"] = rep.to_dict()
-        code = 0 if rep.verdict else 2
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown mode {args.mode!r}")
-
-    _emit(report, args.out)
-    return code
+        return {**report, "endowment": rep.to_dict()}, 0 if rep.verdict else 2
+    mode = "improve" if args.mode == "core" else "strongly_improve"
+    res = search_improvement(eco, f, mode, budget=args.budget, seed=args.seed)
+    return {**report, "core_search": res.to_dict()}, 2 if res.found else 0
 
 
-def _cmd_demo(args) -> int:
-    report: dict = {"schema": SCHEMA, "command": "demo", "scenario": args.scenario}
+def _cmd_demo(args) -> tuple[dict, int]:
+    report: dict = {"scenario": args.scenario}
     if args.scenario == "cobb-douglas":
         eco, allocation, price = fixtures.cobb_douglas_economy(K=args.K)
         search = find_price(eco, allocation, seed=args.seed)
@@ -168,34 +129,24 @@ def _cmd_demo(args) -> int:
         core = search_improvement(eco, allocation, "improve", budget=args.budget, seed=args.seed)
         report["price"] = None if not search.found else search.price.tolist()
         report["walras"] = walras.to_dict()
-        report["core_search"] = (
-            {"witness": core.to_dict(), "searched": None}
-            if core.found
-            else core.to_dict()
-        )
+        report["core_search"] = core.to_dict()
         ok = search.found and walras.verdict and not core.found
-        _emit(report, args.out)
-        return 0 if ok else 2
+        return report, 0 if ok else 2
     if args.scenario == "sectioned-fubini":
         fam = fixtures.intro_sectioned_family(K=args.K)
         f = ProductStepFunction.uniform(fixtures.linear_profile(args.cells), fam.K)
         rep = fubini_check(fam, f, tnodes=args.tnodes)
         report["fubini"] = rep.to_dict()
-        _emit(report, args.out)
-        return 0 if rep.deviation <= 2e-3 else 2
-    if args.scenario == "dominance-split":
-        eco = fixtures.split_dominance_economy(K=args.K)
-        rep = endowment_is_walrasian(eco, seed=args.seed)
-        improvement = search_improvement(eco, eco.endowment, "improve", budget=args.budget, seed=args.seed)
-        report["endowment"] = rep.to_dict()
-        report["improvement_of_endowment"] = (
-            {"witness": improvement.to_dict()}
-            if improvement.found
-            else improvement.to_dict()
-        )
-        _emit(report, args.out)
-        return 0 if rep.verdict else 2
-    raise ConfigError(f"unknown scenario {args.scenario!r}")
+        return report, 0 if rep.deviation <= 2e-3 else 2
+    # dominance-split, the last of the parser's choices
+    eco = fixtures.split_dominance_economy(K=args.K)
+    rep = endowment_is_walrasian(eco, seed=args.seed)
+    improvement = search_improvement(
+        eco, eco.endowment, "improve", budget=args.budget, seed=args.seed
+    )
+    report["endowment"] = rep.to_dict()
+    report["improvement_of_endowment"] = improvement.to_dict()
+    return report, 0 if rep.verdict else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +234,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate_positive(args)
-        return _HANDLERS[args.command](args)
+        report, code = _HANDLERS[args.command](args)
+        if report is not None:
+            text = io.dump_json({"schema": SCHEMA, "command": args.command, **report}, args.out)
+            if not args.out:
+                sys.stdout.write(text)
+        return code
     except (
         ConfigError, StructuralError, DegenerateSetError, InvalidPriceError, UnsupportedFamilyError
     ) as exc:

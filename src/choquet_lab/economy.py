@@ -265,15 +265,20 @@ class Economy:
         return _row_dot(p, self.endowment[k])
 
 
-def _allocation(eco: Economy, f) -> np.ndarray:
+def _goods(f, shape: tuple, what: str) -> np.ndarray:
+    """f as a finite, non-negative float array of the given shape."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (eco.K, eco.n):
-        raise StructuralError(f"allocation must be ({eco.K}, {eco.n})")
+    if f.shape != shape:
+        raise StructuralError(f"{what} must be {shape}")
     if not np.isfinite(f).all():
-        raise StructuralError("allocation must be finite")
+        raise StructuralError(f"{what} must be finite")
     if f.min() < 0:
-        raise StructuralError("allocation must be non-negative")
+        raise StructuralError(f"{what} must be non-negative")
     return f
+
+
+def _allocation(eco: Economy, f) -> np.ndarray:
+    return _goods(f, (eco.K, eco.n), "allocation")
 
 
 def _price(eco: Economy, p) -> np.ndarray:
@@ -298,9 +303,7 @@ def is_feasible(eco: Economy, f) -> tuple[bool, float]:
 
 def budget_check(eco: Economy, p, bundle, k: int) -> bool:
     p = _price(eco, p)
-    bundle = np.asarray(bundle, dtype=float)
-    if bundle.min() < 0:
-        raise StructuralError("bundles must be non-negative")
+    bundle = _goods(bundle, (eco.n,), "bundle")
     return bool(p @ bundle <= eco.wealth(p, k) + BUDGET_TOL)
 
 
@@ -615,13 +618,6 @@ class WealthDominanceReport:
     violations: list  # (node, shortfall)
     max_gap: float  # max over nodes of |p.(f - e)| (equality diagnostic)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violations": self.violations,
-            "max_gap": self.max_gap,
-        }
-
 
 def check_wealth_dominance(eco: Economy, f, p) -> WealthDominanceReport:
     f = _allocation(eco, f)
@@ -649,10 +645,15 @@ class ImprovementWitness:
     found = True  # a class attribute, not a dataclass field
 
     def to_dict(self) -> dict:
+        """The search report: ``witness`` and ``searched``, as in
+        :meth:`ExhaustedReport.to_dict`."""
         return {
-            "mode": self.mode,
-            "source": self.source,
-            "coalition_sections": [s.to_pairs() for s in self.coalition.sections],
+            "witness": {
+                "mode": self.mode,
+                "source": self.source,
+                "coalition_sections": [s.to_pairs() for s in self.coalition.sections],
+            },
+            "searched": None,
         }
 
 
@@ -888,15 +889,6 @@ class ConvexityReport:
             and self.membership_failures == 0
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_mixing_deviation": self.max_mixing_deviation,
-            "max_realization_deviation": self.max_realization_deviation,
-            "membership_failures": self.membership_failures,
-            "passed": self.passed,
-        }
-
 
 def check_excess_convexity(
     eco: Economy, f, trials: int = 200, seed: int = 42
@@ -1047,6 +1039,8 @@ def condition_c2_witness(fam: SectionFamily, f, g) -> OrderViolationWitness | No
     f = as_sectional(f, fam)
     g = as_sectional(g, fam)
     K = fam.K
+    if f.shape != (K,) or g.shape != (K,):
+        raise StructuralError(f"condition (c2) takes scalar sectional functions of shape ({K},)")
     for k in range(K):
         if f[k] > g[k] + 1e-12:
             H = ProductSet.single(K, k)

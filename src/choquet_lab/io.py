@@ -234,6 +234,8 @@ def product_function_from_json(data, K: int) -> ProductStepFunction:
 
 def family_to_json(fam: SectionFamily) -> dict:
     if fam.mode == "homothetic":
+        if any(mu != fam.measures[0] for mu in fam.measures):
+            raise ConfigError("only homothetic families without per-node scales serialize to JSON")
         return {
             "K": fam.K,
             "mode": "homothetic",
@@ -407,6 +409,9 @@ def load_json(path: str):
 def dump_json(obj, path: str | None) -> str:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return text

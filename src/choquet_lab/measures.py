@@ -283,16 +283,14 @@ def _kinks(g: Distortion) -> np.ndarray:
 
 def _concavity_kink(g: Distortion) -> tuple[float, float]:
     """(x, h) such that A = [0, x) and B = [h, x + h) violate submodularity
-    of a non-concave g: mu(A ∪ B) + mu(A ∩ B) - mu(A) - mu(B) is
-    g(x + h) - g(x) - (g(x) - g(x - h)).
+    of a non-concave pwl g: mu(A ∪ B) + mu(A ∩ B) - mu(A) - mu(B) is
+    g(x + h) - g(x) - (g(x) - g(x - h)).  (A non-concave power g is not
+    subadditive, so :func:`measure_properties` never asks for its kink.)
 
-    For a power g that is g(1) - 2 g(1/2) at x = h = 1/2.  For pwl g it is
-    h (s_i - s_{i-1}) at the knot x = x_i where the slope rises from s_{i-1}
-    to s_i, with h = min(x_i - x_{i-1}, x_{i+1} - x_i); the knot with the
-    largest such gap is taken.
+    That is h (s_i - s_{i-1}) at the knot x = x_i where the slope rises
+    from s_{i-1} to s_i, with h = min(x_i - x_{i-1}, x_{i+1} - x_i); the
+    knot with the largest such gap is taken.
     """
-    if g.kind == "power":
-        return 0.5, 0.5
     dx = np.diff(g._xs)
     slopes = np.diff(g._ys) / dx
     h = np.minimum(dx[:-1], dx[1:])

@@ -161,9 +161,6 @@ class ProductSet:
     def K(self) -> int:
         return len(self.sections)
 
-    def is_subset_of(self, other: "ProductSet") -> bool:
-        return all(a.is_subset_of(b) for a, b in zip(self.sections, other.sections))
-
 
 @dataclass(frozen=True)
 class ProductStepFunction:
@@ -454,9 +451,6 @@ class CommutationReport:
 
     deviations: dict
     max_deviation: float
-
-    def to_dict(self) -> dict:
-        return {"deviations": self.deviations, "max_deviation": self.max_deviation}
 
 
 def check_price_commutation(

@@ -66,6 +66,13 @@ class TestIntegrate:
         assert main(["integrate", "--measure", square_measure_file,
                      "--function", str(bad)]) == 1
 
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys, square_measure_file,
+                                      linear_function_file):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["integrate", "--measure", square_measure_file,
+                     "--function", linear_function_file, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
 
 GOOD_MEASURE = '{"mode": "distorted", "distortion": {"kind": "power", "alpha": 2.0}}'
 GOOD_FUNCTION = '{"cells": [[0, 0.5], [0.5, 1]], "values": [1.0, 2.0]}'
@@ -347,6 +354,21 @@ class TestRangeDemo:
     def test_bad_target_is_exit_1(self, capsys):
         assert main(["range-demo", "--target", "abc"]) == 1
 
+    def test_phi_file_is_realized(self, tmp_path, capsys):
+        # phi = (1, 2) on every node: the target (0.5, 1) is half of it
+        phi = tmp_path / "phi.json"
+        io.dump_json({"values": [[1.0, 2.0]]}, str(phi))
+        assert main(["range-demo", "--target", "0.5,1.0", "--phi", str(phi), "--K", "20"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["feasible"] is True
+        assert report["achieved"] == pytest.approx([0.5, 1.0], abs=1e-9)
+
+    def test_phi_with_more_components_than_the_target_is_exit_1(self, tmp_path, capsys):
+        phi = tmp_path / "phi.json"
+        io.dump_json({"values": [[1.0, 2.0, 3.0]]}, str(phi))
+        assert main(["range-demo", "--target", "0.5,1.0", "--phi", str(phi), "--K", "20"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     # SHA-256 digests of vector-target reports on the default family (K =
     # 100, phi = 1), which the two HiGHS LPs decide: one target in range and
     # two out of range.
@@ -522,6 +544,15 @@ class TestDemo:
         assert failure["violations"] > 0
         assert report["improvement_of_endowment"]["witness"] is not None
 
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["demo", "--scenario", "sectioned-fubini", "--K", "4", "--cells", "10",
+                     "--tnodes", "100", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
     def test_demo_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -665,7 +696,7 @@ PINNED_REPORTS = {
         (2, "401bf256d539e165c292f0d84f0f6ac10770c6cb6911d4704d2d847f26873ce3"),
     "demo cobb-douglas": (0, "fb36d047392152dda642fa0d402a921ea594cf76608206198ae78829d78606ca"),
     "demo dominance-split":
-        (2, "1ea453cc1d63f27be9babf609000ad23c3206866616bc3af04ba6246808d514b"),
+        (2, "ac9b19bd025a59b390c7b23cc88a348db19280a62303be5b70178e17e66b7db2"),
     "dominance core allocation":
         (2, "835c1b4c780155d5199a8fdc375488d3b9ae1c546ee419bf0034508f899dc5ed"),
     "dominance core endowment":

@@ -11,6 +11,7 @@ from choquet_lab import economy
 from choquet_lab.fixtures import (
     cobb_douglas_economy,
     full_dominance_economy,
+    identity_family,
     split_dominance_economy,
 )
 from choquet_lab.intervals import IntervalSet, random_interval_set
@@ -336,6 +337,17 @@ class TestBudget:
         assert not budget_check(cd_economy, [0.5, 0.5], [1.0 + 2e-10, 1.0], 5)
         assert budget_check(cd_economy, [0.5, 0.5], [1.0 + 2e-13, 1.0], 5)
 
+    @pytest.mark.parametrize("bundle, message", [
+        ([1.0, 1.0, 1.0], r"bundle must be \(2,\)"),
+        ([[1.0, 1.0]], r"bundle must be \(2,\)"),
+        ([np.nan, 1.0], "bundle must be finite"),
+    ])
+    def test_malformed_bundle_is_structural(self, bundle, message):
+        # the same shape, finiteness and sign checks as an allocation row
+        eco, _, _ = cobb_douglas_economy(K=4)
+        with pytest.raises(StructuralError, match=message):
+            budget_check(eco, [0.5, 0.5], bundle, 0)
+
 
 class TestMaximality:
     def test_equilibrium_maximal_everywhere(self, cd_economy, equilibrium):
@@ -567,6 +579,15 @@ class TestImprovement:
         # e is not preferred to f at any node; the first one is reported
         assert detail == {"reason": "not strictly preferred", "node": 0}
 
+    def test_both_search_results_report_witness_and_searched(self, cd_economy):
+        found = ImprovementWitness(
+            "improve", ProductSet.full(K), ProductStepFunction.sectional(cd_economy.endowment),
+            "endowment")
+        exhausted = ExhaustedReport("improve", 1, 1, 0, 1)
+        assert found.to_dict().keys() >= {"witness", "searched"}
+        assert exhausted.to_dict().keys() >= {"witness", "searched"}
+        assert found.to_dict()["searched"] is None and exhausted.to_dict()["witness"] is None
+
     def test_price_failure_is_backed_by_the_strong_decision(self, cd_economy):
         # the sampled price search fails on f_anti, and the closed-form
         # strong decision gives the improvement behind that failure
@@ -738,6 +759,11 @@ class TestIntegralConditions:
         f = np.full(20, 0.5)
         g = np.full(20, 0.7)
         assert condition_c2_witness(fam, f, g) is None
+
+    def test_c2_takes_scalar_sectional_functions(self):
+        # the witness compares one number per node
+        with pytest.raises(StructuralError, match=r"shape \(4,\)"):
+            condition_c2_witness(identity_family(4), np.ones((4, 2)), np.zeros((4, 2)))
 
 
 # -- array paths against the scalar object path ------------------------------

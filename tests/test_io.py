@@ -140,7 +140,8 @@ class TestFamily:
 
     @pytest.mark.parametrize("fam", [
         SectionFamily.homothetic(Distortion.power(2.0), K=3),
-        SectionFamily.homothetic(Distortion.identity(), K=3, scales=[1, 2, 3], normalized=False),
+        # one scale for every node is in the distortion, so it round trips
+        SectionFamily.homothetic(Distortion.identity(scale=2.0), K=3, normalized=False),
         SectionFamily.sectioned([IntervalSet([(0, 0.5)]), IntervalSet([(0.5, 1)])],
                                 [[5, 1], [1, 5]], normalized=False),
         intro_sectioned_family(4),
@@ -151,6 +152,15 @@ class TestFamily:
         data = io.family_to_json(fam)
         again = io.family_from_json(json.loads(io.dump_json(data, None)))
         assert io.family_to_json(again) == data
+        assert again.mode == fam.mode
+        assert np.array_equal(again.totals, fam.totals)
+
+    def test_per_node_scales_are_refused(self):
+        # the JSON form has one distortion for every node, so the scales have no place
+        fam = SectionFamily.homothetic(Distortion.identity(), K=3, scales=[1, 2, 3],
+                                       normalized=False)
+        with pytest.raises(ConfigError, match="per-node scales"):
+            io.family_to_json(fam)
 
 
 class TestEconomy:
