@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, _array, _count
 from .intervals import IntervalSet, _ends, _lengths, uniform_partition
 from .measures import FuzzyMeasure, _block_lengths, measure_properties
 
@@ -52,11 +52,7 @@ class StepFunction:
 
     def __init__(self, cells, values, validate: bool = True):
         cells = tuple(cells)
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != len(cells):
-            raise StructuralError("one value (row) per cell required")
-        if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails both
-            raise StructuralError("step function values must be finite and non-negative")
+        values = _array(values, "step function values", (len(cells),), (len(cells), None))
         if validate:
             pieces = sorted(iv for c in cells for iv in c.intervals)
             cursor = 0.0
@@ -268,6 +264,7 @@ def riemann_choquet(f: StepFunction, mu: FuzzyMeasure, tnodes: int = 100_000) ->
     """
     if f.is_vector:
         raise StructuralError("riemann oracle is scalar-only")
+    tnodes = _count(tnodes, "tnodes")
     M = f.max_value
     if M <= 0:
         return 0.0

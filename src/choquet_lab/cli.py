@@ -3,8 +3,8 @@
 Subcommands: integrate, check-measure, fubini-check, range-demo,
 economy-check, demo.  Each handler returns its report and exit code;
 :func:`main` adds the ``schema`` and ``command`` keys and writes the report
-once, to ``--out`` or to stdout.  ``integrate`` prints its value line on
-stdout and writes a report only with ``--out``.  Exit codes: 0 success, 2
+once, to ``--out`` or to stdout.  ``integrate`` writes its report only to
+``--out``, and then prints its value line on stdout.  Exit codes: 0 success, 2
 property violation (witness in the report), 1 structural or configuration
 error, an unwritable ``--out`` included.  Identical arguments and input
 files produce byte-identical reports.
@@ -38,15 +38,11 @@ from .product import ProductStepFunction, fubini_check, range_realize
 SCHEMA = "choquet-lab/1"
 
 
-def _cmd_integrate(args) -> tuple[dict | None, int]:
+def _cmd_integrate(args) -> tuple[dict, int]:
     mu = io.measure_from_json(io.load_json(args.measure))
     f = io.step_function_from_json(io.load_json(args.function))
     value = choquet(f, mu)
-    components = np.atleast_1d(value)  # one per component of a vector f
-    print(" ".join(f"{v:.12g}" for v in components))
-    # stdout carries the value line; the JSON report goes to --out alone
-    report = {"value": components.tolist() if f.is_vector else value} if args.out else None
-    return report, 0
+    return {"value": value.tolist() if f.is_vector else value}, 0
 
 
 def _cmd_check_measure(args) -> tuple[dict, int]:
@@ -235,10 +231,11 @@ def main(argv=None) -> int:
     try:
         _validate_positive(args)
         report, code = _HANDLERS[args.command](args)
-        if report is not None:
-            text = io.dump_json({"schema": SCHEMA, "command": args.command, **report}, args.out)
-            if not args.out:
-                sys.stdout.write(text)
+        text = io.dump_json({"schema": SCHEMA, "command": args.command, **report}, args.out)
+        if args.command == "integrate":  # stdout: one number per component of f
+            print(" ".join(f"{v:.12g}" for v in np.atleast_1d(report["value"])))
+        elif not args.out:
+            sys.stdout.write(text)
         return code
     except (
         ConfigError, StructuralError, DegenerateSetError, InvalidPriceError, UnsupportedFamilyError

@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .choquet import StepFunction, choquet_restricted, indicator_pair
-from .errors import InvalidPriceError, StructuralError
+from .errors import InvalidPriceError, StructuralError, _array, _count
 from .intervals import _cut_ends, _draw_cuts, _from_ends
 from .lp import linprog
 from .measures import _pow, measure_properties
@@ -43,7 +43,6 @@ from .product import (
     SectionFamily,
     _chain_ends,
     _node_measures,
-    as_sectional,
     integrate_product,
     integrate_sectional_over,
     product_set_from_levels,
@@ -93,20 +92,12 @@ class Preferences:
 
     def __post_init__(self):
         if self.kind == "cobb_douglas":
-            a = np.asarray(self.exponents, dtype=float)
-            if a.ndim != 2 or a.shape[1] != self.n:
-                raise StructuralError("exponents must be (K, n)")
-            if not np.isfinite(a).all():
-                raise StructuralError("exponents must be finite")
-            if a.min() <= 0 or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-9:
+            a = _array(self.exponents, "exponents", (None, self.n), sign="positive")
+            if np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-9:
                 raise StructuralError("exponent rows must lie in the open simplex")
             object.__setattr__(self, "exponents", a)
         elif self.kind == "linear":
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 2 or w.shape[1] != self.n:
-                raise StructuralError("weights must be (K, n)")
-            if not np.isfinite(w).all() or w.min() <= 0:
-                raise StructuralError("weights must be finite and strictly positive")
+            w = _array(self.weights, "weights", (None, self.n), sign="positive")
             object.__setattr__(self, "weights", w)
         elif self.kind == "coordinate_dominance":
             if not self.jsets:
@@ -237,11 +228,7 @@ class Economy:
         for mu in self.fam.measures:
             if not mu.is_submodular:
                 raise StructuralError("economy needs submodular section measures")
-        e = np.asarray(self.endowment, dtype=float)
-        if e.ndim != 2 or e.shape[0] != self.fam.K:
-            raise StructuralError("endowment must be (K, n)")
-        if not np.isfinite(e).all() or e.min() <= 0:
-            raise StructuralError("endowment must be finite and strictly positive componentwise")
+        e = _array(self.endowment, "endowment", (self.fam.K, None), sign="positive")
         if self.prefs.K != self.fam.K or self.prefs.n != e.shape[1]:
             raise StructuralError("preference grid does not match the economy")
         object.__setattr__(self, "endowment", e)
@@ -265,20 +252,8 @@ class Economy:
         return _row_dot(p, self.endowment[k])
 
 
-def _goods(f, shape: tuple, what: str) -> np.ndarray:
-    """f as a finite, non-negative float array of the given shape."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != shape:
-        raise StructuralError(f"{what} must be {shape}")
-    if not np.isfinite(f).all():
-        raise StructuralError(f"{what} must be finite")
-    if f.min() < 0:
-        raise StructuralError(f"{what} must be non-negative")
-    return f
-
-
 def _allocation(eco: Economy, f) -> np.ndarray:
-    return _goods(f, (eco.K, eco.n), "allocation")
+    return _array(f, "allocation", (eco.K, eco.n))
 
 
 def _price(eco: Economy, p) -> np.ndarray:
@@ -303,7 +278,7 @@ def is_feasible(eco: Economy, f) -> tuple[bool, float]:
 
 def budget_check(eco: Economy, p, bundle, k: int) -> bool:
     p = _price(eco, p)
-    bundle = _goods(bundle, (eco.n,), "bundle")
+    bundle = _array(bundle, "bundle", (eco.n,))
     return bool(p @ bundle <= eco.wealth(p, k) + BUDGET_TOL)
 
 
@@ -505,7 +480,7 @@ def sample_excess_points(
     :meth:`Preferences.contour_rows` call, every node measure from section
     end points (:func:`product._node_measures`) and every z as one mean.
     """
-    f = _allocation(eco, f)
+    f, samples = _allocation(eco, f), _count(samples, "samples", 0)
     K, n, fam = eco.K, eco.n, eco.fam
     draws, axes, nudges, shifted, shifts = _draw_cloud(np.random.default_rng(seed), K, n, samples)
     w_full, w_empty = _coalition_measures(fam, [np.ones(K), np.zeros(K)])
@@ -815,8 +790,7 @@ def search_improvement(
     """
     if mode not in ("improve", "strongly_improve"):
         raise StructuralError(f"unknown improvement mode {mode!r}")
-    if budget <= 0:
-        raise StructuralError("search budget must be positive")
+    budget = _count(budget, "budget")
     f = _allocation(eco, f)
     if mode == "strongly_improve":
         endowment = ProductStepFunction.sectional(eco.endowment)
@@ -1036,11 +1010,8 @@ class OrderViolationWitness:
 def condition_c2_witness(fam: SectionFamily, f, g) -> OrderViolationWitness | None:
     """If f > g somewhere on the grid, exhibit a single-node coalition whose
     integrals violate integral-of-f <= integral-of-g; None when f <= g."""
-    f = as_sectional(f, fam)
-    g = as_sectional(g, fam)
     K = fam.K
-    if f.shape != (K,) or g.shape != (K,):
-        raise StructuralError(f"condition (c2) takes scalar sectional functions of shape ({K},)")
+    f, g = _array(f, "f", (K,)), _array(g, "g", (K,))
     for k in range(K):
         if f[k] > g[k] + 1e-12:
             H = ProductSet.single(K, k)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, _count
 
 GRID_BITS = 20  # default dyadic resolution for generated sets
 
@@ -161,6 +161,7 @@ def random_interval_set(
     allow_empty: bool = False,
 ) -> IntervalSet:
     """Random union of up to ``max_intervals`` disjoint dyadic intervals."""
+    _count(max_intervals, "max_intervals", 0 if allow_empty else 1)
     lo, hi = _cut_ends([_draw_cuts(rng, max_intervals, bits, allow_empty)], bits)
     return _from_ends(lo[0], hi[0])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSetError, StructuralError
+from .errors import DegenerateSetError, StructuralError, _array
 from .intervals import IntervalSet, _from_ends, _lengths, _prefix_ends
 
 ALGEBRA_TOL = 1e-12
@@ -137,12 +137,12 @@ class FuzzyMeasure:
                 raise StructuralError("distorted measure needs a distortion")
             object.__setattr__(self, "total", self.distortion(1.0))
         elif self.mode == "sectioned":
-            if not self.blocks or not self.weights or len(self.blocks) != len(self.weights):
-                raise StructuralError("sectioned measure needs matching blocks and weights")
-            if not all(math.isfinite(w) for w in self.weights):
-                raise StructuralError("weights must be finite")
-            if any(w < 0 for w in self.weights) or not any(w > 0 for w in self.weights):
-                raise StructuralError("weights must be >= 0 with at least one positive")
+            if not self.blocks:
+                raise StructuralError("sectioned measure needs blocks")
+            w = _array(self.weights, "weights", (len(self.blocks),))
+            if not w.any():
+                raise StructuralError("weights need at least one positive entry")
+            object.__setattr__(self, "weights", tuple(w.tolist()))
             cover = IntervalSet.empty()
             covered = 0.0
             for blk in self.blocks:
@@ -164,9 +164,7 @@ class FuzzyMeasure:
 
     @staticmethod
     def sectioned(blocks, weights) -> "FuzzyMeasure":
-        return FuzzyMeasure(
-            "sectioned", blocks=tuple(blocks), weights=tuple(float(w) for w in weights)
-        )
+        return FuzzyMeasure("sectioned", blocks=tuple(blocks), weights=weights)
 
     @staticmethod
     def lebesgue() -> "FuzzyMeasure":

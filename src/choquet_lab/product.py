@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .choquet import StepFunction, _integrate_block
-from .errors import StructuralError, UnsupportedFamilyError
+from .errors import StructuralError, UnsupportedFamilyError, _array, _count
 from .intervals import IntervalSet, _ends, _from_ends, _lengths
 from .lp import linprog
 from .measures import Distortion, FuzzyMeasure, _block_lengths, _pow
@@ -72,25 +72,18 @@ class SectionFamily:
         elif scales is None:
             measures = (FuzzyMeasure.distorted(distortion),) * K
         else:
-            scales = np.asarray(scales, dtype=float)
-            if scales.shape != (K,) or not np.isfinite(scales).all() or scales.min() <= 0:
-                raise StructuralError("scales must be K positive finite reals")
             measures = tuple(
                 FuzzyMeasure.distorted(replace(distortion, scale=distortion.scale * s))
-                for s in scales
+                for s in _array(scales, "scales", (K,), sign="positive")
             )
         return SectionFamily("homothetic", measures, normalized)
 
     @staticmethod
     def sectioned(blocks, node_weights, normalized: bool = True) -> "SectionFamily":
         blocks = tuple(blocks)
-        W = np.asarray(node_weights, dtype=float)
-        if W.ndim != 2 or W.shape[1] != len(blocks):
-            raise StructuralError("node_weights must be (K, #blocks)")
-        if not np.isfinite(W).all():
-            raise StructuralError("weights must be finite")
-        if W.min() < 0 or not np.all(W.sum(axis=1) > 0):
-            raise StructuralError("weights must be >= 0 with positive row sums")
+        W = _array(node_weights, "node_weights", (None, len(blocks)))
+        if not np.all(W.sum(axis=1) > 0):
+            raise StructuralError("node_weights must have positive row sums")
         if normalized:
             W = W / W.sum(axis=1, keepdims=True)
         measures = tuple(FuzzyMeasure.sectioned(blocks, row) for row in W)
@@ -176,9 +169,7 @@ class ProductStepFunction:
     @staticmethod
     def sectional(values) -> "ProductStepFunction":
         """f(x,y) = phi(y): one constant section per node."""
-        phi = np.asarray(values, dtype=float)
-        if phi.min() < 0:
-            raise StructuralError("sectional values must be non-negative")
+        phi = _array(values, "phi", (None,), (None, None))
         return ProductStepFunction(tuple(StepFunction.constant(v) for v in phi))
 
     @staticmethod
@@ -189,9 +180,7 @@ class ProductStepFunction:
     @staticmethod
     def sectional_on(values, H: ProductSet) -> "ProductStepFunction":
         """phi(y) * 1_H as a product step function."""
-        phi = np.asarray(values, dtype=float)
-        if phi.shape[0] != H.K:
-            raise StructuralError("section-count mismatch between phi and H")
+        phi = _array(values, "phi", (H.K,), (H.K, None))
         return ProductStepFunction(
             tuple(StepFunction.constant(v).restrict(sec) for v, sec in zip(phi, H.sections))
         )
@@ -199,7 +188,7 @@ class ProductStepFunction:
     @staticmethod
     def separable(gx: StepFunction, hy) -> "ProductStepFunction":
         """f(x,y) = g(x) * h(y) with h per node (scalar or vector)."""
-        h = np.asarray(hy, dtype=float)
+        h = _array(hy, "hy", (None,), (None, None))
         if h.ndim == 1:
             return ProductStepFunction(tuple(gx.scaled(float(c)) for c in h))
         sections = []
@@ -228,11 +217,7 @@ def _check_sections(fam: SectionFamily, K: int):
 
 def as_sectional(values, fam: SectionFamily) -> np.ndarray:
     """Validate a sectional function given as per-node values."""
-    phi = np.asarray(values, dtype=float)
-    _check_sections(fam, phi.shape[0])
-    if phi.size and not (phi.min() >= 0 and phi.max() < np.inf):  # NaN fails both
-        raise StructuralError("sectional values must be finite and non-negative")
-    return phi
+    return _array(values, "phi", (fam.K,), (fam.K, None))
 
 
 def section_measures(fam: SectionFamily, H: ProductSet) -> np.ndarray:
@@ -419,13 +404,7 @@ def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_00
     f reports its component with the largest deviation.
     """
     _check_sections(fam, f.K)
-    if (
-        isinstance(tnodes, bool)
-        or not isinstance(tnodes, (int, np.integer))
-        or not 100 <= tnodes <= MAX_TNODES
-    ):
-        raise StructuralError(f"tnodes must be an integer from 100 to 2**52 (got {tnodes!r})")
-    tnodes = int(tnodes)
+    tnodes = _count(tnodes, "tnodes", 100, MAX_TNODES)
     integrals, tables = _node_tables(fam, f)
     dims = integrals.shape[1]
     reports = []
@@ -461,10 +440,8 @@ def check_price_commutation(
     Checks the sectional case phi and, when ``gx`` is given, the separable
     case f(x,y) = g(x) * phi(y).
     """
-    p = np.asarray(p, dtype=float)
-    phi = as_sectional(phi, fam)
-    if phi.ndim != 2 or phi.shape[1] != p.shape[0]:
-        raise StructuralError("phi must be (K, n) matching p")
+    p = _array(p, "p", (None,))
+    phi = _array(phi, "phi", (fam.K, len(p)))
     devs = {}
 
     vec = integrate_sectional_over(fam, phi, ProductSet.full(fam.K))
@@ -484,10 +461,8 @@ def product_set_from_levels(fam: SectionFamily, levels) -> ProductSet:
 
     Nodes with equal levels share one chain set, built once.
     """
-    levels = np.asarray(levels, dtype=float)
-    if levels.shape != (fam.K,):
-        raise StructuralError(f"levels must be one number per node, ({fam.K},), not {levels.shape}")
-    if not (levels.min() >= -1e-12 and levels.max() <= 1 + 1e-12):  # NaN fails too
+    levels = _array(levels, "levels (one number per node)", (fam.K,), sign=None)
+    if not (levels.min() >= -1e-12 and levels.max() <= 1 + 1e-12):
         raise StructuralError("levels must lie in [0,1]")
     ts, back = np.unique(levels, return_inverse=True)
     chains = [_from_ends(a, b) for a, b in zip(*_chain_ends(fam, ts))]
@@ -557,13 +532,10 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     if not fam.normalized:
         raise UnsupportedFamilyError("range realization needs a normalized family")
     phi = as_sectional(phi, fam)
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    if not np.isfinite(target).all():
-        raise StructuralError("range realization needs a finite target")
     U = (phi if phi.ndim == 2 else phi[:, None]) * fam.totals[:, None]  # (K, n)
     K, n = U.shape
-    if target.shape != (n,):
-        raise StructuralError("target dimension mismatch")
+    shapes = ((1,), ()) if n == 1 else ((n,),)  # a scalar target for a scalar phi
+    target = _array(target, "target", *shapes, sign=None).reshape(n)
 
     if n == 1:
         T, a = float(target[0]), float(_mean(U))

@@ -3,11 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choquet_lab
 from choquet_lab import io
@@ -20,6 +25,7 @@ from choquet_lab.fixtures import (
     split_dominance_economy,
 )
 from choquet_lab.intervals import IntervalSet
+from test_io import JSON_VALUES, node_paths, replaced
 
 
 @pytest.fixture()
@@ -71,7 +77,9 @@ class TestIntegrate:
         out = tmp_path / "missing" / "x.json"
         assert main(["integrate", "--measure", square_measure_file,
                      "--function", linear_function_file, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
 
 
 GOOD_MEASURE = '{"mode": "distorted", "distortion": {"kind": "power", "alpha": 2.0}}'
@@ -785,3 +793,95 @@ PINNED_REPORTS = {
 @pytest.mark.parametrize("case", sorted(REPORT_CASES))
 def test_report_bytes_are_pinned(case, tmp_path, capsys):
     assert report_digest(case, tmp_path, capsys) == PINNED_REPORTS[case]
+
+
+# -- CLI fuzz ----------------------------------------------------------------------
+
+# Valid inputs per subcommand, as (documents by file name, arguments naming
+# them).  The fuzz replaces one node of one document (or the whole document)
+# by a small number, often still valid, or an arbitrary JSON value, or cuts the
+# document's text short, and then runs the command in-process.
+FUZZ_FAMILY = {"K": 2, "mode": "sectioned", "blocks": [[0, 0.5], [0.5, 1]],
+               "weights": [[1, 2], [2, 1]]}
+FUZZ_ECONOMY = {
+    "family": {"K": 2, "mode": "homothetic", "distortion": {"kind": "power", "alpha": 0.5}},
+    "n": 2,
+    "endowment": [[1.0, 2.0], [2.0, 1.0]],
+    "preferences": {"kind": "cobb_douglas", "exponents": [[0.5, 0.5], [0.25, 0.75]]},
+}
+FUZZ_STEP = {"cells": [[0, 0.5], [0.5, 1]], "values": [1.0, 2.0]}
+FUZZ_MEASURE = {"mode": "distorted",
+                "distortion": {"kind": "pwl", "knots": [[0, 0], [0.5, 0.8], [1, 1]]}}
+ECONOMY_CHECK = ["economy-check", "--config", "economy.json", "--samples", "5", "--budget", "20"]
+CLI_INPUTS = {
+    "integrate": ({"measure.json": FUZZ_MEASURE, "function.json": FUZZ_STEP}, INTEGRATE),
+    "check-measure": (
+        {"measure.json": {"mode": "sectioned", "blocks": [[0, 0.5], [0.5, 1]], "weights": [1, 2]}},
+        ["check-measure", "--measure", "measure.json"]),
+    "fubini-check": (
+        {"family.json": FUZZ_FAMILY,
+         "function.json": {"kind": "sections", "sections": [FUZZ_STEP, FUZZ_STEP]}},
+        ["fubini-check", "--config", "family.json", "--function", "function.json",
+         "--tnodes", "100"]),
+    "range-demo": (
+        {"family.json": FUZZ_FAMILY, "phi.json": {"values": [[1.0, 2.0], [2.0, 1.0]]}},
+        ["range-demo", "--target", "0.5,0.5", "--config", "family.json", "--phi", "phi.json"]),
+    "economy-check walras": (
+        {"economy.json": FUZZ_ECONOMY, "allocation.json": {"values": [[1.5, 1.5]]},
+         "price.json": {"price": [0.5, 0.5]}},
+        ECONOMY_CHECK + ["--mode", "walras", "--allocation", "allocation.json",
+                         "--price", "price.json"]),
+    "economy-check walras search": (
+        {"economy.json": FUZZ_ECONOMY}, ECONOMY_CHECK + ["--mode", "walras"]),
+    "economy-check core": ({"economy.json": FUZZ_ECONOMY}, ECONOMY_CHECK + ["--mode", "core"]),
+    "economy-check large-core": (
+        {"economy.json": FUZZ_ECONOMY}, ECONOMY_CHECK + ["--mode", "large-core"]),
+    "economy-check endowment": (
+        {"economy.json": dict(FUZZ_ECONOMY, preferences={
+            "kind": "coordinate_dominance", "coords": [[1], [2]]})},
+        ECONOMY_CHECK + ["--mode", "endowment"]),
+}
+# demo reads no documents: its options are drawn instead
+DEMO_OPTIONS = st.fixed_dictionaries({
+    "--scenario": st.sampled_from(["cobb-douglas", "sectioned-fubini", "dominance-split"]),
+    "--K": st.integers(-1, 6), "--cells": st.integers(-1, 20),
+    "--tnodes": st.sampled_from([-1, 0, 99, 100, 300]), "--budget": st.integers(-1, 20),
+})
+
+
+def run_in_process(argv) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_ends_in_an_exit_code_never_a_traceback(data):
+    command = data.draw(st.sampled_from(sorted(CLI_INPUTS) + ["demo"]), label="command")
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "demo":
+            options = data.draw(DEMO_OPTIONS, label="options")
+            argv = ["demo", *(str(x) for item in options.items() for x in item)]
+        else:
+            docs, args = CLI_INPUTS[command]
+            texts = {name: json.dumps(doc) for name, doc in docs.items()}
+            name = data.draw(st.sampled_from(sorted(docs)), label="file")
+            if data.draw(st.booleans(), label="cut text"):
+                texts[name] = texts[name][:data.draw(st.integers(0, len(texts[name]) - 1))]
+            else:
+                path = data.draw(st.sampled_from(list(node_paths(docs[name]))), label="path")
+                value = data.draw(st.floats(-1, 3) | JSON_VALUES, label="value")
+                texts[name] = json.dumps(replaced(docs[name], path, value))
+            for file, text in texts.items():
+                Path(tmp, file).write_text(text)
+            argv = [str(Path(tmp, a)) if a in docs else a for a in args]
+        code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1

@@ -762,7 +762,7 @@ class TestIntegralConditions:
 
     def test_c2_takes_scalar_sectional_functions(self):
         # the witness compares one number per node
-        with pytest.raises(StructuralError, match=r"shape \(4,\)"):
+        with pytest.raises(StructuralError, match=r"f must be \(4,\)"):
             condition_c2_witness(identity_family(4), np.ones((4, 2)), np.zeros((4, 2)))
 
 
