@@ -69,9 +69,8 @@ class StepFunction:
 
     @staticmethod
     def constant(value) -> "StepFunction":
-        return StepFunction((IntervalSet.full(),), np.array([value], dtype=float).reshape(
-            (1,) if np.isscalar(value) else (1, -1)
-        ), validate=False)
+        """f = value on [0,1): a number, or a vector for a vector f."""
+        return StepFunction((IntervalSet.full(),), [value], validate=False)
 
     @staticmethod
     def indicator(A: IntervalSet, height: float = 1.0) -> "StepFunction":
@@ -84,11 +83,16 @@ class StepFunction:
 
     @staticmethod
     def on_grid(values) -> "StepFunction":
-        values = np.asarray(values, dtype=float)
-        return StepFunction(uniform_partition(values.shape[0]), values, validate=False)
+        """``values`` (n,) or (n, *) on the n >= 1 equal cells of [0,1)."""
+        try:
+            n = max(len(values), 1)
+        except TypeError:  # no length: the values check names the argument
+            n = 1
+        return StepFunction(uniform_partition(n), values, validate=False)
 
     @staticmethod
     def from_samples(fn, ncells: int) -> "StepFunction":
+        ncells = _count(ncells, "ncells")
         mids = (np.arange(ncells) + 0.5) / ncells
         return StepFunction.on_grid([fn(x) for x in mids])
 
@@ -172,31 +176,25 @@ def superlevel_set(f: StepFunction, t: float) -> IntervalSet:
 
 def _measure_rows(measures, lo: np.ndarray, hi: np.ndarray):
     """Cell keys and level map of rows measured by ``measures`` (one per row,
-    or one for all rows) on the cells of one partition, given by the end
-    points (cells, pieces) of :func:`intervals._ends`.
+    or one for all rows), all of one shape, on the cells of one partition,
+    given by the end points (cells, pieces) of :func:`intervals._ends`.
 
     Every measure here is mu(A) = G(sum of the keys of the cells in A): a
     distorted measure has the cell lengths as keys and its distortion as G, a
     sectioned one has the cell masses as keys and G = identity (``None``).
-    Keys are (cells,) when all rows share them and (rows, cells) otherwise;
-    the level map takes the (rows, cells) cumulative keys.  Rows of mixed
-    modes, distortions or block partitions are keyed one by one.
+    Distortions of one shape share the lengths, and G is each row's scale
+    times their shared base; block weights on one partition give (rows,
+    cells) masses, or (cells,) for one measure.  The level map takes the
+    (rows, cells) cumulative keys.
     """
     first = measures[0]
-    if all(mu.mode == "distorted" and mu.distortion == first.distortion for mu in measures):
-        return _lengths(lo, hi), first.distortion
-    if all(mu.mode == "sectioned" and mu.blocks == first.blocks for mu in measures):
-        sizes = [blk.lebesgue for blk in first.blocks]
-        fractions = _block_lengths(lo, hi, first.blocks) / sizes  # |cell ∩ E_i| / |E_i|
-        keys = np.array([mu.weights for mu in measures]) @ fractions.T
-        return (keys[0] if len(measures) == 1 else keys), None
-    rows = [_measure_rows((mu,), lo, hi) for mu in measures]  # one row each
-    keys = np.array([k for k, _ in rows]).reshape(len(rows), lo.shape[0])
-
-    def levels(cum):
-        return np.array([c if g is None else g(c) for c, (_, g) in zip(cum, rows)])
-
-    return keys, levels
+    if first.mode == "distorted":
+        scales = np.array([[mu.distortion.scale] for mu in measures])
+        return _lengths(lo, hi), lambda cum: scales * first.distortion._base(cum)
+    sizes = [blk.lebesgue for blk in first.blocks]
+    fractions = _block_lengths(lo, hi, first.blocks) / sizes  # |cell ∩ E_i| / |E_i|
+    keys = np.array([mu.weights for mu in measures]) @ fractions.T
+    return (keys[0] if len(measures) == 1 else keys), None
 
 
 def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
@@ -234,7 +232,7 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
 def _integrate_block(values: np.ndarray, measures, cells):
     """Integrals and threshold table (v, L) of the rows of ``values``
     (rows, cells) on the partition ``cells``, row r measured by measures[r]
-    (or all rows by measures[0] when only one is given)."""
+    (or all rows by measures[0] when only one is given), all of one shape."""
     keys, levels = _measure_rows(measures, *_ends(cells))
     return _choquet_block(values, keys, levels)
 

@@ -6,8 +6,8 @@ economy-check, demo.  Each handler returns its report and exit code;
 once, to ``--out`` or to stdout.  ``integrate`` writes its report only to
 ``--out``, and then prints its value line on stdout.  Exit codes: 0 success, 2
 property violation (witness in the report), 1 structural or configuration
-error, an unwritable ``--out`` included.  Identical arguments and input
-files produce byte-identical reports.
+error, an unwritable ``--out`` and running out of memory included.
+Identical arguments and input files produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -241,6 +241,9 @@ def main(argv=None) -> int:
         ConfigError, StructuralError, DegenerateSetError, InvalidPriceError, UnsupportedFamilyError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the last resort for inputs too large for the memory at hand
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -225,7 +225,7 @@ class Economy:
             raise StructuralError("economy needs a convex-type family")
         if not self.fam.normalized:
             raise StructuralError("economy needs normalized section measures")
-        for mu in self.fam.measures:
+        for _, mu in self.fam._groups:  # submodularity depends on the shape alone
             if not mu.is_submodular:
                 raise StructuralError("economy needs submodular section measures")
         e = _array(self.endowment, "endowment", (self.fam.K, None), sign="positive")
@@ -678,14 +678,14 @@ def verify_improvement(eco: Economy, f, witness: ImprovementWitness) -> tuple[bo
 @dataclass(frozen=True)
 class ExhaustedReport:
     """No verified witness: none exists (``strongly_improve``) or none is in
-    the searched family (``improve``).  ``two_level`` is always 0."""
+    the searched family (``improve``)."""
 
     mode: str
     coalitions: int
     allocations: int
-    two_level: int
     candidates_checked: int
-    found = False
+    found = False  # class attributes, not dataclass fields
+    two_level = 0
 
     def to_dict(self) -> dict:
         return {
@@ -799,7 +799,7 @@ def search_improvement(
             witness = ImprovementWitness(mode, S, endowment, "endowment")
             if verify_improvement(eco, f, witness)[0]:
                 return witness
-        return ExhaustedReport(mode, eco.K, 1, 0, eco.K)
+        return ExhaustedReport(mode, eco.K, 1, eco.K)
 
     rng = np.random.default_rng(seed)
     sectionals = list(_sectional_candidates(eco, DEMAND_GRID))
@@ -819,7 +819,7 @@ def search_improvement(
             ok, _ = verify_improvement(eco, f, witness)
             if ok:
                 return witness
-    return ExhaustedReport(mode, len(draws), len(sectionals), 0, len(active) * len(sectionals))
+    return ExhaustedReport(mode, len(draws), len(sectionals), len(active) * len(sectionals))
 
 
 def sectionalize(eco: Economy, s: ProductStepFunction, A: ProductSet) -> np.ndarray:

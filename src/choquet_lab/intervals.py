@@ -32,7 +32,10 @@ class IntervalSet:
     intervals: tuple[tuple[float, float], ...]
 
     def __init__(self, intervals=()):
-        pairs = [(float(a), float(b)) for a, b in intervals]
+        try:
+            pairs = [(float(a), float(b)) for a, b in intervals]
+        except (TypeError, ValueError):  # not pairs, or not numbers
+            raise StructuralError("intervals must be (a, b) pairs of numbers") from None
         merged: list[tuple[float, float]] = []
         end = 0.0  # right end of the last merged interval
         for a, b in sorted(pairs):

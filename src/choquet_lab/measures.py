@@ -70,7 +70,11 @@ class Distortion:
 
     @staticmethod
     def power(alpha: float, scale: float = 1.0) -> "Distortion":
-        return Distortion("power", alpha=float(alpha), scale=scale)
+        try:
+            alpha = float(alpha)
+        except (TypeError, ValueError):
+            raise StructuralError(f"alpha must be a number (got {alpha!r})") from None
+        return Distortion("power", alpha=alpha, scale=scale)
 
     @staticmethod
     def identity(scale: float = 1.0) -> "Distortion":
@@ -82,13 +86,13 @@ class Distortion:
 
     def __call__(self, s):
         """g(s) for a float s or elementwise over an ndarray s."""
+        return self.scale * self._base(s)
+
+    def _base(self, s):
+        """g(s) / scale, as g computes it before its scale."""
         if self.kind == "power":
-            base = s**self.alpha
-        elif self.kind == "identity":
-            base = s
-        else:
-            base = np.interp(s, self._xs, self._ys)
-        return self.scale * base
+            return s**self.alpha
+        return s if self.kind == "identity" else np.interp(s, self._xs, self._ys)
 
     def inverse(self, u):
         """g^{-1}(u) for u >= 0, a float or entry by entry over an ndarray;

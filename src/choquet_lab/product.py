@@ -10,12 +10,13 @@ every node, possibly rescaled per node) and ``sectioned`` (shared block
 partition of X, per-node block weights) admit a single chain X_t with
 mu_k(X_t) = t * mu_k(X) for every node simultaneously, which is what makes
 level-set construction and range convexity work; ``heterogeneous`` families
-integrate fine but refuse those constructions.
+integrate fine but refuse those constructions.  A family groups its nodes by
+measure shape once, and the node measures and the kernel batch each group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +40,9 @@ class SectionFamily:
     mode: str  # "homothetic" | "sectioned" | "heterogeneous"
     measures: tuple[FuzzyMeasure, ...]
     normalized: bool = False
-    blocks: tuple[IntervalSet, ...] | None = None  # sectioned mode only
+    # (node indices, first node's measure) per measure shape: a distortion's
+    # (kind, alpha, knots), its scale aside, or a block partition by value
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("homothetic", "sectioned", "heterogeneous"):
@@ -50,6 +53,16 @@ class SectionFamily:
             for mu in self.measures:
                 if abs(mu.total - 1.0) > 1e-12:
                     raise StructuralError("normalized family needs mu_y(X) = 1 at every node")
+        groups: dict[object, list[int]] = {}
+        for k, mu in enumerate(self.measures):
+            g = mu.distortion
+            key = (g.kind, g.alpha, g.knots) if mu.mode == "distorted" else mu.blocks
+            groups.setdefault(key, []).append(k)
+        shape = {"homothetic": "distorted", "sectioned": "sectioned"}.get(self.mode)
+        if shape and (len(groups) > 1 or self.measures[0].mode != shape):
+            raise StructuralError(f"a {self.mode} family needs one {shape} measure shape")
+        object.__setattr__(self, "_groups", tuple(
+            (np.array(nodes), self.measures[nodes[0]]) for nodes in groups.values()))
 
     # -- constructors ---------------------------------------------------
 
@@ -87,7 +100,7 @@ class SectionFamily:
         if normalized:
             W = W / W.sum(axis=1, keepdims=True)
         measures = tuple(FuzzyMeasure.sectioned(blocks, row) for row in W)
-        return SectionFamily("sectioned", measures, normalized, blocks)
+        return SectionFamily("sectioned", measures, normalized)
 
     @staticmethod
     def from_y_intervals(
@@ -126,6 +139,10 @@ class SectionFamily:
     @property
     def totals(self) -> np.ndarray:
         return np.array([mu.total for mu in self.measures])
+
+    @property
+    def blocks(self) -> tuple[IntervalSet, ...] | None:  # a sectioned family's partition
+        return self._groups[0][1].blocks if self.mode == "sectioned" else None
 
 
 @dataclass(frozen=True)
@@ -234,28 +251,16 @@ def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.nda
     when the pieces are the sets' intervals left to right (within each
     block, for a sectioned measure).  As mu does, g takes the length,
     and w_i |H_k ∩ E_i| / |E_i| is added block by block, the overlaps
-    from :func:`measures._block_lengths`.  Nodes whose
-    distortions share a kind (and knots) go in one pass, with their own
-    alpha and scale, so a family of distinct distortions is not a pass per
-    node."""
+    from :func:`measures._block_lengths`.  Each of the family's measure
+    shapes is one pass, with every node's own scale or weights."""
     out = np.empty(lo.shape[:-1])
-    groups: dict[object, list[int]] = {}
-    for k, mu in enumerate(fam.measures):
-        g = mu.distortion
-        key = (g.kind, g.knots) if mu.mode == "distorted" else id(mu.blocks)
-        groups.setdefault(key, []).append(k)
-    for nodes in groups.values():
-        mu = fam.measures[nodes[0]]
+    for nodes, mu in fam._groups:
         idx = nodes if len(nodes) < fam.K else slice(None)
         a, b = lo[..., idx, :], hi[..., idx, :]
         if mu.mode == "distorted":  # scale * base, a power base by scalar pow, as mu takes it
-            gs = [fam.measures[k].distortion for k in nodes]
-            g, length = gs[0], _lengths(a, b)
-            if g.kind == "power":
-                base = _pow(length, [h.alpha for h in gs])
-            else:
-                base = replace(g, scale=1.0)(length)
-            out[..., idx] = np.array([h.scale for h in gs]) * base
+            g, length = mu.distortion, _lengths(a, b)
+            base = _pow(length, g.alpha) if g.kind == "power" else g._base(length)
+            out[..., idx] = np.array([fam.measures[k].distortion.scale for k in nodes]) * base
             continue
         total = np.zeros(a.shape[:-1])
         weights = np.array([fam.measures[k].weights for k in nodes])
@@ -274,22 +279,24 @@ def product_measure(fam: SectionFamily, H: ProductSet) -> float:
 def _node_tables(fam: SectionFamily, f: ProductStepFunction):
     """Run the Choquet kernel over every node of f.
 
-    Nodes whose sections share one partition object (as ``uniform``,
-    ``separable`` and ``StepFunction.on_grid`` sections do) go through the
-    kernel as one (nodes x cells) block; a section with a partition of its
-    own is a block of one.  A vector f has one row per node and component.
+    Nodes of one measure shape (:class:`SectionFamily` groups them) whose
+    sections share one partition object (as ``uniform``, ``separable`` and
+    ``StepFunction.on_grid`` sections do) go through the kernel as one
+    (nodes x cells) block; a section with a partition of its own is a block
+    of one.  A vector f has one row per node and component.
 
     Returns the per-node integrals (K, components) and, per block, the
     threshold table (v, L) of :func:`choquet._integrate_block`, rows in
     node-major, component-minor order.
     """
     dims = f.sections[0].values.shape[1] if f.is_vector else 1
-    groups: dict[int, list[int]] = {}
-    for k, section in enumerate(f.sections):
-        groups.setdefault(id(section.cells), []).append(k)
+    blocks: dict[tuple, list[int]] = {}
+    for g, (nodes, _) in enumerate(fam._groups):
+        for k in nodes.tolist():
+            blocks.setdefault((g, id(f.sections[k].cells)), []).append(k)
     integrals = np.empty((f.K, dims))
     tables = []
-    for nodes in groups.values():
+    for nodes in blocks.values():
         cells = f.sections[nodes[0]].cells
         values = np.array([f.sections[k].values for k in nodes])
         rows = values.reshape(len(nodes), len(cells), dims).transpose(0, 2, 1)

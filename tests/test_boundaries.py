@@ -137,6 +137,27 @@ def test_scalar_target_of_a_scalar_phi_stays_valid():
         range_realize(FAM, np.ones((K, 2)), 0.5)
 
 
+# -- scalars -----------------------------------------------------------------------
+
+# scalar arguments that are no numbers: (call, the argument the error names)
+SCALARS = {
+    "StepFunction.constant string": (lambda: StepFunction.constant("x"), "step function values"),
+    "StepFunction.constant None": (lambda: StepFunction.constant(None), "step function values"),
+    "IntervalSet string end": (lambda: IntervalSet([(0, "a")]), "intervals"),
+    "IntervalSet one end": (lambda: IntervalSet([(0.5,)]), "intervals"),
+    "IntervalSet not pairs": (lambda: IntervalSet(5), "intervals"),
+    "Distortion.power string": (lambda: Distortion.power("x"), "alpha"),
+    "Distortion.power None": (lambda: Distortion.power(None), "alpha"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SCALARS))
+def test_a_scalar_that_is_no_number_is_structural(site):
+    call, name = SCALARS[site]
+    with pytest.raises(StructuralError, match=name):
+        call()
+
+
 # -- counts ------------------------------------------------------------------------
 
 

@@ -41,6 +41,20 @@ class TestStepFunction:
         with pytest.raises(StructuralError):
             StepFunction.on_grid([1.0, -0.5])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: StepFunction.on_grid(5.0), r"must be \(1,\) or \(1, \*\), not \(\)"),
+        (lambda: StepFunction.on_grid([[1.0], [1.0, 2.0]]), "must be an array of numbers"),
+        (lambda: StepFunction.on_grid([]), r"not \(0,\)"),
+        (lambda: StepFunction.from_samples(lambda x: x, 0), "ncells must be an integer"),
+        (lambda: StepFunction.constant(1.0).value_at(1.0), "point 1.0 not covered"),
+        (lambda: StepFunction.constant(1.0).scaled(-1.0), "scalar must be non-negative"),
+        (lambda: riemann_choquet(StepFunction.constant([1.0, 2.0]), sq()), "scalar-only"),
+    ], ids=["scalar grid", "ragged grid", "empty grid", "no samples", "uncovered point",
+            "negative scale", "vector riemann"])
+    def test_refusals(self, call, message):
+        with pytest.raises(StructuralError, match=message):
+            call()
+
     def test_superlevel_sets(self):
         f = StepFunction.on_grid([2.0, 1.0, 3.0, 0.0])
         assert superlevel_set(f, 1.5) == IntervalSet([(0.0, 0.25), (0.5, 0.75)])

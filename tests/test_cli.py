@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -362,6 +363,10 @@ class TestRangeDemo:
     def test_bad_target_is_exit_1(self, capsys):
         assert main(["range-demo", "--target", "abc"]) == 1
 
+    def test_target_without_numbers_is_exit_1(self, capsys):
+        assert main(["range-demo", "--target", ","]) == 1
+        assert capsys.readouterr().err == "error: --target must list at least one number\n"
+
     def test_phi_file_is_realized(self, tmp_path, capsys):
         # phi = (1, 2) on every node: the target (0.5, 1) is half of it
         phi = tmp_path / "phi.json"
@@ -560,6 +565,24 @@ class TestDemo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        # K = 100,000 nodes of 1,000 cells need 0.8 GB per (nodes x cells)
+        # array; under a 1.5 GB address-space cap the run stops with exit 1
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        src = str(Path(choquet_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["demo", "--scenario", "sectioned-fubini", "--K", "100000", "--cells", "1000",
+                "--tnodes", "2000"]
+        proc = subprocess.run([sys.executable, "-m", "choquet_lab.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300,
+                              preexec_fn=cap)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: out of memory")
 
     def test_demo_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

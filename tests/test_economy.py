@@ -229,6 +229,18 @@ class TestValidation:
         with pytest.raises(StructuralError):
             Economy(fam, e, prefs)
 
+    @pytest.mark.parametrize("fam, prefs, message", [
+        (SectionFamily.homothetic(Distortion.identity(scale=2.0), K=4, normalized=False),
+         Preferences("linear", 2, weights=np.ones((4, 2))), "normalized section measures"),
+        (SectionFamily.homothetic(Distortion.identity(), K=4),
+         Preferences("linear", 2, weights=np.ones((3, 2))), "preference grid"),
+        (SectionFamily.homothetic(Distortion.identity(), K=4),
+         Preferences("linear", 3, weights=np.ones((4, 3))), "preference grid"),
+    ], ids=["unnormalized", "fewer preference rows", "more goods"])
+    def test_rejects_a_family_or_grid_it_cannot_use(self, fam, prefs, message):
+        with pytest.raises(StructuralError, match=message):
+            Economy(fam, np.ones((4, 2)), prefs)
+
     def test_preference_validation(self):
         with pytest.raises(StructuralError):
             Preferences("cobb_douglas", 2, exponents=np.array([[0.5, 0.6]]))
@@ -579,11 +591,21 @@ class TestImprovement:
         # e is not preferred to f at any node; the first one is reported
         assert detail == {"reason": "not strictly preferred", "node": 0}
 
+    def test_unknown_mode_is_structural(self, cd_economy):
+        with pytest.raises(StructuralError, match="unknown improvement mode 'weak'"):
+            search_improvement(cd_economy, cd_economy.endowment, "weak")
+
+    def test_verifier_rejects_a_witness_on_another_grid(self, cd_economy):
+        witness = ImprovementWitness("improve", ProductSet.full(3),
+                                     ProductStepFunction.sectional(np.ones((3, 2))), "e")
+        ok, detail = verify_improvement(cd_economy, cd_economy.endowment, witness)
+        assert not ok and detail == {"reason": "section-count mismatch"}
+
     def test_both_search_results_report_witness_and_searched(self, cd_economy):
         found = ImprovementWitness(
             "improve", ProductSet.full(K), ProductStepFunction.sectional(cd_economy.endowment),
             "endowment")
-        exhausted = ExhaustedReport("improve", 1, 1, 0, 1)
+        exhausted = ExhaustedReport("improve", 1, 1, 1)
         assert found.to_dict().keys() >= {"witness", "searched"}
         assert exhausted.to_dict().keys() >= {"witness", "searched"}
         assert found.to_dict()["searched"] is None and exhausted.to_dict()["witness"] is None
@@ -605,6 +627,11 @@ class TestSectionalize:
         s = ProductStepFunction.sectional(cd_economy.endowment * 1.7)
         out = sectionalize(cd_economy, s, ProductSet.full(K))
         assert out == pytest.approx(cd_economy.endowment * 1.7)
+
+    def test_section_count_mismatch_is_structural(self, cd_economy):
+        s = ProductStepFunction.sectional(np.ones((3, 2)))
+        with pytest.raises(StructuralError, match="section-count mismatch"):
+            sectionalize(cd_economy, s, ProductSet.full(K))
 
     def test_x_profile_averages_to_half(self, cd_economy):
         s = ProductStepFunction.uniform(
@@ -659,6 +686,16 @@ class TestConvexity:
         assert rep.max_mixing_deviation <= 1e-8
         assert rep.max_realization_deviation <= 1e-8
         assert rep.membership_failures == 0
+
+
+    def test_dominance_mixtures_stay_weakly_preferred(self):
+        # weak_rows of coordinate dominance compares the tracked goods only
+        eco = split_dominance_economy(K=20)
+        rep = check_excess_convexity(eco, eco.endowment, trials=50, seed=3)
+        assert rep.passed
+        weak = eco.prefs.weak_rows([[1.0, 0.0]] * 10 + [[0.0, 1.0]] * 10, eco.endowment)
+        assert weak.all()
+        assert not eco.prefs.weak_rows([[0.5, 9.0]] * 20, eco.endowment)[:10].any()
 
 
 class TestEndowmentEquilibrium:

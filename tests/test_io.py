@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_lab import io
+from choquet_lab.choquet import StepFunction
 from choquet_lab.errors import ConfigError, StructuralError
 from choquet_lab.fixtures import cobb_douglas_economy, intro_sectioned_family
 from choquet_lab.intervals import IntervalSet
@@ -163,7 +164,26 @@ class TestFamily:
             io.family_to_json(fam)
 
 
+    def test_union_blocks_and_cells_do_not_serialize(self):
+        union = [IntervalSet([(0.0, 0.25), (0.5, 0.75)]), IntervalSet([(0.25, 0.5), (0.75, 1.0)])]
+        with pytest.raises(ConfigError, match="single-interval blocks"):
+            io.family_to_json(SectionFamily.sectioned(union, [[1.0, 1.0]]))
+        with pytest.raises(ConfigError, match="single-interval cells"):
+            io.step_function_to_json(StepFunction(tuple(union), [1.0, 2.0]))
+
+
 class TestEconomy:
+    @pytest.mark.parametrize("preferences, message", [
+        ({"kind": "cobb_douglas", "exponents": [[0.5, 0.5]] * 2},
+         r"exponents: need 4 rows \(or a single broadcast row\)"),
+        ({"kind": "coordinate_dominance", "coords": [[1], [2]]}, "need 4 coordinate sets"),
+    ], ids=["exponent rows", "coordinate sets"])
+    def test_preference_rows_are_one_or_K(self, preferences, message):
+        data = {"family": {"mode": "homothetic", "K": 4, "distortion": {"kind": "identity"}},
+                "n": 2, "endowment": [[1.0, 1.0]], "preferences": preferences}
+        with pytest.raises(ConfigError, match=message):
+            io.economy_from_json(data)
+
     def test_round_trip(self):
         eco, _, _ = cobb_douglas_economy(K=10)
         again = io.economy_from_json(io.economy_to_json(eco))

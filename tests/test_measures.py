@@ -12,6 +12,7 @@ from choquet_lab.measures import (
     Distortion,
     FuzzyMeasure,
     filtering_family,
+    _pow,
     measure_properties,
 )
 
@@ -109,6 +110,13 @@ class TestDistortion:
             Distortion.piecewise_linear([(0, 0.1), (1, 1)])
         with pytest.raises(StructuralError):
             Distortion.piecewise_linear([(0, 0), (0.5, 0.5), (0.4, 0.7), (1, 1)])
+        with pytest.raises(StructuralError, match="pwl knots must be finite"):
+            Distortion.piecewise_linear([(0, 0), (0.5, np.inf), (1, 1)])
+
+    def test_power_inverse_overflows_to_inf(self):
+        # Python's float pow raises OverflowError where numpy's gives inf
+        assert Distortion.power(0.25).inverse(1e100) == np.inf
+        assert _pow([1e300, 2.0], 2.0).tolist() == [np.inf, 4.0]
 
 
 class TestMeasure:
@@ -140,6 +148,10 @@ class TestMeasure:
             FuzzyMeasure.sectioned(
                 [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])], [0.0, 0.0]
             )
+        with pytest.raises(StructuralError, match="empty block"):
+            FuzzyMeasure.sectioned([IntervalSet.empty(), IntervalSet.full()], [1.0, 1.0])
+        with pytest.raises(StructuralError, match="distorted measure needs a distortion"):
+            FuzzyMeasure("distorted")
 
     def test_zero_weight_blocks_allowed(self):
         mu = FuzzyMeasure.sectioned(

@@ -88,6 +88,35 @@ class TestSectionFamily:
         with pytest.raises(UnsupportedFamilyError):
             range_realize(fam, np.ones(10), np.array([0.5]))
 
+    @pytest.mark.parametrize("mode, measures", [
+        ("homothetic", (FuzzyMeasure.distorted(Distortion.power(2.0)),
+                        FuzzyMeasure.distorted(Distortion.power(0.5)))),
+        ("sectioned", (FuzzyMeasure.lebesgue(),)),
+    ], ids=["two distortion shapes", "a distorted node"])
+    def test_measures_must_have_the_one_shape_of_the_mode(self, mode, measures):
+        # The shared chain X_t needs one measure shape at every node.  Accepted
+        # as homothetic, the power pair made range_realize call the feasible
+        # target 0.5 infeasible (levels 1/2 give node measures 0.5 and 0.841).
+        with pytest.raises(StructuralError, match=f"a {mode} family needs one"):
+            SectionFamily(mode, measures, True)
+        assert not SectionFamily.heterogeneous(measures).convex_type
+
+    def test_nodes_are_grouped_by_shape_once(self):
+        blocks = [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])]
+        scaled = SectionFamily.homothetic(Distortion.power(0.5), K=3, scales=[1.0, 2.0, 3.0],
+                                          normalized=False)
+        assert len(scaled._groups) == 1 and scaled.blocks is None
+        # equal block partitions group by value, whatever tuple holds them
+        mixed = SectionFamily.heterogeneous([
+            FuzzyMeasure.sectioned(list(blocks), [1.0, 0.0]),
+            FuzzyMeasure.distorted(Distortion.power(0.5, scale=2.0)),
+            FuzzyMeasure.sectioned(list(blocks), [0.0, 1.0]),
+            FuzzyMeasure.distorted(Distortion.power(0.5)),
+            FuzzyMeasure.distorted(Distortion.power(2.0)),
+        ])
+        assert [nodes.tolist() for nodes, _ in mixed._groups] == [[0, 2], [1, 3], [4]]
+        assert intro_family(K=4).blocks == tuple(blocks)
+
     def test_uniform_chain_homothetic(self):
         fam = square_family()
         X_t = product_set_from_levels(fam, np.full(fam.K, 0.25)).sections[0]
@@ -99,6 +128,46 @@ class TestSectionFamily:
             X_t = product_set_from_levels(fam, np.full(fam.K, t)).sections[0]
             for mu in fam.measures:
                 assert mu(X_t) == pytest.approx(t * mu.total, abs=1e-9)
+
+
+BLOCKS = [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])]
+# refusals of the family, set and function constructors, one row each:
+# (call, error type, message)
+REFUSALS = {
+    "normalized family of total 2": (
+        lambda: SectionFamily("homothetic", (FuzzyMeasure.lebesgue(), FuzzyMeasure.distorted(
+            Distortion.identity(scale=2.0))), True),
+        StructuralError, r"mu_y\(X\) = 1 at every node"),
+    "normalized family with scales": (
+        lambda: SectionFamily.homothetic(Distortion.identity(), K=2, scales=[1.0, 2.0]),
+        StructuralError, "cannot carry free scales"),
+    "zero weight row": (
+        lambda: SectionFamily.sectioned(BLOCKS, [[1.0, 0.0], [0.0, 0.0]]),
+        StructuralError, "positive row sums"),
+    "uncovered y-node": (
+        lambda: SectionFamily.from_y_intervals(BLOCKS, [(0.0, 0.25), (0.5, 1.0)], K=4),
+        StructuralError, "cover every y-node"),
+    "node outside the grid": (
+        lambda: ProductSet.single(3, 3), StructuralError, r"node 3 is outside 0\.\.2"),
+    "scalar and vector sections": (
+        lambda: ProductStepFunction(
+            (StepFunction.constant(1.0), StepFunction.constant([1.0, 2.0]))),
+        StructuralError, "mixed scalar/vector sections"),
+    "level above 1": (
+        lambda: product_set_from_levels(identity_family(K=2), [0.5, 1.5]),
+        StructuralError, r"levels must lie in \[0,1\]"),
+    "range of an unnormalized family": (
+        lambda: range_realize(SectionFamily.homothetic(
+            Distortion.identity(scale=2.0), K=2, normalized=False), np.ones(2), 0.5),
+        UnsupportedFamilyError, "needs a normalized family"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestProductMeasure:
