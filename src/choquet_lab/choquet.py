@@ -10,19 +10,22 @@ is exact; a run of equal values only adds zero drops.  Every measure here is
 mu(A) = G(sum of per-cell keys over the cells of A).  A distorted measure
 has the cell lengths as keys and its distortion as G.  A sectioned one has
 the cell masses sum_i w_i |cell ∩ E_i| / |E_i| as keys and G = identity.
-So one private kernel, :func:`_choquet_block`, integrates a whole
-(rows x cells) block of functions that share one partition: one argsort per
+So one private kernel, :func:`_choquet_block`, integrates a
+(rows x cells) array of functions that share one partition: one argsort per
 row (numpy's default sort, redone stable when a row has equal values, so the
 order is always the stable one), one cumulative sum of the keys and one
 vectorised G.  It returns the integrals together with the threshold table.
-:func:`_integrate_block` reads the keys off the partition's padded end
-points (``intervals._ends``) with the formulas that measure every array of
-interval sets, the lengths of ``intervals._lengths`` and the block overlaps
-|cell ∩ E_i| of ``measures._block_lengths``, so no superlevel set is ever
-built, and runs the kernel;
-:func:`choquet` calls it with one row per component,
-``product.integrate_product`` and ``product.fubini_check`` with one row per
-y-node.
+Every step of it sees one row at a time, so a row's bits do not depend on
+the rows beside it.  :func:`_integrate_block` walks a block of rows in
+chunks of whole rows: it reads the keys once for the block off the
+partition's padded end points (``intervals._ends``) with the formulas that
+measure every array of interval sets, the lengths of ``intervals._lengths``
+and the block overlaps |cell ∩ E_i| of ``measures._block_lengths``, so no
+superlevel set is ever built, and runs the kernel on each chunk, whose
+temporaries stay in cache.  :func:`choquet` runs it as one chunk with one
+row per component, ``product.integrate_product`` and
+``product.fubini_check`` on chunks of whole y-nodes of about 2**14 float64
+entries (``product._CHUNK``).
 :func:`riemann_choquet` is the deliberately independent brute-force
 companion built on explicit interval-set unions.  :func:`integral_properties`
 decides the classical properties of the integral from the measure alone.
@@ -175,22 +178,24 @@ def superlevel_set(f: StepFunction, t: float) -> IntervalSet:
 
 
 def _measure_rows(measures, lo: np.ndarray, hi: np.ndarray):
-    """Cell keys and level map of rows measured by ``measures`` (one per row,
-    or one for all rows), all of one shape, on the cells of one partition,
-    given by the end points (cells, pieces) of :func:`intervals._ends`.
+    """Cell keys and per-row scales of rows measured by ``measures`` (one
+    per row, or one for all rows), all of one shape, on the cells of one
+    partition, given by the end points (cells, pieces) of
+    :func:`intervals._ends`.
 
     Every measure here is mu(A) = G(sum of the keys of the cells in A): a
-    distorted measure has the cell lengths as keys and its distortion as G, a
-    sectioned one has the cell masses as keys and G = identity (``None``).
-    Distortions of one shape share the lengths, and G is each row's scale
-    times their shared base; block weights on one partition give (rows,
-    cells) masses, or (cells,) for one measure.  The level map takes the
-    (rows, cells) cumulative keys.
+    distorted measure has the cell lengths as keys and G = its scale times
+    its distortion's base, which rows of one shape share; a sectioned one has
+    the cell masses sum_i w_i |cell ∩ E_i| / |E_i| as keys and G = identity.
+    Returns (keys, scales): keys (cells,) shared by every row, or (rows,
+    cells) masses, one matrix product for the whole block; scales (rows, 1),
+    or None for additive rows.  The masses are not taken chunk by chunk,
+    because BLAS gives an entry of a matrix product bits that depend on the
+    shape of the whole product.
     """
     first = measures[0]
     if first.mode == "distorted":
-        scales = np.array([[mu.distortion.scale] for mu in measures])
-        return _lengths(lo, hi), lambda cum: scales * first.distortion._base(cum)
+        return _lengths(lo, hi), np.array([[mu.distortion.scale] for mu in measures])
     sizes = [blk.lebesgue for blk in first.blocks]
     fractions = _block_lengths(lo, hi, first.blocks) / sizes  # |cell ∩ E_i| / |E_i|
     keys = np.array([mu.weights for mu in measures]) @ fractions.T
@@ -208,33 +213,59 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
     mu_r([f_r > t]) = L[r, j] for v[r, j+1] <= t < v[r, j], with v[r, n] = 0,
     and the Choquet integral of row r is sum_j (v[r, j] - v[r, j+1]) L[r, j].
 
+    Every step works row by row: the sort, the gathers, the cumulative sum
+    and the sum of each row see that row alone, and ``levels`` is entry by
+    entry.  So a row's integral and table do not depend on the other rows of
+    the call, and :func:`_integrate_block` may pass any chunk of a block.
+
     The order is the stable one.  numpy's default sort is faster but need not
-    be stable, so its order is kept only when no sorted row holds two equal
-    values (0.0 equals -0.0): without ties the descending order of a row is
-    unique, and every sort returns it.  A block with a tie is sorted again
-    with ``kind="stable"``.
+    be stable, so its ascending order, reversed, is kept only when no sorted
+    row holds two equal values (0.0 equals -0.0): without ties the
+    descending order of a row is unique, and every sort returns it.  A call
+    with a tie is sorted again, descending, with ``kind="stable"``.
 
     Returns (integrals per row, v, L).
     """
-    rows = np.arange(values.shape[0])[:, None]
-    order = np.argsort(-values, axis=1)
-    v = values[rows, order]
+    n, width = values.shape
+    offsets = np.arange(n)[:, None] * width  # of each row in the flattened arrays
+    order = np.argsort(values, axis=1)[:, ::-1]  # descending, as long as no row has a tie
+    v = values.take(order + offsets)
     if np.any(v[:, 1:] == v[:, :-1]):
         order = np.argsort(-values, axis=1, kind="stable")
-        v = values[rows, order]
-    cum = np.cumsum(keys[order] if keys.ndim == 1 else keys[rows, order], axis=1)
+        v = values.take(order + offsets)
+    cum = np.cumsum(keys.take(order if keys.ndim == 1 else order + offsets), axis=1)
     L = cum if levels is None else levels(cum)
-    drops = v.copy()
-    drops[:, :-1] -= v[:, 1:]
-    return np.sum(drops * L, axis=1), v, L
+    drops = np.empty_like(v)
+    np.subtract(v[:, :-1], v[:, 1:], out=drops[:, :-1])
+    drops[:, -1:] = v[:, -1:]
+    drops *= L
+    return np.sum(drops, axis=1), v, L
 
 
-def _integrate_block(values: np.ndarray, measures, cells):
-    """Integrals and threshold table (v, L) of the rows of ``values``
-    (rows, cells) on the partition ``cells``, row r measured by measures[r]
-    (or all rows by measures[0] when only one is given), all of one shape."""
-    keys, levels = _measure_rows(measures, *_ends(cells))
-    return _choquet_block(values, keys, levels)
+def _integrate_block(rows, measures, cells, step: int | None = None):
+    """Run the kernel over a block of rows on the partition ``cells``, row r
+    measured by measures[r] (or all rows by measures[0] when only one is
+    given, in a single chunk), all of one shape, ``step`` rows at a time
+    (all rows when None).
+
+    ``rows(chunk)`` returns the values (rows, cells) of the rows in the
+    slice ``chunk``, so a caller stacks one chunk of values at a time.  The
+    keys and scales come from :func:`_measure_rows` once for the block; each
+    chunk gets its slice of them, one :func:`_choquet_block` pass with its
+    own tie check, and its level map scales * base(cum), which is entry by
+    entry.  Rows are independent in the kernel, so a row keeps its bits
+    whatever the chunk size, and a chunk's temporaries stay in cache.
+
+    Yields (chunk, integrals, v, L) per chunk.
+    """
+    keys, scales = _measure_rows(measures, *_ends(cells))
+    base = None if scales is None else measures[0].distortion._base
+    n = len(measures)
+    step = step or n
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        levels = None if base is None else (lambda cum, s=scales[chunk]: s * base(cum))
+        yield (chunk, *_choquet_block(rows(chunk), keys if keys.ndim == 1 else keys[chunk], levels))
 
 
 def choquet(f: StepFunction, mu: FuzzyMeasure):
@@ -243,7 +274,7 @@ def choquet(f: StepFunction, mu: FuzzyMeasure):
     Returns a float for scalar f, an ndarray (componentwise) for vector f.
     """
     rows = f.values.T if f.is_vector else f.values[None, :]
-    integrals, _, _ = _integrate_block(rows, (mu,), f.cells)
+    (_, integrals, _, _), = _integrate_block(lambda _: rows, (mu,), f.cells)
     return integrals if f.is_vector else float(integrals[0])
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the checks of array and
-count arguments at its public boundaries: a malformed argument is a
+"""Exception types shared across the library, and the checks of array,
+number and count arguments at its public boundaries: a malformed argument is a
 :class:`StructuralError` that names it, never an error of numpy's."""
 
 import numpy as np
@@ -45,6 +45,19 @@ def _array(value, name: str, *shapes: tuple, sign: str | None = "non-negative") 
         if not (hi < np.inf and (lo > 0 if sign == "positive" else lo >= 0 if sign else lo > -np.inf)):
             raise StructuralError(f"{name} must be finite" + (f" and {sign}" if sign else ""))
     return a
+
+
+def _scalar(value, name: str, sign: str | None = "non-negative") -> float:
+    """``value`` as a float: a real number (not a boolean, a string or None),
+    finite and of ``sign`` as :func:`_array` checks it; anything else is a
+    StructuralError naming the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise StructuralError(f"{name} must be a number (got {value!r})")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = np.inf
+    return float(_array(x, name, (), sign=sign))
 
 
 def _count(value, name: str, low: int = 1, high: int | None = None) -> int:

@@ -16,12 +16,11 @@ exactly by :func:`measure_properties`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSetError, StructuralError, _array
+from .errors import DegenerateSetError, StructuralError, _array, _scalar
 from .intervals import IntervalSet, _from_ends, _lengths, _prefix_ends
 
 ALGEBRA_TOL = 1e-12
@@ -43,26 +42,24 @@ class Distortion:
     _ys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise StructuralError("distortion scale must be positive and finite")
+        _scalar(self.scale, "distortion scale", "positive")
         if self.kind == "power":
-            if self.alpha is None or not math.isfinite(self.alpha) or self.alpha <= 0:
-                raise StructuralError("power distortion needs a finite alpha > 0")
+            _scalar(self.alpha, "alpha", "positive")
         elif self.kind == "identity":
             pass
         elif self.kind == "pwl":
-            if not self.knots or len(self.knots) < 2:
+            pts = _array(() if self.knots is None else self.knots, "pwl knots", (None, 2), (0,),
+                         sign=None)
+            if len(pts) < 2:
                 raise StructuralError("pwl distortion needs at least two knots")
-            xs = [k[0] for k in self.knots]
-            ys = [k[1] for k in self.knots]
-            if not all(math.isfinite(c) for c in xs + ys):
-                raise StructuralError("pwl knots must be finite")
+            xs, ys = pts.T.tolist()
             if xs[0] != 0.0 or ys[0] != 0.0 or xs[-1] != 1.0:
                 raise StructuralError("pwl knots must run from (0,0) to (1, g(1))")
             if any(b <= a for a, b in zip(xs, xs[1:])) or any(
                 b <= a for a, b in zip(ys, ys[1:])
             ):
                 raise StructuralError("pwl knots must be strictly increasing")
+            object.__setattr__(self, "knots", tuple(zip(xs, ys)))
             object.__setattr__(self, "_xs", np.array(xs))
             object.__setattr__(self, "_ys", np.array(ys))
         else:
@@ -70,11 +67,7 @@ class Distortion:
 
     @staticmethod
     def power(alpha: float, scale: float = 1.0) -> "Distortion":
-        try:
-            alpha = float(alpha)
-        except (TypeError, ValueError):
-            raise StructuralError(f"alpha must be a number (got {alpha!r})") from None
-        return Distortion("power", alpha=alpha, scale=scale)
+        return Distortion("power", alpha=_scalar(alpha, "alpha", "positive"), scale=scale)
 
     @staticmethod
     def identity(scale: float = 1.0) -> "Distortion":
@@ -82,7 +75,11 @@ class Distortion:
 
     @staticmethod
     def piecewise_linear(knots, scale: float = 1.0) -> "Distortion":
-        return Distortion("pwl", knots=tuple((float(a), float(b)) for a, b in knots), scale=scale)
+        try:
+            knots = tuple(knots)
+        except TypeError:  # not iterable: the knots check names the argument
+            pass
+        return Distortion("pwl", knots=knots, scale=scale)
 
     def __call__(self, s):
         """g(s) for a float s or elementwise over an ndarray s."""

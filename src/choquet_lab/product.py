@@ -31,6 +31,7 @@ DEFAULT_K = 100
 LEVEL_TOL = 1e-9  # |mu_k(H_k) - tau_k mu_k(X)| for constructed sets
 REALIZE_TOL = 1e-6  # end-to-end tolerance for range realization
 MAX_TNODES = 2**52  # fubini_check: c + 0.5 is exact for every node index c
+_CHUNK = 2**14  # float64 entries per kernel chunk: whole nodes, sized to stay in cache
 
 
 @dataclass(frozen=True)
@@ -276,35 +277,79 @@ def product_measure(fam: SectionFamily, H: ProductSet) -> float:
     return float(np.mean(section_measures(fam, H)))
 
 
-def _node_tables(fam: SectionFamily, f: ProductStepFunction):
-    """Run the Choquet kernel over every node of f.
+def _blocks(fam: SectionFamily, f: ProductStepFunction, dims: int):
+    """The kernel over every node of f, block by block.
 
     Nodes of one measure shape (:class:`SectionFamily` groups them) whose
     sections share one partition object (as ``uniform``, ``separable`` and
-    ``StepFunction.on_grid`` sections do) go through the kernel as one
-    (nodes x cells) block; a section with a partition of its own is a block
-    of one.  A vector f has one row per node and component.
-
-    Returns the per-node integrals (K, components) and, per block, the
-    threshold table (v, L) of :func:`choquet._integrate_block`, rows in
-    node-major, component-minor order.
+    ``StepFunction.on_grid`` sections do) form one block; a section with a
+    partition of its own is a block of one.  Yields per block (nodes, cells,
+    :func:`_chunks` of the block).
     """
-    dims = f.sections[0].values.shape[1] if f.is_vector else 1
     blocks: dict[tuple, list[int]] = {}
     for g, (nodes, _) in enumerate(fam._groups):
         for k in nodes.tolist():
             blocks.setdefault((g, id(f.sections[k].cells)), []).append(k)
-    integrals = np.empty((f.K, dims))
-    tables = []
     for nodes in blocks.values():
-        cells = f.sections[nodes[0]].cells
-        values = np.array([f.sections[k].values for k in nodes])
-        rows = values.reshape(len(nodes), len(cells), dims).transpose(0, 2, 1)
-        measures = [fam.measures[k] for k in nodes for _ in range(dims)]
-        out, v, L = _integrate_block(rows.reshape(len(measures), len(cells)), measures, cells)
-        integrals[nodes] = out.reshape(len(nodes), dims)
-        tables.append((v, L))
-    return integrals, tables
+        yield nodes, len(f.sections[nodes[0]].cells), _chunks(fam, f, dims, nodes)
+
+
+def _chunks(fam: SectionFamily, f: ProductStepFunction, dims: int, nodes: list[int]):
+    """:func:`choquet._integrate_block` over one block, in chunks of whole
+    nodes of about _CHUNK float64 entries, sized from cells x components and
+    not from the number of nodes.  A vector f has one row per node and
+    component, node-major, and a chunk stacks its own section values.
+
+    Yields per chunk (part, integrals (nodes, components), v, L): ``part``
+    is the chunk's slice of ``nodes``, (v, L) its rows of the threshold
+    table.
+    """
+    cells = f.sections[nodes[0]].cells
+    per = max(1, _CHUNK // max(1, len(cells) * dims))  # nodes per chunk
+
+    def rows(chunk):
+        part = nodes[chunk.start // dims:chunk.stop // dims]
+        values = np.array([f.sections[k].values for k in part])
+        values = values.reshape(len(part), len(cells), dims).transpose(0, 2, 1)
+        return values.reshape(len(part) * dims, len(cells))
+
+    measures = [fam.measures[k] for k in nodes for _ in range(dims)]
+    for chunk, out, v, L in _integrate_block(rows, measures, cells, per * dims):
+        start = chunk.start // dims
+        yield slice(start, start + per), out.reshape(-1, dims), v, L
+
+
+def _node_tables(fam: SectionFamily, f: ProductStepFunction, dt=(), tnodes: int = 0, tops=None):
+    """Per-node integrals (K, components) of f, chunk by chunk
+    (:func:`_blocks`), and, given one t-node spacing dt[i] per component i,
+    the quadrature sums of :func:`fubini_check` before their factor dt / K.
+
+    Each chunk counts the t-nodes below each v_j of its rows of the
+    threshold table (:func:`_tnode_counts`); those in [v_{j+1}, v_j) see the
+    level L_j.  It writes count_j * L_j / tops[i] (L_j itself when ``tops``
+    is None) into its rows of one (nodes x cells) array per block and
+    component, and its table is then dropped.  A finished block's arrays are
+    summed with one np.sum each and the blocks added in order: the sums of
+    the whole tables, so the quadrature keeps the bits of a whole-table
+    pass, and its memory is one such array, not the tables.
+    """
+    dims = f.sections[0].values.shape[1] if f.is_vector else 1
+    integrals = np.empty((f.K, dims))
+    totals = np.zeros(len(dt))
+    for nodes, ncells, chunks in _blocks(fam, f, dims):
+        products = np.empty((len(dt), len(nodes), ncells))
+        for part, out, v, L in chunks:
+            integrals[nodes[part]] = out
+            for i, step in enumerate(dt):
+                below = _tnode_counts(v[i::dims], step, tnodes)  # t-nodes t < v_j
+                counts = products[i, part]  # t-nodes in [v_{j+1}, v_j), then times L_j
+                np.subtract(below[:, :-1], below[:, 1:], out=counts[:, :-1])
+                counts[:, -1:] = below[:, -1:]
+                with np.errstate(over="ignore"):
+                    counts *= L[i::dims] if tops is None else L[i::dims] / tops[i]
+        with np.errstate(over="ignore"):
+            totals += [np.sum(p) for p in products]
+    return integrals, totals
 
 
 def _mean(x: np.ndarray, axis=None):
@@ -367,67 +412,73 @@ def _tnode_counts(v: np.ndarray, dt: float, tnodes: int) -> np.ndarray:
     2**-1075 <= dt/2.  So node i is below v when i + 1 < y and not when
     i >= y, and the count is ceil(y) - 1 or ceil(y), clipped to
     [0, tnodes].  The guess is ceil(fl(v/dt) - 0.5); the quotient is
-    finite, as dt >= M/tnodes * 2/3 gives y <= 1.5 * tnodes.  For y < 2**52 the rounded quotient q is
-    within 1/4 of y and q - 0.5 is exact when q >= 1/4 (below, the guess is
-    0), so the guess is also ceil(y) - 1 or ceil(y); for y >= 2**52 it is
-    at least tnodes and the count at least tnodes - 1.  Clipped to
-    [0, tnodes - 1], the guess is within one of the count, and one step
-    each way lands on it: the steps compare v with nodes c and c - 1,
-    built by the same float operations (c + 0.5) * dt and (c - 0.5) * dt.
-    The down step needs c > 0, as -0.5 * dt rounds to -0.0 at
-    dt = 2**-1074.  When M/tnodes underflows to dt = 0, every node is 0.0.
+    finite, as dt >= M/tnodes * 2/3 gives y <= 1.5 * tnodes.  For
+    y < 2**52 the rounded quotient q is within 1/4 of y and q - 0.5 is exact
+    when q >= 1/4 (below, the guess is 0), so the guess is also ceil(y) - 1
+    or ceil(y); for y >= 2**52 it is at least tnodes and the count at least
+    tnodes - 1.  Clipped to [0, tnodes - 1], the guess is within one of the
+    count, and one step each way lands on it: the steps compare v with
+    nodes c and c - 1, built by the same float operations (c + 0.5) * dt and
+    (c - 0.5) * dt.  The down step needs c > 0, as -0.5 * dt rounds to -0.0
+    at dt = 2**-1074.  When M/tnodes underflows to dt = 0, every node is 0.0.
+
+    The counts are float64: integers below 2**53, so exact, and the steps
+    and the caller's products run in place on them, with no integer array
+    and no conversion.  A zero count may be -0.0, the ceiling of -0.5; it
+    compares, subtracts and adds as 0.
     """
     if dt == 0.0:
-        return np.where(v > 0.0, tnodes, 0)
-    c = np.clip(np.ceil(v / dt - 0.5), 0, tnodes - 1).astype(np.intp)
-    c += (c + 0.5) * dt < v
-    c -= (c > 0) & ((c - 0.5) * dt >= v)
+        return np.where(v > 0.0, float(tnodes), 0.0)
+    c = v / dt
+    c -= 0.5
+    np.ceil(c, out=c)
+    np.minimum(c, tnodes - 1, out=c)  # c >= ceil(-0.5) = -0.0 already
+    node = c + 0.5
+    node *= dt
+    c += node < v
+    np.subtract(c, 0.5, out=node)
+    node *= dt
+    c -= (node >= v) & (c > 0)
     return c
-
-
-def _quadrature(tables, i: int, dims: int, dt: float, tnodes: int, scale: float = 1.0) -> float:
-    """sum_j #{t-nodes in [v_{j+1}, v_j)} * L_j / scale over every node row
-    of component i: the t-quadrature sum of fubini_check before its factor
-    dt / K."""
-    total = 0.0
-    for v, L in tables:
-        below = _tnode_counts(v[i::dims], dt, tnodes)  # t-nodes t < v_j
-        below[:, :-1] -= below[:, 1:]
-        total += np.sum(below * (L[i::dims] / scale))
-    return total
 
 
 def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_000) -> FubiniReport:
     """Compare both integration orders for f on the product space.
 
     The left side integrates t -> (1/K) sum_k mu_k([f_k > t]) by midpoint
-    quadrature on [0, max f] with ``tnodes`` nodes (an integer from 100 to
-    2**52); the right side is :func:`integrate_product`.  Both come from one
-    kernel pass per node: a t-node in [v_{j+1}, v_j) of a node's threshold
-    table sees that node's level L_j, so the quadrature sum counts the
-    t-nodes below each v_j instead of visiting every node, and
-    :func:`_tnode_counts` computes each count from v_j / dt, equal to a
-    search of the t-node array, so no array of t-nodes is built.  A vector
-    f reports its component with the largest deviation.
+    quadrature on [0, M], M = max f, with ``tnodes`` nodes (an integer from
+    100 to 2**52); the right side is :func:`integrate_product`.  Both come
+    from one chunked kernel pass (:func:`_node_tables`): a t-node in
+    [v_{j+1}, v_j) of a node's threshold table sees that node's level L_j,
+    so the quadrature sum counts the t-nodes below each v_j instead of
+    visiting every node, and :func:`_tnode_counts` computes each count from
+    v_j / dt, equal to a search of the t-node array, so no array of t-nodes
+    is built.  M, the largest v_0, is the largest value of f, so dt is known
+    before the first chunk runs.  When the sum overflows (levels or values
+    near the float maximum), it is taken again over L_j / max L and scaled
+    back after the divisions.  A vector f reports its component with the
+    largest deviation.
     """
     _check_sections(fam, f.K)
     tnodes = _count(tnodes, "tnodes", 100, MAX_TNODES)
-    integrals, tables = _node_tables(fam, f)
-    dims = integrals.shape[1]
+    sections = {id(s): s for s in f.sections}.values()  # each distinct section once
+    M = np.concatenate([s.values for s in sections]).max(axis=0, initial=0.0).reshape(-1)
+    dt, dims = M / tnodes, len(M)
+    integrals, totals = _node_tables(fam, f, dt, tnodes)
+    with np.errstate(over="ignore"):
+        lhs = totals / fam.K * dt
     reports = []
-    for i in range(dims):
+    for i, largest in enumerate(M.tolist()):
         rhs = float(_mean(integrals[:, i]))
-        M = max(v[i::dims, :1].max(initial=0.0) for v, _ in tables)
-        if M <= 0:
+        if largest <= 0:
             reports.append(FubiniReport(0.0, rhs, tnodes))
             continue
-        dt = M / tnodes
-        with np.errstate(over="ignore"):
-            lhs = _quadrature(tables, i, dims, dt, tnodes) / fam.K * dt
-        if not np.isfinite(lhs):  # levels or values near the float maximum
-            top = max(L[i::dims].max() for _, L in tables)
-            lhs = _quadrature(tables, i, dims, dt, tnodes, top) / fam.K / tnodes * M * top
-        reports.append(FubiniReport(float(lhs), rhs, tnodes))
+        if not np.isfinite(lhs[i]):
+            top = max(L[i::dims].max(initial=0.0)
+                      for _, _, chunks in _blocks(fam, f, dims) for *_, L in chunks)
+            tops = np.where(np.arange(dims) == i, top, 1.0)
+            lhs[i] = _node_tables(fam, f, dt, tnodes, tops)[1][i] / fam.K / tnodes * largest * top
+        reports.append(FubiniReport(float(lhs[i]), rhs, tnodes))
     return max(reports, key=lambda r: r.deviation)
 
 

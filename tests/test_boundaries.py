@@ -148,6 +148,9 @@ SCALARS = {
     "IntervalSet not pairs": (lambda: IntervalSet(5), "intervals"),
     "Distortion.power string": (lambda: Distortion.power("x"), "alpha"),
     "Distortion.power None": (lambda: Distortion.power(None), "alpha"),
+    "Distortion scale string": (lambda: Distortion.identity(scale="x"), "distortion scale"),
+    "Distortion scale None": (lambda: Distortion.power(2.0, scale=None), "distortion scale"),
+    "pwl knot string": (lambda: Distortion.piecewise_linear([(0, "a"), (1, 1)]), "pwl knots"),
 }
 
 

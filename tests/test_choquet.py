@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from choquet_lab.choquet import (
     INTEGRAL_PROPERTIES,
     StepFunction,
     _choquet_block,
+    _integrate_block,
     choquet,
     choquet_restricted,
     comonotone_pair,
@@ -16,8 +19,8 @@ from choquet_lab.choquet import (
     superlevel_set,
 )
 from choquet_lab.errors import StructuralError
-from choquet_lab.intervals import IntervalSet
-from choquet_lab.measures import Distortion, FuzzyMeasure
+from choquet_lab.intervals import IntervalSet, _ends, _lengths
+from choquet_lab.measures import Distortion, FuzzyMeasure, _block_lengths
 
 EXACT_TOL = 1e-9  # integral identities that hold exactly up to float rounding
 
@@ -477,6 +480,66 @@ class TestKernelOrder:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+def whole_block_keys(measures, cells):
+    """Keys and level map of a block as one pass over all of its rows takes
+    them: lengths and scale * base for distorted rows, one matrix product
+    of the weights with the block fractions for sectioned rows."""
+    lo, hi = _ends(cells)
+    first = measures[0]
+    if first.mode == "distorted":
+        scales = np.array([[mu.distortion.scale] for mu in measures])
+        return _lengths(lo, hi), lambda cum: scales * first.distortion._base(cum)
+    fractions = _block_lengths(lo, hi, first.blocks) / [blk.lebesgue for blk in first.blocks]
+    keys = np.array([mu.weights for mu in measures]) @ fractions.T
+    return (keys[0] if len(measures) == 1 else keys), None
+
+
+def random_cells(rng, n):
+    """A partition of [0,1) into n single-interval cells of random lengths."""
+    cuts = np.sort(rng.choice(np.arange(1, 1 << 12), size=n - 1, replace=False)) / 4096.0
+    edges = np.concatenate(([0.0], cuts, [1.0]))
+    return tuple(IntervalSet.interval(a, b) for a, b in zip(edges, edges[1:]))
+
+
+def block_measures(rng, kind, rows):
+    """One measure per row, all of one shape.  Sectioned rows have three
+    blocks striped at 1/1024, so many cells of :func:`random_cells` meet
+    two of them and their mass sums two weighted parts."""
+    if kind == "sectioned":
+        stripes = np.arange(1025) / 1024
+        blocks = [IntervalSet(list(zip(stripes[b:-1:3], stripes[b + 1::3]))) for b in range(3)]
+        return [FuzzyMeasure.sectioned(blocks, w) for w in rng.uniform(0.1, 2.0, size=(rows, 3))]
+    g = random_distortion(rng)
+    scales = rng.uniform(0.2, 3.0, size=rows) if kind == "scaled distortions" else np.ones(rows)
+    return [FuzzyMeasure.distorted(replace(g, scale=s)) for s in scales]
+
+
+class TestChunkedBlock:
+    """70 rows x 900 cells in chunks of 18 rows, the chunk of the product
+    kernel at 900 cells: every row keeps the bits of one whole-block pass."""
+
+    @pytest.mark.parametrize("shape", ["distinct", "tie in one chunk", "signed zero in one chunk"])
+    @pytest.mark.parametrize("kind", ["scaled distortions", "unit distortions", "sectioned"])
+    def test_chunks_equal_the_whole_block_bit_for_bit(self, kind, shape):
+        rng = np.random.default_rng(27)
+        cells = random_cells(rng, 900)
+        values = rng.uniform(0.0, 2.0, size=(70, 900))
+        if shape == "tie in one chunk":  # row 40 lies in the third chunk
+            values[40, 100] = values[40, 500]
+        elif shape == "signed zero in one chunk":
+            values[40, [100, 500]] = [0.0, -0.0]
+        measures = block_measures(rng, kind, 70)
+        chunks = list(_integrate_block(lambda chunk: values[chunk], measures, cells, 18))
+        assert [c.start for c, *_ in chunks] == [0, 18, 36, 54]
+        ties = [bool(np.any(v[:, 1:] == v[:, :-1])) for *_, v, _ in chunks]
+        assert ties == [False, False, shape != "distinct", False]
+        want = stable_block(values, *whole_block_keys(measures, cells))
+        for got, ref in zip(zip(*(c[1:] for c in chunks)), want):
+            got = np.concatenate(got)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestNonFiniteInput:

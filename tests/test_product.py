@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_choquet import (
+    block_measures,
     close,
     random_blocks,
+    random_cells,
     random_distortion,
     random_measure,
     reference_choquet,
     reference_table,
+    stable_block,
+    whole_block_keys,
 )
 
 from choquet_lab.choquet import StepFunction, comonotone_pair, random_step_function
@@ -22,6 +28,7 @@ from choquet_lab.product import (
     ProductSet,
     ProductStepFunction,
     SectionFamily,
+    _node_tables,
     _tnode_counts,
     check_price_commutation,
     fubini_check,
@@ -455,7 +462,7 @@ class TestTnodeCounts:
         v = np.array([[2.0, 1.5, 1.5, 0.0], [1.0, 0.25, -0.0, 0.0]])
         n, dt = 100, 2.0 / 100
         got = _tnode_counts(v, dt, n)
-        assert got.shape == v.shape and got.dtype == np.intp
+        assert got.shape == v.shape and got.dtype == np.float64
         np.testing.assert_array_equal(got, searched_counts(v, dt, n))
 
 
@@ -776,6 +783,129 @@ class TestKernelAgainstObjectPath:
             assert integrate_product(fam, f) == 0.0
             rep = fubini_check(fam, f, tnodes=100)
             assert (rep.lhs, rep.rhs) == (0.0, 0.0)
+
+
+def whole_table_reference(fam, f, tnodes):
+    """The node integrals, integrate_product(fam, f) and fubini_check's
+    (lhs, rhs) from one whole-block kernel pass per block, the threshold
+    tables of every node kept, and the quadrature summed over each whole
+    table with the t-nodes counted by a search of the t-node array."""
+    dims = f.sections[0].values.shape[1] if f.is_vector else 1
+    blocks = {}
+    for g, (nodes, _) in enumerate(fam._groups):
+        for k in nodes.tolist():
+            blocks.setdefault((g, id(f.sections[k].cells)), []).append(k)
+    integrals, tables = np.empty((f.K, dims)), []
+    for nodes in blocks.values():
+        cells = f.sections[nodes[0]].cells
+        values = np.array([f.sections[k].values for k in nodes])
+        rows = values.reshape(len(nodes), len(cells), dims).transpose(0, 2, 1)
+        measures = [fam.measures[k] for k in nodes for _ in range(dims)]
+        out, v, L = stable_block(rows.reshape(len(measures), len(cells)),
+                                 *whole_block_keys(measures, cells))
+        integrals[nodes] = out.reshape(len(nodes), dims)
+        tables.append((v, L))
+    reports = []
+    for i in range(dims):
+        rhs = float(np.mean(integrals[:, i]))
+        M = max(v[i::dims, :1].max(initial=0.0) for v, _ in tables)
+        dt = M / tnodes
+        total = 0.0
+        for v, L in tables:
+            below = searched_counts(v[i::dims], dt, tnodes)
+            below[:, :-1] -= below[:, 1:]
+            total += np.sum(below * L[i::dims])
+        reports.append((float(total / f.K * dt) if M > 0 else 0.0, rhs))
+    mean = np.mean(integrals, axis=0) if f.is_vector else float(np.mean(integrals))
+    return integrals, mean, max(reports, key=lambda r: abs(r[0] - r[1]))
+
+
+def chunked_family(rng, kind, K):
+    if kind == "scaled homothetic":
+        return SectionFamily("homothetic", tuple(block_measures(rng, "scaled distortions", K)))
+    if kind == "sectioned":
+        return SectionFamily("sectioned", tuple(block_measures(rng, "sectioned", K)))
+    # heterogeneous: two measure shapes, the nodes of each interleaved with the other's
+    shapes = [block_measures(rng, "scaled distortions", K), block_measures(rng, "sectioned", K)]
+    return SectionFamily.heterogeneous([shapes[k % 2][k] for k in range(K)])
+
+
+class TestChunkedNodes:
+    """70 nodes x 900 cells span several kernel chunks (18 nodes at 900
+    cells, 6 for 3 components); every output keeps the bits of the whole
+    tables."""
+
+    @pytest.mark.parametrize("shape", ["distinct", "tie in one chunk", "signed zero in one chunk"])
+    @pytest.mark.parametrize("layout", ["shared", "mixed"])
+    @pytest.mark.parametrize("dims", [0, 3])
+    @pytest.mark.parametrize("kind", ["scaled homothetic", "sectioned", "heterogeneous"])
+    def test_integrals_and_fubini_equal_the_whole_tables_bit_for_bit(self, kind, dims, layout,
+                                                                     shape):
+        rng = np.random.default_rng(27)
+        fam = chunked_family(rng, kind, 70)
+        shared = random_cells(rng, 900)
+        sections = []
+        for k in range(70):  # with "mixed", every fifth node has a partition of its own
+            cells = random_cells(rng, 40) if layout == "mixed" and k % 5 == 0 else shared
+            values = rng.uniform(0.0, 2.0, size=(len(cells), dims) if dims else len(cells))
+            if k == 41 and shape == "tie in one chunk":
+                values[100] = values[500]
+            elif k == 41 and shape == "signed zero in one chunk":
+                values[100], values[500] = 0.0, -0.0
+            sections.append(StepFunction(cells, values, validate=False))
+        f = ProductStepFunction(tuple(sections))
+        integrals, integral, (lhs, rhs) = whole_table_reference(fam, f, 10_000)
+        assert _node_tables(fam, f)[0].tobytes() == integrals.tobytes()
+        got = integrate_product(fam, f)
+        assert np.asarray(got).tobytes() == np.asarray(integral).tobytes()
+        rep = fubini_check(fam, f, tnodes=10_000)
+        assert np.array([rep.lhs, rep.rhs]).tobytes() == np.array([lhs, rhs]).tobytes()
+
+
+def fubini_grid_knots(seed):
+    """The concave pwl distortion of the fubini-grid benchmark jobs of ``seed``."""
+    rng = np.random.default_rng([seed, 2])
+    xs = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, size=2)), [1.0]])
+    slopes = np.sort(rng.uniform(0.2, 3.0, size=3))[::-1]
+    ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
+    return [[float(x), float(y)] for x, y in zip(xs, ys)]
+
+
+# SHA-256 of the (lhs, rhs) bytes of fubini_check on the fubini-grid benchmark
+# jobs 0-7 of seeds 1 and 2: K = 100 nodes x 1,000 cells of uniform values in
+# [0, 2), 10,000 t-nodes, rotating over the identity, square, pwl and intro
+# sectioned families.  Recorded with the whole-block kernel and quadrature.
+FUBINI_GRID_SHA256 = "592127f66c4769076008b141c1c8a78bad9892259895b98437df4e0653bc14f3"
+
+
+class TestFubiniGridPins:
+    def test_fubini_grid_outputs_keep_their_bits(self):
+        digest = hashlib.sha256()
+        for seed in (1, 2):
+            pwl = SectionFamily.homothetic(Distortion.piecewise_linear(fubini_grid_knots(seed)),
+                                           K=100)
+            families = [identity_family(100), square_family(100), pwl, intro_family(100)]
+            for index in range(8):
+                values = np.random.default_rng([seed, 0, index]).uniform(0.0, 2.0, (100, 1000))
+                f = ProductStepFunction(tuple(StepFunction.on_grid(row) for row in values))
+                rep = fubini_check(families[index % 4], f, tnodes=10_000)
+                digest.update(np.array([rep.lhs, rep.rhs]).tobytes())
+        assert digest.hexdigest() == FUBINI_GRID_SHA256
+
+    def test_peak_memory_per_node_and_cell(self):
+        # tracemalloc sees numpy's buffers: the kernel's temporaries are one
+        # chunk's, and the quadrature keeps one (nodes x cells) array
+        K, ncells = 4000, 1000
+        fam = intro_family(K)
+        values = np.random.default_rng(5).uniform(0.0, 2.0, size=(K, ncells))
+        f = ProductStepFunction(tuple(StepFunction.on_grid(row) for row in values))
+        tracemalloc.start()
+        try:
+            fubini_check(fam, f, tnodes=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * K * ncells
 
 
 class TestNonFiniteFamilies:
