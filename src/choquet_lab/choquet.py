@@ -15,17 +15,17 @@ So one private kernel, :func:`_choquet_block`, integrates a
 row (numpy's default sort, redone stable when a row has equal values, so the
 order is always the stable one), one cumulative sum of the keys and one
 vectorised G.  It returns the integrals together with the threshold table.
-Every step of it sees one row at a time, so a row's bits do not depend on
-the rows beside it.  :func:`_integrate_block` walks a block of rows in
-chunks of whole rows: it reads the keys once for the block off the
-partition's padded end points (``intervals._ends``) with the formulas that
-measure every array of interval sets, the lengths of ``intervals._lengths``
-and the block overlaps |cell ∩ E_i| of ``measures._block_lengths``, so no
-superlevel set is ever built, and runs the kernel on each chunk, whose
-temporaries stay in cache.  :func:`choquet` runs it as one chunk with one
-row per component, ``product.integrate_product`` and
-``product.fubini_check`` on chunks of whole y-nodes of about 2**14 float64
-entries (``product._CHUNK``).
+Its keys come from :func:`_keys`, which takes them from the cell overlaps
+that :func:`_overlaps` reads once per partition off its padded end points
+(``intervals._ends``): the lengths of ``intervals._lengths``, or the block
+overlaps |cell ∩ E_i| of ``measures._block_lengths``, which
+``measures._masses`` turns into masses block by block, as the scalar mu
+adds them.  So no superlevel set is ever built, and every step sees one row
+at a time: a row's keys, integral and table do not depend on the rows
+beside it.  :func:`choquet` runs the kernel with one row per component;
+``product.integrate_product`` and ``product.fubini_check`` run it on chunks
+of whole y-nodes of about 2**14 float64 entries (``product._CHUNK``), each
+chunk with its own keys, so a node's integral is ``choquet`` of its section.
 :func:`riemann_choquet` is the deliberately independent brute-force
 companion built on explicit interval-set unions.  :func:`integral_properties`
 decides the classical properties of the integral from the measure alone.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import StructuralError, _array, _count
 from .intervals import IntervalSet, _ends, _lengths, uniform_partition
-from .measures import FuzzyMeasure, _block_lengths, measure_properties
+from .measures import FuzzyMeasure, _block_lengths, _masses, measure_properties
 
 
 @dataclass(frozen=True)
@@ -177,29 +177,36 @@ def superlevel_set(f: StepFunction, t: float) -> IntervalSet:
 # -- the sorted-threshold kernel ---------------------------------------------
 
 
-def _measure_rows(measures, lo: np.ndarray, hi: np.ndarray):
-    """Cell keys and per-row scales of rows measured by ``measures`` (one
-    per row, or one for all rows), all of one shape, on the cells of one
-    partition, given by the end points (cells, pieces) of
-    :func:`intervals._ends`.
+def _overlaps(mu: FuzzyMeasure, cells) -> np.ndarray:
+    """What the keys of rows of ``mu``'s shape are made of, read once for
+    the partition ``cells`` off its padded end points
+    (:func:`intervals._ends`): the cell lengths (cells,) of
+    :func:`intervals._lengths` for a distorted shape, the block overlaps
+    |cell ∩ E_i| (cells, blocks) of :func:`measures._block_lengths` for a
+    sectioned one."""
+    lo, hi = _ends(cells)
+    return _lengths(lo, hi) if mu.mode == "distorted" else _block_lengths(lo, hi, mu.blocks)
 
-    Every measure here is mu(A) = G(sum of the keys of the cells in A): a
-    distorted measure has the cell lengths as keys and G = its scale times
-    its distortion's base, which rows of one shape share; a sectioned one has
-    the cell masses sum_i w_i |cell ∩ E_i| / |E_i| as keys and G = identity.
-    Returns (keys, scales): keys (cells,) shared by every row, or (rows,
-    cells) masses, one matrix product for the whole block; scales (rows, 1),
-    or None for additive rows.  The masses are not taken chunk by chunk,
-    because BLAS gives an entry of a matrix product bits that depend on the
-    shape of the whole product.
+
+def _keys(measures, overlaps: np.ndarray):
+    """The kernel's (keys, levels) for rows measured by ``measures``, one
+    per row, all of one shape, on cells with the :func:`_overlaps`
+    ``overlaps``: the entry to :func:`_choquet_block`.
+
+    Distorted rows share the cell lengths as keys, and row r's levels are
+    its scale times the shape's base.  Sectioned rows have keys (rows,
+    cells), the masses of :func:`measures._masses`, each the scalar mu of
+    its cell, and no level map.  A key depends on its own row's measure
+    alone, so a caller takes the keys of each chunk of rows from the
+    overlaps of their block, and every row keeps its bits whatever the chunk
+    or block around it.
     """
     first = measures[0]
     if first.mode == "distorted":
-        return _lengths(lo, hi), np.array([[mu.distortion.scale] for mu in measures])
-    sizes = [blk.lebesgue for blk in first.blocks]
-    fractions = _block_lengths(lo, hi, first.blocks) / sizes  # |cell ∩ E_i| / |E_i|
-    keys = np.array([mu.weights for mu in measures]) @ fractions.T
-    return (keys[0] if len(measures) == 1 else keys), None
+        scales = np.array([[mu.distortion.scale] for mu in measures])
+        return overlaps, lambda cum: scales * first.distortion._base(cum)
+    weights = np.array([mu.weights for mu in measures])
+    return _masses(overlaps, weights[:, None, :], first.blocks), None
 
 
 def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
@@ -216,7 +223,7 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
     Every step works row by row: the sort, the gathers, the cumulative sum
     and the sum of each row see that row alone, and ``levels`` is entry by
     entry.  So a row's integral and table do not depend on the other rows of
-    the call, and :func:`_integrate_block` may pass any chunk of a block.
+    the call, and a caller may pass any chunk of a block.
 
     The order is the stable one.  numpy's default sort is faster but need not
     be stable, so its ascending order, reversed, is kept only when no sorted
@@ -242,39 +249,13 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
     return np.sum(drops, axis=1), v, L
 
 
-def _integrate_block(rows, measures, cells, step: int | None = None):
-    """Run the kernel over a block of rows on the partition ``cells``, row r
-    measured by measures[r] (or all rows by measures[0] when only one is
-    given, in a single chunk), all of one shape, ``step`` rows at a time
-    (all rows when None).
-
-    ``rows(chunk)`` returns the values (rows, cells) of the rows in the
-    slice ``chunk``, so a caller stacks one chunk of values at a time.  The
-    keys and scales come from :func:`_measure_rows` once for the block; each
-    chunk gets its slice of them, one :func:`_choquet_block` pass with its
-    own tie check, and its level map scales * base(cum), which is entry by
-    entry.  Rows are independent in the kernel, so a row keeps its bits
-    whatever the chunk size, and a chunk's temporaries stay in cache.
-
-    Yields (chunk, integrals, v, L) per chunk.
-    """
-    keys, scales = _measure_rows(measures, *_ends(cells))
-    base = None if scales is None else measures[0].distortion._base
-    n = len(measures)
-    step = step or n
-    for start in range(0, n, step):
-        chunk = slice(start, start + step)
-        levels = None if base is None else (lambda cum, s=scales[chunk]: s * base(cum))
-        yield (chunk, *_choquet_block(rows(chunk), keys if keys.ndim == 1 else keys[chunk], levels))
-
-
 def choquet(f: StepFunction, mu: FuzzyMeasure):
     """Choquet integral of f against mu; exact for step functions.
 
     Returns a float for scalar f, an ndarray (componentwise) for vector f.
     """
     rows = f.values.T if f.is_vector else f.values[None, :]
-    (_, integrals, _, _), = _integrate_block(lambda _: rows, (mu,), f.cells)
+    integrals, _, _ = _choquet_block(rows, *_keys((mu,) * len(rows), _overlaps(mu, f.cells)))
     return integrals if f.is_vector else float(integrals[0])
 
 

@@ -13,6 +13,7 @@ Identical arguments and input files produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -223,6 +224,9 @@ def _validate_positive(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise ConfigError(f"--{name} must be positive (got {value})")
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be finite and non-negative (got {tolerance})")
 
 
 def main(argv=None) -> int:

@@ -245,6 +245,21 @@ def _block_lengths(lo: np.ndarray, hi: np.ndarray, blocks) -> np.ndarray:
     ], axis=-1)
 
 
+def _masses(parts: np.ndarray, weights: np.ndarray, blocks) -> np.ndarray:
+    """sum_i w_i |A ∩ E_i| / |E_i|, the masses of sectioned measures on the
+    blocks ``blocks``, from the overlaps ``parts`` (..., blocks) of
+    :func:`_block_lengths` and the weights (..., blocks) broadcast against
+    them, one row of weights per measure.  The terms are added block by
+    block and w_i = 0 is skipped, as :meth:`FuzzyMeasure.measure` adds them,
+    so a mass has the bits of the scalar mu of its set, whatever else the
+    arrays hold."""
+    total = np.zeros(np.broadcast_shapes(parts.shape, weights.shape)[:-1])
+    for i, blk in enumerate(blocks):
+        w = weights[..., i]
+        np.add(total, w * parts[..., i] / blk.lebesgue, out=total, where=w > 0)
+    return total
+
+
 def _subadditivity_peak(g: Distortion) -> tuple[float, float] | None:
     """The (a, c) maximizing g(c) - g(a) - g(c - a) over 0 <= a <= c <= 1,
     that is g(a + b) - g(a) - g(b) over a, b >= 0, a + b <= 1, evaluated as

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .choquet import StepFunction, _integrate_block
+from .choquet import StepFunction, _choquet_block, _keys, _overlaps
 from .errors import StructuralError, UnsupportedFamilyError, _array, _count
 from .intervals import IntervalSet, _ends, _from_ends, _lengths
 from .lp import linprog
-from .measures import Distortion, FuzzyMeasure, _block_lengths, _pow
+from .measures import Distortion, FuzzyMeasure, _block_lengths, _masses, _pow
 from .measures import _chain_ends as _measure_chain_ends
 
 DEFAULT_K = 100
@@ -250,8 +250,8 @@ def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.nda
     """mu_k(H_k) for sections given as pieces [lo, hi) (..., K, pieces),
     padded with [0, 0): bit for bit the scalar mu of the sets they make,
     when the pieces are the sets' intervals left to right (within each
-    block, for a sectioned measure).  As mu does, g takes the length,
-    and w_i |H_k ∩ E_i| / |E_i| is added block by block, the overlaps
+    block, for a sectioned measure).  As mu does, g takes the length, and
+    a sectioned measure's mass is :func:`measures._masses` of the overlaps
     from :func:`measures._block_lengths`.  Each of the family's measure
     shapes is one pass, with every node's own scale or weights."""
     out = np.empty(lo.shape[:-1])
@@ -263,12 +263,8 @@ def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.nda
             base = _pow(length, g.alpha) if g.kind == "power" else g._base(length)
             out[..., idx] = np.array([fam.measures[k].distortion.scale for k in nodes]) * base
             continue
-        total = np.zeros(a.shape[:-1])
         weights = np.array([fam.measures[k].weights for k in nodes])
-        parts = _block_lengths(a, b, mu.blocks)
-        for i, (blk, w) in enumerate(zip(mu.blocks, weights.T)):
-            total = np.where(w > 0, total + w * parts[..., i] / blk.lebesgue, total)
-        out[..., idx] = total
+        out[..., idx] = _masses(_block_lengths(a, b, mu.blocks), weights, mu.blocks)
     return out
 
 
@@ -277,54 +273,44 @@ def product_measure(fam: SectionFamily, H: ProductSet) -> float:
     return float(np.mean(section_measures(fam, H)))
 
 
-def _blocks(fam: SectionFamily, f: ProductStepFunction, dims: int):
-    """The kernel over every node of f, block by block.
-
-    Nodes of one measure shape (:class:`SectionFamily` groups them) whose
-    sections share one partition object (as ``uniform``, ``separable`` and
-    ``StepFunction.on_grid`` sections do) form one block; a section with a
-    partition of its own is a block of one.  Yields per block (nodes, cells,
-    :func:`_chunks` of the block).
-    """
-    blocks: dict[tuple, list[int]] = {}
-    for g, (nodes, _) in enumerate(fam._groups):
-        for k in nodes.tolist():
-            blocks.setdefault((g, id(f.sections[k].cells)), []).append(k)
-    for nodes in blocks.values():
-        yield nodes, len(f.sections[nodes[0]].cells), _chunks(fam, f, dims, nodes)
-
-
 def _chunks(fam: SectionFamily, f: ProductStepFunction, dims: int, nodes: list[int]):
-    """:func:`choquet._integrate_block` over one block, in chunks of whole
-    nodes of about _CHUNK float64 entries, sized from cells x components and
-    not from the number of nodes.  A vector f has one row per node and
-    component, node-major, and a chunk stacks its own section values.
+    """The kernel over the block ``nodes``, in chunks of whole nodes of
+    about _CHUNK float64 entries, sized from cells x components and not
+    from the number of nodes.  A vector f has one row per node and
+    component, node-major, and a chunk stacks its own section values.  The
+    cell overlaps are read once for the block (:func:`choquet._overlaps`)
+    and each chunk takes its own keys from them (:func:`choquet._keys`), so
+    the keys are never an array of the block's size, and a node's integral
+    is ``choquet`` of its section, whatever its chunk and block.
 
     Yields per chunk (part, integrals (nodes, components), v, L): ``part``
     is the chunk's slice of ``nodes``, (v, L) its rows of the threshold
     table.
     """
     cells = f.sections[nodes[0]].cells
+    overlaps = _overlaps(fam.measures[nodes[0]], cells)
     per = max(1, _CHUNK // max(1, len(cells) * dims))  # nodes per chunk
-
-    def rows(chunk):
-        part = nodes[chunk.start // dims:chunk.stop // dims]
+    for start in range(0, len(nodes), per):
+        part = nodes[start:start + per]
         values = np.array([f.sections[k].values for k in part])
         values = values.reshape(len(part), len(cells), dims).transpose(0, 2, 1)
-        return values.reshape(len(part) * dims, len(cells))
-
-    measures = [fam.measures[k] for k in nodes for _ in range(dims)]
-    for chunk, out, v, L in _integrate_block(rows, measures, cells, per * dims):
-        start = chunk.start // dims
+        measures = [fam.measures[k] for k in part for _ in range(dims)]
+        out, v, L = _choquet_block(values.reshape(len(measures), len(cells)),
+                                   *_keys(measures, overlaps))
         yield slice(start, start + per), out.reshape(-1, dims), v, L
 
 
 def _node_tables(fam: SectionFamily, f: ProductStepFunction, dt=(), tnodes: int = 0, tops=None):
-    """Per-node integrals (K, components) of f, chunk by chunk
-    (:func:`_blocks`), and, given one t-node spacing dt[i] per component i,
-    the quadrature sums of :func:`fubini_check` before their factor dt / K.
+    """Per-node integrals (K, components) of f, chunk by chunk, and, given
+    one t-node spacing dt[i] per component i, the quadrature sums of
+    :func:`fubini_check` before their factor dt / K and the largest level
+    of each component.
 
-    Each chunk counts the t-nodes below each v_j of its rows of the
+    Nodes of one measure shape (:class:`SectionFamily` groups them) whose
+    sections share one partition object (as ``uniform``, ``separable`` and
+    ``StepFunction.on_grid`` sections do) form one block, walked by
+    :func:`_chunks`; a section with a partition of its own is a block of
+    one.  Each chunk counts the t-nodes below each v_j of its rows of the
     threshold table (:func:`_tnode_counts`); those in [v_{j+1}, v_j) see the
     level L_j.  It writes count_j * L_j / tops[i] (L_j itself when ``tops``
     is None) into its rows of one (nodes x cells) array per block and
@@ -332,15 +318,22 @@ def _node_tables(fam: SectionFamily, f: ProductStepFunction, dt=(), tnodes: int 
     summed with one np.sum each and the blocks added in order: the sums of
     the whole tables, so the quadrature keeps the bits of a whole-table
     pass, and its memory is one such array, not the tables.
+
+    Returns (integrals, sums, largest levels).
     """
     dims = f.sections[0].values.shape[1] if f.is_vector else 1
     integrals = np.empty((f.K, dims))
-    totals = np.zeros(len(dt))
-    for nodes, ncells, chunks in _blocks(fam, f, dims):
-        products = np.empty((len(dt), len(nodes), ncells))
-        for part, out, v, L in chunks:
+    totals, largest = np.zeros(len(dt)), np.zeros(len(dt))
+    blocks: dict[tuple, list[int]] = {}
+    for g, (nodes, _) in enumerate(fam._groups):
+        for k in nodes.tolist():
+            blocks.setdefault((g, id(f.sections[k].cells)), []).append(k)
+    for nodes in blocks.values():
+        products = np.empty((len(dt), len(nodes), len(f.sections[nodes[0]].cells)))
+        for part, out, v, L in _chunks(fam, f, dims, nodes):
             integrals[nodes[part]] = out
             for i, step in enumerate(dt):
+                largest[i] = max(largest[i], L[i::dims].max(initial=0.0))
                 below = _tnode_counts(v[i::dims], step, tnodes)  # t-nodes t < v_j
                 counts = products[i, part]  # t-nodes in [v_{j+1}, v_j), then times L_j
                 np.subtract(below[:, :-1], below[:, 1:], out=counts[:, :-1])
@@ -349,7 +342,7 @@ def _node_tables(fam: SectionFamily, f: ProductStepFunction, dt=(), tnodes: int 
                     counts *= L[i::dims] if tops is None else L[i::dims] / tops[i]
         with np.errstate(over="ignore"):
             totals += [np.sum(p) for p in products]
-    return integrals, totals
+    return integrals, totals, largest
 
 
 def _mean(x: np.ndarray, axis=None):
@@ -369,7 +362,7 @@ def _mean(x: np.ndarray, axis=None):
 def integrate_product(fam: SectionFamily, f: ProductStepFunction):
     """Iterated integral (1/K) sum_k choquet(f(., y_k), mu_k)."""
     _check_sections(fam, f.K)
-    integrals, _ = _node_tables(fam, f)
+    integrals = _node_tables(fam, f)[0]
     return _mean(integrals, axis=0) if f.is_vector else float(_mean(integrals))
 
 
@@ -453,32 +446,31 @@ def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_00
     so the quadrature sum counts the t-nodes below each v_j instead of
     visiting every node, and :func:`_tnode_counts` computes each count from
     v_j / dt, equal to a search of the t-node array, so no array of t-nodes
-    is built.  M, the largest v_0, is the largest value of f, so dt is known
-    before the first chunk runs.  When the sum overflows (levels or values
-    near the float maximum), it is taken again over L_j / max L and scaled
-    back after the divisions.  A vector f reports its component with the
-    largest deviation.
+    is built.  M, the largest v_0, is the largest value of f, taken as the
+    largest of each distinct section's maxima, so dt is known before the
+    first chunk runs.  Every node's keys come from its own measure
+    (:func:`choquet._keys`), so its integral is ``choquet`` of its section.
+    When the sum overflows (levels or values near the float maximum), one
+    more pass takes it over L_j / max L, with max L kept by the first pass,
+    for every overflowed component at once, and scales it back after the
+    divisions.  A vector f reports its component with the largest deviation.
     """
     _check_sections(fam, f.K)
     tnodes = _count(tnodes, "tnodes", 100, MAX_TNODES)
     sections = {id(s): s for s in f.sections}.values()  # each distinct section once
-    M = np.concatenate([s.values for s in sections]).max(axis=0, initial=0.0).reshape(-1)
-    dt, dims = M / tnodes, len(M)
-    integrals, totals = _node_tables(fam, f, dt, tnodes)
+    M = np.max([s.values.max(axis=0, initial=0.0) for s in sections], axis=0).reshape(-1)
+    dt = M / tnodes
+    integrals, totals, tops = _node_tables(fam, f, dt, tnodes)
     with np.errstate(over="ignore"):
         lhs = totals / fam.K * dt
-    reports = []
-    for i, largest in enumerate(M.tolist()):
-        rhs = float(_mean(integrals[:, i]))
-        if largest <= 0:
-            reports.append(FubiniReport(0.0, rhs, tnodes))
-            continue
-        if not np.isfinite(lhs[i]):
-            top = max(L[i::dims].max(initial=0.0)
-                      for _, _, chunks in _blocks(fam, f, dims) for *_, L in chunks)
-            tops = np.where(np.arange(dims) == i, top, 1.0)
-            lhs[i] = _node_tables(fam, f, dt, tnodes, tops)[1][i] / fam.K / tnodes * largest * top
-        reports.append(FubiniReport(float(lhs[i]), rhs, tnodes))
+    redo = (M > 0) & ~np.isfinite(lhs)
+    if redo.any():  # one more pass, over L_j / max L for the overflowed components
+        tops = np.where(redo, tops, 1.0)
+        sums = _node_tables(fam, f, dt, tnodes, tops)[1]
+        lhs[redo] = sums[redo] / fam.K / tnodes * M[redo] * tops[redo]
+    reports = [FubiniReport(float(lhs[i]) if largest > 0 else 0.0,
+                            float(_mean(integrals[:, i])), tnodes)
+               for i, largest in enumerate(M.tolist())]
     return max(reports, key=lambda r: r.deviation)
 
 

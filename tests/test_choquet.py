@@ -9,7 +9,8 @@ from choquet_lab.choquet import (
     INTEGRAL_PROPERTIES,
     StepFunction,
     _choquet_block,
-    _integrate_block,
+    _keys,
+    _overlaps,
     choquet,
     choquet_restricted,
     comonotone_pair,
@@ -484,16 +485,21 @@ class TestKernelOrder:
 
 def whole_block_keys(measures, cells):
     """Keys and level map of a block as one pass over all of its rows takes
-    them: lengths and scale * base for distorted rows, one matrix product
-    of the weights with the block fractions for sectioned rows."""
+    them: lengths and scale * base for distorted rows; for sectioned rows,
+    the weights times the block fractions of every cell, added block by
+    block over the whole (rows, cells) array."""
     lo, hi = _ends(cells)
     first = measures[0]
     if first.mode == "distorted":
         scales = np.array([[mu.distortion.scale] for mu in measures])
         return _lengths(lo, hi), lambda cum: scales * first.distortion._base(cum)
-    fractions = _block_lengths(lo, hi, first.blocks) / [blk.lebesgue for blk in first.blocks]
-    keys = np.array([mu.weights for mu in measures]) @ fractions.T
-    return (keys[0] if len(measures) == 1 else keys), None
+    parts = _block_lengths(lo, hi, first.blocks)
+    W = np.array([mu.weights for mu in measures])
+    keys = np.zeros((len(measures), len(cells)))
+    for i, blk in enumerate(first.blocks):
+        w = W[:, i:i + 1]
+        keys = np.where(w > 0, keys + w * parts[:, i] / blk.lebesgue, keys)
+    return keys, None
 
 
 def random_cells(rng, n):
@@ -518,7 +524,8 @@ def block_measures(rng, kind, rows):
 
 class TestChunkedBlock:
     """70 rows x 900 cells in chunks of 18 rows, the chunk of the product
-    kernel at 900 cells: every row keeps the bits of one whole-block pass."""
+    kernel at 900 cells, each chunk with its own keys from the overlaps of
+    the block: every row keeps the bits of one whole-block pass."""
 
     @pytest.mark.parametrize("shape", ["distinct", "tie in one chunk", "signed zero in one chunk"])
     @pytest.mark.parametrize("kind", ["scaled distortions", "unit distortions", "sectioned"])
@@ -531,15 +538,27 @@ class TestChunkedBlock:
         elif shape == "signed zero in one chunk":
             values[40, [100, 500]] = [0.0, -0.0]
         measures = block_measures(rng, kind, 70)
-        chunks = list(_integrate_block(lambda chunk: values[chunk], measures, cells, 18))
-        assert [c.start for c, *_ in chunks] == [0, 18, 36, 54]
-        ties = [bool(np.any(v[:, 1:] == v[:, :-1])) for *_, v, _ in chunks]
+        overlaps = _overlaps(measures[0], cells)
+        chunks = [_choquet_block(values[start:start + 18], *_keys(measures[start:start + 18],
+                                                                  overlaps))
+                  for start in range(0, 70, 18)]
+        ties = [bool(np.any(v[:, 1:] == v[:, :-1])) for _, v, _ in chunks]
         assert ties == [False, False, shape != "distinct", False]
         want = stable_block(values, *whole_block_keys(measures, cells))
-        for got, ref in zip(zip(*(c[1:] for c in chunks)), want):
+        for got, ref in zip(zip(*chunks), want):
             got = np.concatenate(got)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+    def test_sectioned_keys_are_the_measures_of_the_cells(self):
+        # every key is the scalar mu of its cell, whatever the rows beside it
+        rng = np.random.default_rng(28)
+        cells = random_cells(rng, 900)
+        measures = block_measures(rng, "sectioned", 70)
+        keys, levels = _keys(measures, _overlaps(measures[0], cells))
+        assert levels is None and keys.shape == (70, 900)
+        for r, c in zip(rng.integers(0, 70, 100), rng.integers(0, 900, 100)):
+            assert keys[r, c] == measures[r](cells[c])
 
 
 class TestNonFiniteInput:

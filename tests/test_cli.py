@@ -176,6 +176,9 @@ NON_FINITE = {
         '{"K": 1, "mode": "heterogeneous", "normalized": true, "measures": [' + GOOD_MEASURE
         + "]}"),
     "tnodes above 2**52": fubini(family_text(), "--tnodes", "100000000000000000000"),
+    "tolerance NaN": fubini(family_text(), "--tolerance", "nan"),
+    "tolerance Infinity": fubini(family_text(), "--tolerance", "inf"),
+    "tolerance negative": fubini(family_text(), "--tolerance", "-1"),
     "economy n not an integer": walras(economy_text().replace('"n": 2', '"n": "two"')),
     "economy n a fraction": walras(economy_text().replace('"n": 2', '"n": 2.9')),
     "dominance coordinate a fraction": walras(economy_text(
@@ -343,6 +346,18 @@ class TestFubiniCheck:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["deviation"] <= 1e-9
+
+    def test_tolerance_zero_is_accepted(self, tmp_path, capsys):
+        # NaN, infinite and negative tolerances are NON_FINITE cases
+        files, args = fubini(family_text())
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        args = [str(tmp_path / a) if a in files else a for a in args]
+        assert main(args + ["--tolerance", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --tolerance must be finite and non-negative (got -1.0)\n")
+        assert main(args + ["--tolerance", "0"]) == 0  # a constant f: both orders give 1.5
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
 
 
 class TestRangeDemo:
@@ -567,14 +582,15 @@ class TestDemo:
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_out_of_memory_is_one_error_line(self, tmp_path):
-        # K = 100,000 nodes of 1,000 cells need 0.8 GB per (nodes x cells)
-        # array; under a 1.5 GB address-space cap the run stops with exit 1
+        # K = 100,000 nodes of 10,000 cells need 7.45 GiB for the quadrature's
+        # (nodes x cells) array; under a 1.5 GB address-space cap the run
+        # stops with exit 1
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
         src = str(Path(choquet_lab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        argv = ["demo", "--scenario", "sectioned-fubini", "--K", "100000", "--cells", "1000",
+        argv = ["demo", "--scenario", "sectioned-fubini", "--K", "100000", "--cells", "10000",
                 "--tnodes", "2000"]
         proc = subprocess.run([sys.executable, "-m", "choquet_lab.cli", *argv], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=300,
