@@ -11,16 +11,18 @@ mu(A) = G(sum of per-cell keys over the cells of A).  A distorted measure
 has the cell lengths as keys and its distortion as G.  A sectioned one has
 the cell masses sum_i w_i |cell ∩ E_i| / |E_i| as keys and G = identity.
 So one private kernel, :func:`_choquet_block`, integrates a
-(rows x cells) array of functions that share one partition: one argsort per
-row (numpy's default sort, redone stable when a row has equal values, so the
+(rows x cells) array of functions that share one partition: one integer
+sort per row of keys that pack each value's bits with its cell index (redone
+by a stable argsort when a row has equal or nearly equal values, so the
 order is always the stable one), one cumulative sum of the keys and one
 vectorised G.  It returns the integrals together with the threshold table.
 Its keys come from :func:`_keys`, which takes them from the cell overlaps
-that :func:`_overlaps` reads once per partition off its padded end points
-(``intervals._ends``): the lengths of ``intervals._lengths``, or the block
-overlaps |cell ∩ E_i| of ``measures._block_lengths``, which
-``measures._masses`` turns into masses block by block, as the scalar mu
-adds them.  So no superlevel set is ever built, and every step sees one row
+that :func:`_overlaps` reads off the partition's padded end points
+(``intervals._ends``, kept per partition object by :func:`_cell_ends`): the
+lengths of ``intervals._lengths``, or the block overlaps |cell ∩ E_i| of
+``measures._block_lengths``, which ``measures._masses`` turns into masses
+block by block, as the scalar mu adds them, once per distinct weight row.
+So no superlevel set is ever built, and every step sees one row
 at a time: a row's keys, integral and table do not depend on the rows
 beside it.  :func:`choquet` runs the kernel with one row per component;
 ``product.integrate_product`` and ``product.fubini_check`` run it on chunks
@@ -177,14 +179,32 @@ def superlevel_set(f: StepFunction, t: float) -> IntervalSet:
 # -- the sorted-threshold kernel ---------------------------------------------
 
 
+_ENDS_CACHED = 8  # partitions whose end points _overlaps keeps
+_ends_cache: dict[int, tuple] = {}  # id(cells) -> (cells, lo, hi), oldest first
+
+
+def _cell_ends(cells) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`intervals._ends` of the partition ``cells``, read once per
+    partition object: the last _ENDS_CACHED partitions keep theirs.  An
+    entry holds its partition, so no other partition can take its ``id``
+    while it is cached.  The end points are read-only."""
+    hit = _ends_cache.get(id(cells))
+    if hit is None:
+        lo, hi = _ends(cells)
+        lo.flags.writeable = hi.flags.writeable = False
+        if len(_ends_cache) >= _ENDS_CACHED:
+            del _ends_cache[next(iter(_ends_cache))]
+        hit = _ends_cache[id(cells)] = (cells, lo, hi)
+    return hit[1], hit[2]
+
+
 def _overlaps(mu: FuzzyMeasure, cells) -> np.ndarray:
-    """What the keys of rows of ``mu``'s shape are made of, read once for
-    the partition ``cells`` off its padded end points
-    (:func:`intervals._ends`): the cell lengths (cells,) of
-    :func:`intervals._lengths` for a distorted shape, the block overlaps
-    |cell ∩ E_i| (cells, blocks) of :func:`measures._block_lengths` for a
-    sectioned one."""
-    lo, hi = _ends(cells)
+    """What the keys of rows of ``mu``'s shape are made of, from the end
+    points of the partition ``cells`` (:func:`_cell_ends`): the cell lengths
+    (cells,) of :func:`intervals._lengths` for a distorted shape, the block
+    overlaps |cell ∩ E_i| (cells, blocks) of :func:`measures._block_lengths`
+    for a sectioned one."""
+    lo, hi = _cell_ends(cells)
     return _lengths(lo, hi) if mu.mode == "distorted" else _block_lengths(lo, hi, mu.blocks)
 
 
@@ -196,7 +216,8 @@ def _keys(measures, overlaps: np.ndarray):
     Distorted rows share the cell lengths as keys, and row r's levels are
     its scale times the shape's base.  Sectioned rows have keys (rows,
     cells), the masses of :func:`measures._masses`, each the scalar mu of
-    its cell, and no level map.  A key depends on its own row's measure
+    its cell, and no level map; they are taken once per distinct weight row
+    and indexed back to the rows.  A key depends on its own row's measure
     alone, so a caller takes the keys of each chunk of rows from the
     overlaps of their block, and every row keeps its bits whatever the chunk
     or block around it.
@@ -205,8 +226,10 @@ def _keys(measures, overlaps: np.ndarray):
     if first.mode == "distorted":
         scales = np.array([[mu.distortion.scale] for mu in measures])
         return overlaps, lambda cum: scales * first.distortion._base(cum)
-    weights = np.array([mu.weights for mu in measures])
-    return _masses(overlaps, weights[:, None, :], first.blocks), None
+    distinct: dict[tuple, int] = {}
+    rows = [distinct.setdefault(mu.weights, len(distinct)) for mu in measures]
+    weights = np.array(list(distinct))
+    return _masses(overlaps, weights[:, None, :], first.blocks)[rows], None
 
 
 def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
@@ -214,9 +237,9 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
     rows live on the cells of one partition.
 
     Row r measures a union A of cells as levels(sum of keys[r] over A), with
-    ``levels`` None for additive measures.  An argsort per row puts the cells
-    in descending value order v[r, 0] >= v[r, 1] >= ...; L[r, j] is the
-    measure of the first j+1 of them.  (v, L) is the threshold table:
+    ``levels`` None for additive measures.  A sort per row puts the cells in
+    descending value order v[r, 0] >= v[r, 1] >= ...; L[r, j] is the measure
+    of the first j+1 of them.  (v, L) is the threshold table:
     mu_r([f_r > t]) = L[r, j] for v[r, j+1] <= t < v[r, j], with v[r, n] = 0,
     and the Choquet integral of row r is sum_j (v[r, j] - v[r, j+1]) L[r, j].
 
@@ -225,19 +248,30 @@ def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):
     entry.  So a row's integral and table do not depend on the other rows of
     the call, and a caller may pass any chunk of a block.
 
-    The order is the stable one.  numpy's default sort is faster but need not
-    be stable, so its ascending order, reversed, is kept only when no sorted
-    row holds two equal values (0.0 equals -0.0): without ties the
-    descending order of a row is unique, and every sort returns it.  A call
-    with a tie is sorted again, descending, with ``kind="stable"``.
+    The order is the stable one, found by one integer sort.  The bits of a
+    non-negative double, read as an int64, are ordered as its value (-0.0
+    reads as the smallest int64).  Each cell's key is those bits with the
+    lowest ``bits`` of them replaced by the cell's index, so the keys of a
+    row are distinct, every sort of them gives one ascending order, and the
+    order, reversed, is read off the low bits.  Values that differ only in
+    the replaced bits may come out of order, so the order is kept only when
+    every row's v is strictly decreasing.  A row of distinct values has one
+    strictly decreasing arrangement, and that is its stable order.  A call
+    with a row that is not (a tie, 0.0 beside -0.0, or values too close for
+    the truncated keys) is sorted again, descending, with ``kind="stable"``.
 
     Returns (integrals per row, v, L).
     """
     n, width = values.shape
     offsets = np.arange(n)[:, None] * width  # of each row in the flattened arrays
-    order = np.argsort(values, axis=1)[:, ::-1]  # descending, as long as no row has a tie
+    mask = (1 << max(1, (width - 1).bit_length())) - 1  # low bits that hold a cell index
+    order = values.view(np.int64) & ~mask
+    order |= np.arange(width)
+    order.sort(axis=1)
+    order &= mask
+    order = order[:, ::-1]  # descending, if every row comes out strictly decreasing
     v = values.take(order + offsets)
-    if np.any(v[:, 1:] == v[:, :-1]):
+    if np.any(v[:, 1:] >= v[:, :-1]):
         order = np.argsort(-values, axis=1, kind="stable")
         v = values.take(order + offsets)
     cum = np.cumsum(keys.take(order if keys.ndim == 1 else order + offsets), axis=1)

@@ -100,7 +100,12 @@ class SectionFamily:
             raise StructuralError("node_weights must have positive row sums")
         if normalized:
             W = W / W.sum(axis=1, keepdims=True)
-        measures = tuple(FuzzyMeasure.sectioned(blocks, row) for row in W)
+        # one measure per distinct row (by its bits), shared by that row's nodes
+        shared: dict[bytes, FuzzyMeasure] = {}
+        for row in W:
+            if row.tobytes() not in shared:
+                shared[row.tobytes()] = FuzzyMeasure.sectioned(blocks, row)
+        measures = tuple(shared[row.tobytes()] for row in W)
         return SectionFamily("sectioned", measures, normalized)
 
     @staticmethod

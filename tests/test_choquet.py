@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from choquet_lab.choquet import (
     INTEGRAL_PROPERTIES,
     StepFunction,
+    _ENDS_CACHED,
+    _cell_ends,
     _choquet_block,
+    _ends_cache,
     _keys,
     _overlaps,
     choquet,
@@ -21,7 +24,7 @@ from choquet_lab.choquet import (
 )
 from choquet_lab.errors import StructuralError
 from choquet_lab.intervals import IntervalSet, _ends, _lengths
-from choquet_lab.measures import Distortion, FuzzyMeasure, _block_lengths
+from choquet_lab.measures import Distortion, FuzzyMeasure, _block_lengths, _masses
 
 EXACT_TOL = 1e-9  # integral identities that hold exactly up to float rounding
 
@@ -483,6 +486,79 @@ class TestKernelOrder:
             assert a.tobytes() == b.tobytes()
 
 
+def order_values(rng, shape, rows, width):
+    """(rows, width) non-negative values that probe the packed sort keys of
+    ``_choquet_block``: its keys replace the low bits of each value by the
+    cell index, so the hard rows are those whose values agree in the rest."""
+    if shape == "ties":
+        return np.round(rng.uniform(0.0, 2.0, size=(rows, width)) * 4) / 4
+    if shape == "signed zeros":  # 0.0 and -0.0 compare equal but differ in bits
+        values = rng.uniform(0.0, 2.0, size=(rows, width)) * (rng.random((rows, width)) < 0.6)
+        return np.where(values == 0.0, rng.choice([0.0, -0.0], size=values.shape), values)
+    if shape == "ulp runs":  # base + k spacing(base): apart mostly in the index bits
+        base = rng.uniform(0.1, 10.0, size=(rows, 1))
+        k = rng.permutation(np.arange(rows * width) % (2 * width)).reshape(rows, width)
+        return base + k * np.spacing(base)
+    if shape == "subnormals":
+        return rng.integers(0, 2**20, size=(rows, width)) * 5e-324
+    return rng.uniform(0.0, 2.0, size=(rows, width))
+
+
+def assert_same_bits(got, want):
+    """Integrals, v and L equal in shape, dtype and every bit, sign bits
+    included."""
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestPackedSortKeys:
+    """``_choquet_block`` sorts packed value-and-index keys and falls back to
+    the stable argsort; either way it equals ``stable_block`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["distinct", "ties", "signed zeros", "ulp runs", "subnormals"]),
+        width=st.sampled_from([1, 2, 1023, 1024, 1025, 4097]),
+        components=st.sampled_from([1, 3]),
+        levels=st.sampled_from(["additive", "distortion"]),
+    )
+    def test_kernel_equals_the_stable_reference(self, seed, shape, width, components, levels):
+        rng = np.random.default_rng(seed)
+        # the rows of a scalar or 3-component f, as choquet passes them: f.values.T
+        values = order_values(rng, shape, components, width).T.copy().T
+        keys = rng.uniform(0.0, 1.0, size=width)
+        level_map = None if levels == "additive" else random_distortion(rng)
+        assert_same_bits(_choquet_block(values, keys, level_map),
+                         stable_block(values, keys, level_map))
+
+    def test_a_near_equal_row_without_a_tie_takes_the_stable_fallback(self, monkeypatch):
+        # 1.0 has an even bit pattern, so 1 + eps and 1.0 agree in all but
+        # the one bit that holds the index of two cells: the packed keys put
+        # the larger value last, and the rows are sorted again
+        values = np.array([[1.0 + np.spacing(1.0), 1.0], [2.0, 1.0]])
+        assert not np.any(values[0, 1:] == values[0, :-1])
+        argsort, stable = np.argsort, []
+
+        def spy(a, *args, **kwargs):
+            stable.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        keys = np.array([0.25, 0.75])
+        got = _choquet_block(values, keys, None)
+        assert stable == ["stable"]
+        assert got[1].tolist() == [[1.0 + np.spacing(1.0), 1.0], [2.0, 1.0]]
+        assert_same_bits(got, stable_block(values, keys, None))
+        stable.clear()
+        # distinct values far apart need no fallback, at any width
+        _choquet_block(values[1:], keys, None)
+        far = np.random.default_rng(32).permutation(4097)[None, :] + 1.0
+        _choquet_block(far, np.ones(4097), None)
+        assert stable == []
+
+
 def whole_block_keys(measures, cells):
     """Keys and level map of a block as one pass over all of its rows takes
     them: lengths and scale * base for distorted rows; for sectioned rows,
@@ -559,6 +635,46 @@ class TestChunkedBlock:
         assert levels is None and keys.shape == (70, 900)
         for r, c in zip(rng.integers(0, 70, 100), rng.integers(0, 900, 100)):
             assert keys[r, c] == measures[r](cells[c])
+
+    def test_sectioned_keys_per_distinct_measure_equal_the_per_row_masses(self):
+        # 70 rows of 5 distinct measures, interleaved: one _masses call per
+        # distinct weight row, indexed back, equals each row's own masses
+        rng = np.random.default_rng(29)
+        cells = random_cells(rng, 900)
+        distinct = block_measures(rng, "sectioned", 5)
+        measures = [distinct[i] for i in rng.integers(0, 5, 70)]
+        overlaps = _overlaps(measures[0], cells)
+        keys, _ = _keys(measures, overlaps)
+        rows = np.array([_masses(overlaps, np.array(mu.weights), mu.blocks) for mu in measures])
+        assert keys.tobytes() == rows.tobytes()
+        for r, c in zip(rng.integers(0, 70, 100), rng.integers(0, 900, 100)):
+            assert keys[r, c] == measures[r](cells[c])
+
+
+class TestCellEndsCache:
+    def test_cached_end_points_equal_those_of_the_cells(self):
+        cells = random_cells(np.random.default_rng(30), 50)
+        for _ in range(2):  # a miss, then a hit
+            lo, hi = _cell_ends(cells)
+            want = _ends(cells)
+            assert lo.tobytes() == want[0].tobytes() and hi.tobytes() == want[1].tobytes()
+            assert not lo.flags.writeable and not hi.flags.writeable
+        assert _cell_ends(cells)[0] is _cell_ends(cells)[0]
+
+    def test_partitions_made_and_dropped_in_a_loop(self):
+        # equal-length partitions freed one by one may reuse a freed tuple's
+        # id; the cache holds its partitions, so an id it keys is never reused
+        rng = np.random.default_rng(31)
+        mu = FuzzyMeasure.sectioned(random_blocks(rng, 3), [1.0, 0.5, 2.0])
+        for _ in range(200):
+            cells = random_cells(rng, 7)
+            f = StepFunction(cells, rng.uniform(0.0, 2.0, size=7), validate=False)
+            assert _overlaps(mu, cells).tobytes() == _block_lengths(*_ends(cells),
+                                                                    mu.blocks).tobytes()
+            assert close(choquet(f, mu), reference_choquet(f, mu))
+            assert len(_ends_cache) <= _ENDS_CACHED
+            del cells, f
+        assert all(id(entry[0]) == key for key, entry in _ends_cache.items())
 
 
 class TestNonFiniteInput:

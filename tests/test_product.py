@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from test_choquet import (
     whole_block_keys,
 )
 
+from choquet_lab import io
 from choquet_lab.choquet import StepFunction, choquet, comonotone_pair, random_step_function
 from choquet_lab.errors import StructuralError, UnsupportedFamilyError
 from choquet_lab.intervals import IntervalSet, random_interval_set
@@ -123,6 +125,47 @@ class TestSectionFamily:
         ])
         assert [nodes.tolist() for nodes, _ in mixed._groups] == [[0, 2], [1, 3], [4]]
         assert intro_family(K=4).blocks == tuple(blocks)
+
+    def test_sectioned_nodes_share_one_measure_per_distinct_row(self):
+        assert len({id(mu) for mu in intro_family(100_000).measures}) == 2
+        blocks = [IntervalSet([(0.0, 0.25)]), IntervalSet([(0.25, 0.5)]), IntervalSet([(0.5, 1.0)])]
+        thirds = SectionFamily.from_y_intervals(blocks, [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)], K=30)
+        assert [len({id(thirds.measures[k]) for k in range(a, b)}) for a, b in
+                [(0, 9), (9, 18), (18, 30)]] == [1, 1, 1]
+        assert len({id(mu) for mu in thirds.measures}) == 3
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_shared_measures_keep_every_bit_of_one_measure_per_node(self, normalized):
+        rng = np.random.default_rng(29)
+        blocks = [IntervalSet([(0.0, 0.3)]), IntervalSet([(0.3, 0.55)]), IntervalSet([(0.55, 1.0)])]
+        W = rng.uniform(0.1, 2.0, size=(6, 3))[rng.integers(0, 6, 60)]
+        W[::7, 1] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0]  # zero weights of either sign
+        fam = SectionFamily.sectioned(blocks, W, normalized=normalized)
+
+        def one_per_node(W):
+            rows = W / W.sum(axis=1, keepdims=True) if normalized else W
+            return SectionFamily("sectioned",
+                                 tuple(FuzzyMeasure.sectioned(blocks, row) for row in rows),
+                                 normalized)
+
+        per_node = one_per_node(W)
+        assert len({id(mu) for mu in fam.measures}) < fam.K
+        assert [mu.weights for mu in fam.measures] == [mu.weights for mu in per_node.measures]
+        assert all(np.signbit(a.weights).tolist() == np.signbit(b.weights).tolist()
+                   for a, b in zip(fam.measures, per_node.measures))
+        H = ProductSet(tuple(random_interval_set(rng) for _ in range(60)))
+        assert section_measures(fam, H).tobytes() == section_measures(per_node, H).tobytes()
+        cells = random_cells(rng, 300)
+        f = ProductStepFunction(tuple(StepFunction(cells, rng.uniform(0.0, 2.0, size=300),
+                                                   validate=False) for _ in range(60)))
+        assert _node_tables(fam, f)[0].tobytes() == _node_tables(per_node, f)[0].tobytes()
+        text = json.dumps(io.family_to_json(fam))
+        assert text == json.dumps(io.family_to_json(per_node))
+        # loading normalizes the rows again, one measure per node as before
+        loaded = json.loads(text)
+        again = io.family_to_json(io.family_from_json(loaded))
+        assert json.dumps(again) == json.dumps(io.family_to_json(one_per_node(
+            np.array(loaded["weights"]))))
 
     def test_uniform_chain_homothetic(self):
         fam = square_family()
