@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .choquet import StepFunction, choquet_restricted, indicator_pair
-from .errors import InvalidPriceError, StructuralError, _array, _count
+from .errors import InvalidPriceError, StructuralError, _array, _count, _floats
 from .intervals import _cut_ends, _draw_cuts, _from_ends
 from .lp import linprog
 from .measures import _pow, measure_properties
@@ -59,7 +59,7 @@ BUDGET_TOL = 1e-12
 
 
 def normalize_price(p) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = np.atleast_1d(_floats(p, "price", InvalidPriceError))
     if not np.isfinite(p).all() or p.min() < 0 or p.sum() <= 0:
         raise InvalidPriceError("price must be finite, non-negative and non-zero")
     return p / p.sum()
@@ -257,7 +257,7 @@ def _allocation(eco: Economy, f) -> np.ndarray:
 
 
 def _price(eco: Economy, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = _floats(p, "price", InvalidPriceError)
     if p.shape != (eco.n,):
         raise InvalidPriceError(f"price must have {eco.n} entries (got shape {p.shape})")
     return normalize_price(p)
@@ -279,6 +279,7 @@ def is_feasible(eco: Economy, f) -> tuple[bool, float]:
 def budget_check(eco: Economy, p, bundle, k: int) -> bool:
     p = _price(eco, p)
     bundle = _array(bundle, "bundle", (eco.n,))
+    k = _count(k, "node", 0, eco.K - 1)
     return bool(p @ bundle <= eco.wealth(p, k) + BUDGET_TOL)
 
 
@@ -341,6 +342,7 @@ def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray |
     :func:`check_walras`'s decision: (True, None), or False and a violator
     (None when f(y_k) is over budget)."""
     ok, violators = _budget_rows(eco, _price(eco, p), _allocation(eco, f))
+    k = _count(k, "node", 0, eco.K - 1)
     violator = violators[k]
     return bool(ok[k]), None if np.isnan(violator).any() else violator
 
@@ -480,7 +482,7 @@ def sample_excess_points(
     :meth:`Preferences.contour_rows` call, every node measure from section
     end points (:func:`product._node_measures`) and every z as one mean.
     """
-    f, samples = _allocation(eco, f), _count(samples, "samples", 0)
+    f, samples, seed = _allocation(eco, f), _count(samples, "samples", 0), _count(seed, "seed", 0)
     K, n, fam = eco.K, eco.n, eco.fam
     draws, axes, nudges, shifted, shifts = _draw_cloud(np.random.default_rng(seed), K, n, samples)
     w_full, w_empty = _coalition_measures(fam, [np.ones(K), np.zeros(K)])
@@ -740,29 +742,26 @@ def _sectional_candidates(eco: Economy, demand_grid: int):
             yield rows, f"demand@{np.round(p, 4).tolist()}"
 
 
-def _node_means(G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """``np.mean(G * w[:, None], axis=1)`` for every row w of W, (C, P, n), as
-    numpy rounds it for one w: summed node after node when n > 1, pairwise
-    along the contiguous nodes when n == 1."""
-    if G.shape[2] == 1:
-        return np.mean(G[None, :, :, 0] * W[:, None, :], axis=2)[..., None]
-    G, W = np.ascontiguousarray(G.transpose(1, 0, 2)), W.T[:, :, None, None]  # node-major
-    total = G[0] * W[0]
-    for g, w in zip(G[1:], W[1:]):
-        total += g * w
-    return total / len(G)
-
-
 def _screen_sectionals(
     eco: Economy, G: np.ndarray, prefers: np.ndarray, W: np.ndarray
 ) -> np.ndarray:
-    """Which of the stacked sectional candidates G (P, K, n) balance with the
-    endowment in the mean over a coalition with node measures w and are
-    strictly preferred on every node of positive measure: (C, P), one row
-    per row w of W (C, K).  ``prefers`` is ``strict_rows(G, f)``."""
-    target = np.mean(eco.endowment * W[..., None], axis=1)
-    gaps = np.max(np.abs(_node_means(G, W) - target[:, None]), axis=2)
-    return ~(gaps > FEASIBILITY_TOL) & ~np.any(~prefers & (W[:, None, :] > 0), axis=2)
+    """Which sectional candidates G (P, K, n) may improve over the coalitions
+    of node measures W (C, K): (C, P); ``prefers`` is ``strict_rows(G, f)``.
+    A pair passes when g is strictly preferred wherever w > 0 and, per good,
+    the means A of g w and B of e w differ by at most FEASIBILITY_TOL plus
+    4 (K + 2) u (A + B), u = eps / 2.  That margin bounds the rounding of
+    both balances: a sum of K terms in any order is within (K - 1) u of the
+    sum of their magnitudes (Higham 2002, section 4.2), so the screen's gap
+    (K products, a sum, a division, a difference) is within (K + 2) u (A + B)
+    of the exact one, and the verifier's (K products whose section measure
+    can be off in the last bit, K differences, a sum, a division) within
+    (K + 4) u (A + B).  So the screen keeps every pair that
+    :func:`verify_improvement` accepts."""
+    means = (W @ G).transpose(1, 0, 2) / eco.K  # (C, P, n)
+    target = (W @ eco.endowment / eco.K)[:, None]
+    margin = 2 * (eco.K + 2) * np.finfo(float).eps * (means + target)  # 4 (K + 2) u (A + B)
+    balanced = ~(np.max(np.abs(means - target) - margin, axis=2) > FEASIBILITY_TOL)
+    return balanced & ~((W > 0) @ ~prefers.T)
 
 
 def search_improvement(
@@ -784,13 +783,13 @@ def search_improvement(
     p . integral g dmu_k > p . e_k mu_k(S_k), and that section cannot
     balance.  ``budget`` and ``seed`` are unused.
 
-    ``improve`` is a budgeted search over level-set and random coalitions
-    and the endowment and demand candidates; exhaustion is evidence, not
-    proof.
+    ``improve`` is a budgeted search of level-set and random coalitions and
+    the endowment and demand candidates: the first pair in search order that
+    :func:`verify_improvement` accepts, or exhaustion, evidence not proof.
     """
     if mode not in ("improve", "strongly_improve"):
         raise StructuralError(f"unknown improvement mode {mode!r}")
-    budget = _count(budget, "budget")
+    budget, seed = _count(budget, "budget"), _count(seed, "seed", 0)
     f = _allocation(eco, f)
     if mode == "strongly_improve":
         endowment = ProductStepFunction.sectional(eco.endowment)
@@ -870,7 +869,7 @@ def check_excess_convexity(
     """Constructive convexity of the excess set: mix two samples' generators
     (selections and level profiles), realize the mixed coalition, and compare
     against the straight-line combination."""
-    f = _allocation(eco, f)
+    f, trials, seed = _allocation(eco, f), _count(trials, "trials"), _count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     cloud = sample_excess_points(eco, f, samples=max(trials, 50), seed=seed)
     dev_mix = 0.0

@@ -30,10 +30,7 @@ def _array(value, name: str, *shapes: tuple, sign: str | None = "non-negative") 
     length, or None for any positive length), finite, and >= 0
     (``sign="non-negative"``), > 0 (``"positive"``) or of any sign (None).
     Anything else is a StructuralError naming the argument ``name``."""
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):  # ragged rows, non-numeric strings, ...
-        raise StructuralError(f"{name} must be an array of numbers") from None
+    a = _floats(value, name)
     if a.shape not in shapes and not any(
         a.ndim == len(s) and all(n > 0 if m is None else n == m for n, m in zip(a.shape, s))
         for s in shapes
@@ -45,6 +42,18 @@ def _array(value, name: str, *shapes: tuple, sign: str | None = "non-negative") 
         if not (hi < np.inf and (lo > 0 if sign == "positive" else lo >= 0 if sign else lo > -np.inf)):
             raise StructuralError(f"{name} must be finite" + (f" and {sign}" if sign else ""))
     return a
+
+
+def _floats(value, name: str, error: type = StructuralError) -> np.ndarray:
+    """``value`` as a float array of any shape and values, the conversion
+    :func:`_array` starts with: ragged rows, non-numbers and integers beyond
+    the float range are an ``error`` naming the argument ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise error(f"{name} must be finite") from None
+    except (TypeError, ValueError):  # ragged rows, non-numeric strings, ...
+        raise error(f"{name} must be an array of numbers") from None
 
 
 def _scalar(value, name: str, sign: str | None = "non-negative") -> float:

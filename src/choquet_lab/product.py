@@ -96,10 +96,13 @@ class SectionFamily:
     def sectioned(blocks, node_weights, normalized: bool = True) -> "SectionFamily":
         blocks = tuple(blocks)
         W = _array(node_weights, "node_weights", (None, len(blocks)))
-        if not np.all(W.sum(axis=1) > 0):
+        sums = W.sum(axis=1, keepdims=True)
+        if not np.all(sums > 0):
             raise StructuralError("node_weights must have positive row sums")
         if normalized:
-            W = W / W.sum(axis=1, keepdims=True)
+            # as in homothetic: a row already normalized to the tolerance
+            # __post_init__ checks is kept, so an io round trip moves no weight
+            W = np.where(np.abs(sums - 1.0) <= 1e-12, W, W / sums)
         # one measure per distinct row (by its bits), shared by that row's nodes
         shared: dict[bytes, FuzzyMeasure] = {}
         for row in W:
@@ -168,8 +171,9 @@ class ProductSet:
     @staticmethod
     def single(K: int, k: int) -> "ProductSet":
         """X on node k and the empty set on every other node."""
-        if not 0 <= k < K:
+        if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and not 0 <= k < K:
             raise StructuralError(f"node {k} is outside 0..{K - 1}")
+        k = _count(k, "node", 0, K - 1)  # an index that is no integer
         empty = IntervalSet.empty()
         return ProductSet(tuple(IntervalSet.full() if j == k else empty for j in range(K)))
 

@@ -1,5 +1,6 @@
-"""Malformed array and count arguments at every public boundary are a
-StructuralError naming the argument, never an error of numpy's or Python's."""
+"""Malformed array, count, seed and node arguments at every public boundary
+are a StructuralError naming the argument (a malformed price an
+InvalidPriceError), never an error of numpy's or Python's."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,18 @@ from choquet_lab.economy import (
     Economy,
     Preferences,
     budget_check,
+    check_excess_convexity,
+    check_walras,
+    check_wealth_dominance,
     condition_c2_witness,
     find_price,
     is_feasible,
+    is_maximal_in_budget,
+    normalize_price,
     sample_excess_points,
     search_improvement,
 )
-from choquet_lab.errors import StructuralError
+from choquet_lab.errors import InvalidPriceError, StructuralError
 from choquet_lab.fixtures import cobb_douglas_economy, identity_family
 from choquet_lab.intervals import IntervalSet, random_interval_set, uniform_partition
 from choquet_lab.measures import Distortion, FuzzyMeasure
@@ -40,6 +46,7 @@ ECO = Economy(FAM, np.ones((K, 2)), LINEAR)
 # name: (call on the argument, a valid argument, the sign rule applies)
 SITES = {
     "StepFunction values": (lambda v: StepFunction(uniform_partition(3), v), np.ones(3), True),
+    "StepFunction.on_grid values": (StepFunction.on_grid, np.ones(3), True),
     "homothetic scales": (
         lambda v: SectionFamily.homothetic(Distortion.identity(), K, scales=v, normalized=False),
         np.ones(K), True),
@@ -73,7 +80,8 @@ SITES = {
 }
 # a wrong length adds a row, empties a free first axis of one axis, or drops a
 # column when the row count is free
-FREE_LENGTH = {"sectional phi", "separable hy", "check_price_commutation p"}
+FREE_LENGTH = {"StepFunction.on_grid values", "sectional phi", "separable hy",
+               "check_price_commutation p"}
 FREE_ROWS = {"sectioned node_weights", "Preferences exponents", "Preferences weights"}
 
 
@@ -85,8 +93,8 @@ def wrong_length(site: str, good: np.ndarray) -> np.ndarray:
 
 def malformed(site: str) -> dict:
     _, good, signed = SITES[site]
-    nan, negative = good.copy(), good.copy()
-    nan.flat[0], negative.flat[0] = np.nan, -1.0
+    nan, negative, huge = good.copy(), good.copy(), good.astype(object)
+    nan.flat[0], negative.flat[0], huge.flat[0] = np.nan, -1.0, 10**400
     cases = {
         "0-d": 1.0,
         "3-D": np.ones(good.shape + (1,) * (3 - good.ndim)),
@@ -95,6 +103,7 @@ def malformed(site: str) -> dict:
         "wrong length": wrong_length(site, good),
         "NaN": nan,
         "Infinity": np.where(np.isnan(nan), np.inf, nan),
+        "beyond the float range": huge.tolist(),  # numpy's conversion overflows
     }
     if signed:
         cases["negative"] = negative
@@ -110,7 +119,8 @@ def test_valid_argument_passes(site):
 @pytest.mark.parametrize("site, case", [(s, c) for s in sorted(SITES) for c in malformed(s)])
 def test_malformed_argument_is_structural(site, case):
     call = SITES[site][0]
-    with pytest.raises(StructuralError):
+    finite = case in ("NaN", "Infinity", "beyond the float range")
+    with pytest.raises(StructuralError, match="must be finite" if finite else None):
         call(malformed(site)[case])
 
 
@@ -202,3 +212,67 @@ def test_max_intervals_must_allow_one_draw():
     for bad in (0, -1, 2.0):
         with pytest.raises(StructuralError, match="max_intervals"):
             random_interval_set(rng, max_intervals=bad)
+
+
+def test_node_indices_must_be_nodes():
+    for bad in (99, -1, 1.0, True, "a"):
+        with pytest.raises(StructuralError, match=r"node must be an integer from 0 to 3"):
+            budget_check(ECO, [0.5, 0.5], [1.0, 1.0], bad)
+        with pytest.raises(StructuralError, match=r"node must be an integer from 0 to 3"):
+            is_maximal_in_budget(ECO, [0.5, 0.5], np.ones((K, 2)), bad)
+    with pytest.raises(StructuralError, match=r"node must be an integer from 0 to 3 \(got 'a'\)"):
+        ProductSet.single(K, "a")
+    with pytest.raises(StructuralError, match=r"node 4 is outside 0\.\.3"):
+        ProductSet.single(K, 4)
+
+
+SEEDED = {
+    "find_price": lambda eco, f, seed: find_price(eco, f, samples=5, seed=seed),
+    "sample_excess_points": lambda eco, f, seed: sample_excess_points(eco, f, 5, seed=seed),
+    "search_improvement": lambda eco, f, seed: search_improvement(eco, f, budget=5, seed=seed),
+    "check_excess_convexity": lambda eco, f, seed: check_excess_convexity(eco, f, 5, seed=seed),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SEEDED))
+def test_seed_must_be_a_non_negative_integer(site):
+    eco, f, _ = cobb_douglas_economy(K=K)
+    SEEDED[site](eco, f, np.int64(0))
+    for bad in (-1, "a", 1.5, True, None):
+        with pytest.raises(StructuralError, match="seed must be an integer of at least 0"):
+            SEEDED[site](eco, f, bad)
+
+
+def test_convexity_trials_must_be_a_positive_integer():
+    eco, f, _ = cobb_douglas_economy(K=K)
+    assert check_excess_convexity(eco, f, trials=1).trials == 1
+    for bad in (0, -1, "a", 2.0):
+        with pytest.raises(StructuralError, match="trials must be an integer of at least 1"):
+            check_excess_convexity(eco, f, trials=bad)
+
+
+# -- prices ------------------------------------------------------------------------
+
+# every check that takes a price, on the n = 2 economy ECO
+PRICED = {
+    "normalize_price": normalize_price,
+    "check_walras": lambda p: check_walras(ECO, np.ones((K, 2)), p),
+    "check_wealth_dominance": lambda p: check_wealth_dominance(ECO, np.ones((K, 2)), p),
+    "is_maximal_in_budget": lambda p: is_maximal_in_budget(ECO, p, np.ones((K, 2)), 0),
+    "budget_check": lambda p: budget_check(ECO, p, [1.0, 1.0], 0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PRICED))
+@pytest.mark.parametrize("price, message", [
+    ("ab", "price must be an array of numbers"),
+    (["a", "b"], "price must be an array of numbers"),
+    ([[0.5], [0.5, 0.5]], "price must be an array of numbers"),
+    ([1, 10**400], "price must be finite"),
+    ([np.nan, 1.0], "price must be finite, non-negative and non-zero"),
+    ([1.0, -0.5], "price must be finite, non-negative and non-zero"),
+    ([0, 0], "price must be finite, non-negative and non-zero"),
+])
+def test_a_malformed_price_is_an_invalid_price(site, price, message):
+    with pytest.raises(InvalidPriceError, match=message):
+        PRICED[site](price)

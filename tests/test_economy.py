@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from choquet_lab.fixtures import (
     identity_family,
     split_dominance_economy,
 )
-from choquet_lab.intervals import IntervalSet, random_interval_set
+from choquet_lab.intervals import IntervalSet, _draw_cuts, random_interval_set
 from choquet_lab.measures import Distortion, FuzzyMeasure
 from choquet_lab.product import (
     ProductSet,
@@ -1048,6 +1049,111 @@ class TestArrayPathsAgainstScalar:
         assert failure.margin == pytest.approx(np.max(z), abs=1e-12) and failure.margin < 0
         prices = np.vstack([np.eye(n), rng.dirichlet(np.ones(n), size=101 - n)])
         assert np.all(prices @ smp.z <= failure.margin + 1e-12)
+
+
+def unscreened_improve(eco, f, budget: int, seed: int) -> dict:
+    """The report of ``search_improvement(eco, f, "improve", budget, seed)``
+    without its screen: the same draws and candidates, and every pair of an
+    active coalition handed to ``verify_improvement`` in search order."""
+    rng = np.random.default_rng(seed)
+    sectionals = list(_sectional_candidates(eco, economy.DEMAND_GRID))
+    draws = list(economy._block_levels(eco, rng, budget // 5))
+    draws += [[_draw_cuts(rng, allow_empty=True) for _ in range(eco.K)]
+              for _ in range(min(20, budget // 10))]
+    active = 0
+    for draw in draws:
+        S = economy._coalition(eco.fam, draw)
+        if not np.any(section_measures(eco.fam, S) > 0):
+            continue
+        active += 1
+        for g, src in sectionals:
+            witness = ImprovementWitness("improve", S, ProductStepFunction.sectional(g), src)
+            if verify_improvement(eco, f, witness)[0]:
+                return witness.to_dict()
+    return ExhaustedReport("improve", len(draws), len(sectionals),
+                           active * len(sectionals)).to_dict()
+
+
+def balanced_candidates(rng, eco, w, spread: int = 8) -> np.ndarray:
+    """Candidates g >= e over node measures w (w > 0 somewhere) whose
+    balance mean((g - e) w) is FEASIBILITY_TOL + i eps mean(e w) per good,
+    for i = -spread..spread, up to the rounding of g: about as far from the
+    tolerance as the verifier's own rounding, so it accepts some and
+    rejects others."""
+    e, tol = eco.endowment, economy.FEASIBILITY_TOL
+    d = rng.uniform(0.1, 1.0, size=(eco.K, eco.n))
+    d *= tol / np.mean(d * w[:, None], axis=0)
+    step = np.finfo(float).eps * np.mean(e * w[:, None], axis=0) / tol
+    return np.array([e + d * (1 + i * step) for i in range(-spread, spread + 1)])
+
+
+class TestImprovementScreen:
+    # The screen is a filter: with its rounding margin it keeps every pair
+    # that verify_improvement accepts, so the search returns the first
+    # verified pair in search order.
+
+    @settings(max_examples=40, deadline=None)
+    @given(**ECONOMY_DRAWS, budget=st.integers(1, 40))
+    def test_search_returns_the_first_verified_pair(self, seed, pref_kind, fam_kind, K, n, budget):
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K, n)
+        f = eco.endowment * rng.uniform(0.5, 2.0, size=(K, 1))  # both outcomes occur
+        with mock.patch.object(economy, "DEMAND_GRID", 6):  # a few candidates per coalition
+            got = search_improvement(eco, f, "improve", budget=budget, seed=seed)
+            assert got.to_dict() == unscreened_improve(eco, f, budget, seed)
+        if got.found:
+            assert verify_improvement(eco, f, got)[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(**ECONOMY_DRAWS)
+    def test_a_stack_of_coalitions_keeps_every_verified_pair(self, seed, pref_kind, fam_kind, K, n):
+        # every coalition screened in one call, against candidates that
+        # balance to within a few eps of FEASIBILITY_TOL
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K, n)
+        f = 0.5 * eco.endowment  # every candidate g >= e is strictly preferred
+        coalitions = [S for S in random_coalitions(rng, eco.fam)
+                      if np.any(section_measures(eco.fam, S) > 0)]
+        W = np.array([section_measures(eco.fam, S) for S in coalitions])
+        accepted = 0
+        for c, (S, w) in enumerate(zip(coalitions, W)):
+            G = balanced_candidates(rng, eco, w)
+            screened = _screen_sectionals(eco, G, eco.prefs.strict_rows(G, f), W)[c]
+            for j, g in enumerate(G):
+                witness = ImprovementWitness("improve", S, ProductStepFunction.sectional(g), "g")
+                if verify_improvement(eco, f, witness)[0]:
+                    accepted += 1
+                    assert screened[j], (c, j)
+        assert 0 < accepted < len(coalitions) * 17
+
+    @settings(max_examples=60, deadline=None)
+    @given(**ECONOMY_DRAWS, spread=st.floats(0.0, 6.0))
+    def test_margin_covers_the_gap_between_screen_and_verifier(
+        self, seed, pref_kind, fam_kind, K, n, spread
+    ):
+        # per good, the screen's balance in any summation order is within
+        # (2 K + 6) u (A + B) of the verifier's, the bound that the screen's
+        # margin 4 (K + 2) u (A + B) covers; the verifier reports its largest
+        # |balance| over the goods
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K, n)
+        f, e = 0.5 * eco.endowment, eco.endowment
+        coalitions = [S for S in random_coalitions(rng, eco.fam)
+                      if np.any(section_measures(eco.fam, S) > 0)]
+        W = np.array([section_measures(eco.fam, S) for S in coalitions])
+        G = e * (1 + 10 ** rng.uniform(-spread, spread, size=(5, K, n)))
+        stacked = (W @ G.transpose(1, 0, 2).reshape(K, -1)).reshape(len(W), 5, n) / K
+        u = np.finfo(float).eps / 2
+        for c, (S, w) in enumerate(zip(coalitions, W)):
+            A, B = stacked[c], w @ e / K
+            bound = (2 * K + 6) * u * np.max(A + B, axis=1)
+            for j, g in enumerate(G):
+                ok, info = verify_improvement(
+                    eco, f, ImprovementWitness("improve", S, ProductStepFunction.sectional(g), "g"))
+                verified = info["balance_gap" if ok else "gap"]
+                for means in (A[j], w @ g / K, np.mean(g * w[:, None], axis=0),
+                              np.sum(g[::-1] * w[::-1, None], axis=0) / K):
+                    assert abs(np.max(np.abs(means - B)) - verified) <= bound[j], (c, j)
 
 
 # Outputs of the per-node object path these searches replaced, on the K = 100

@@ -86,6 +86,20 @@ class TestFamily:
         assert again == fam
         assert io.family_to_json(again) == data
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 5), nblocks=st.integers(1, 4))
+    def test_normalized_sectioned_round_trip_keeps_every_bit(self, seed, K, nblocks):
+        # the stored rows are normalized already: loading them must not divide again
+        rng = np.random.default_rng(seed)
+        cuts = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 1024), nblocks - 1,
+                                                         replace=False)) / 1024, [1.0]])
+        blocks = [IntervalSet([(a, b)]) for a, b in zip(cuts[:-1], cuts[1:])]
+        fam = SectionFamily.sectioned(blocks, rng.uniform(0.01, 2.0, size=(K, nblocks)))
+        data = io.family_to_json(fam)
+        again = io.family_from_json(json.loads(io.dump_json(data, None)))
+        assert [mu.weights for mu in again.measures] == [mu.weights for mu in fam.measures]
+        assert io.family_to_json(again) == data
+
     def test_sectioned_with_y_intervals(self):
         data = {
             "K": 8,
