@@ -43,6 +43,8 @@ from .errors import StructuralError, _array, _count
 from .intervals import IntervalSet, _ends, _lengths, uniform_partition
 from .measures import FuzzyMeasure, _block_lengths, _masses, measure_properties
 
+_WHOLE = (IntervalSet.full(),)  # the one-cell partition of every constant
+
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -74,8 +76,10 @@ class StepFunction:
 
     @staticmethod
     def constant(value) -> "StepFunction":
-        """f = value on [0,1): a number, or a vector for a vector f."""
-        return StepFunction((IntervalSet.full(),), [value], validate=False)
+        """f = value on [0,1): a number, or a vector for a vector f.  Every
+        constant shares one partition object, so a product function of
+        constant sections is one kernel block."""
+        return StepFunction(_WHOLE, [value], validate=False)
 
     @staticmethod
     def indicator(A: IntervalSet, height: float = 1.0) -> "StepFunction":

@@ -7,7 +7,10 @@ once, to ``--out`` or to stdout.  ``integrate`` writes its report only to
 ``--out``, and then prints its value line on stdout.  Exit codes: 0 success, 2
 property violation (witness in the report), 1 structural or configuration
 error, an unwritable ``--out`` and running out of memory included.
-Identical arguments and input files produce byte-identical reports.
+Identical arguments and input files produce byte-identical reports on one
+host and numpy build.  Across numpy's SIMD levels (``NPY_DISABLE_CPU_FEATURES``)
+CI checks it for identity, piecewise-linear, sectioned and power-2 measures;
+numpy's array power of other exponents may move a last bit between levels.
 """
 
 from __future__ import annotations

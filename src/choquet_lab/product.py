@@ -16,6 +16,7 @@ measure shape once, and the node measures and the kernel batch each group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,6 @@ from .measures import Distortion, FuzzyMeasure, _block_lengths, _masses, _pow
 from .measures import _chain_ends as _measure_chain_ends
 
 DEFAULT_K = 100
-LEVEL_TOL = 1e-9  # |mu_k(H_k) - tau_k mu_k(X)| for constructed sets
 REALIZE_TOL = 1e-6  # end-to-end tolerance for range realization
 MAX_TNODES = 2**52  # fubini_check: c + 0.5 is exact for every node index c
 _CHUNK = 2**14  # float64 entries per kernel chunk: whole nodes, sized to stay in cache
@@ -74,6 +74,7 @@ class SectionFamily:
         scales=None,
         normalized: bool = True,
     ) -> "SectionFamily":
+        K = _count(K, "K")
         if normalized and scales is not None:
             raise StructuralError("normalized homothetic families cannot carry free scales")
         if normalized:
@@ -117,6 +118,7 @@ class SectionFamily:
     ) -> "SectionFamily":
         """Finite-sections construction: node y_k in J_i carries the measure
         supported on block E_i alone."""
+        K = _count(K, "K")
         ys = (np.arange(K) + 0.5) / K
         W = np.zeros((K, len(blocks)))
         for i, (a, b) in enumerate(yintervals):
@@ -162,15 +164,16 @@ class ProductSet:
 
     @staticmethod
     def empty(K: int) -> "ProductSet":
-        return ProductSet((IntervalSet.empty(),) * K)
+        return ProductSet((IntervalSet.empty(),) * _count(K, "K"))
 
     @staticmethod
     def full(K: int) -> "ProductSet":
-        return ProductSet((IntervalSet.full(),) * K)
+        return ProductSet((IntervalSet.full(),) * _count(K, "K"))
 
     @staticmethod
     def single(K: int, k: int) -> "ProductSet":
         """X on node k and the empty set on every other node."""
+        K = _count(K, "K")
         if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and not 0 <= k < K:
             raise StructuralError(f"node {k} is outside 0..{K - 1}")
         k = _count(k, "node", 0, K - 1)  # an index that is no integer
@@ -189,9 +192,10 @@ class ProductStepFunction:
     sections: tuple[StepFunction, ...]
 
     def __post_init__(self):
-        dims = {s.values.ndim for s in self.sections}
-        if len(dims) > 1:
-            raise StructuralError("mixed scalar/vector sections")
+        shapes = {s.values.shape[1:] for s in self.sections}  # a value's shape, per section
+        if len(shapes) > 1:
+            mixed = ", ".join(map(str, sorted(shapes)))
+            raise StructuralError(f"sections of mixed value shapes: {mixed}")
 
     @staticmethod
     def sectional(values) -> "ProductStepFunction":
@@ -202,7 +206,7 @@ class ProductStepFunction:
     @staticmethod
     def uniform(f: StepFunction, K: int) -> "ProductStepFunction":
         """Same x-profile at every node."""
-        return ProductStepFunction((f,) * K)
+        return ProductStepFunction((f,) * _count(K, "K"))
 
     @staticmethod
     def sectional_on(values, H: ProductSet) -> "ProductStepFunction":
@@ -309,30 +313,29 @@ def _chunks(fam: SectionFamily, f: ProductStepFunction, dims: int, nodes: list[i
         yield slice(start, start + per), out.reshape(-1, dims), v, L
 
 
-def _node_tables(fam: SectionFamily, f: ProductStepFunction, dt=(), tnodes: int = 0, tops=None):
+def _node_tables(fam: SectionFamily, f: ProductStepFunction, dt=(), tnodes: int = 0, scale=1.0):
     """Per-node integrals (K, components) of f, chunk by chunk, and, given
     one t-node spacing dt[i] per component i, the quadrature sums of
-    :func:`fubini_check` before their factor dt / K and the largest level
-    of each component.
+    :func:`fubini_check` before their factor dt / K, times ``scale``.
 
     Nodes of one measure shape (:class:`SectionFamily` groups them) whose
-    sections share one partition object (as ``uniform``, ``separable`` and
-    ``StepFunction.on_grid`` sections do) form one block, walked by
+    sections share one partition object (as ``uniform``, ``separable``,
+    ``sectional`` and ``on_grid`` sections do) form one block, walked by
     :func:`_chunks`; a section with a partition of its own is a block of
     one.  Each chunk counts the t-nodes below each v_j of its rows of the
     threshold table (:func:`_tnode_counts`); those in [v_{j+1}, v_j) see the
-    level L_j.  It writes count_j * L_j / tops[i] (L_j itself when ``tops``
-    is None) into its rows of one (nodes x cells) array per block and
+    level L_j.  It writes count_j * scale * L_j, the count scaled first,
+    into its rows of one (nodes x cells) array per block and
     component, and its table is then dropped.  A finished block's arrays are
     summed with one np.sum each and the blocks added in order: the sums of
     the whole tables, so the quadrature keeps the bits of a whole-table
     pass, and its memory is one such array, not the tables.
 
-    Returns (integrals, sums, largest levels).
+    Returns (integrals, sums).
     """
     dims = f.sections[0].values.shape[1] if f.is_vector else 1
     integrals = np.empty((f.K, dims))
-    totals, largest = np.zeros(len(dt)), np.zeros(len(dt))
+    totals = np.zeros(len(dt))
     blocks: dict[tuple, list[int]] = {}
     for g, (nodes, _) in enumerate(fam._groups):
         for k in nodes.tolist():
@@ -342,16 +345,14 @@ def _node_tables(fam: SectionFamily, f: ProductStepFunction, dt=(), tnodes: int 
         for part, out, v, L in _chunks(fam, f, dims, nodes):
             integrals[nodes[part]] = out
             for i, step in enumerate(dt):
-                largest[i] = max(largest[i], L[i::dims].max(initial=0.0))
                 below = _tnode_counts(v[i::dims], step, tnodes)  # t-nodes t < v_j
                 counts = products[i, part]  # t-nodes in [v_{j+1}, v_j), then times L_j
                 np.subtract(below[:, :-1], below[:, 1:], out=counts[:, :-1])
                 counts[:, -1:] = below[:, -1:]
-                with np.errstate(over="ignore"):
-                    counts *= L[i::dims] if tops is None else L[i::dims] / tops[i]
-        with np.errstate(over="ignore"):
-            totals += [np.sum(p) for p in products]
-    return integrals, totals, largest
+                counts *= scale
+                counts *= L[i::dims]
+        totals += [np.sum(p) for p in products]
+    return integrals, totals
 
 
 def _mean(x: np.ndarray, axis=None):
@@ -459,24 +460,24 @@ def fubini_check(fam: SectionFamily, f: ProductStepFunction, tnodes: int = 10_00
     largest of each distinct section's maxima, so dt is known before the
     first chunk runs.  Every node's keys come from its own measure
     (:func:`choquet._keys`), so its integral is ``choquet`` of its section.
-    When the sum overflows (levels or values near the float maximum), one
-    more pass takes it over L_j / max L, with max L kept by the first pass,
-    for every overflowed component at once, and scales it back after the
-    divisions.  A vector f reports its component with the largest deviation.
+    The sum cannot overflow: each count is scaled by 2**-e, fixed before the
+    pass with e = max(0, e_top + K.bit_length() + tnodes.bit_length() - 1020)
+    for the largest total < 2**e_top, as a node's counts add up to at most
+    tnodes and its levels to at most its total.  So lhs = sum / K * dt * 2**e
+    scales with the family by powers of two exactly, and e = 0 while
+    K * tnodes * max total < 2**1017.  A vector f reports its component with
+    the largest deviation.
     """
     _check_sections(fam, f.K)
     tnodes = _count(tnodes, "tnodes", 100, MAX_TNODES)
     sections = {id(s): s for s in f.sections}.values()  # each distinct section once
     M = np.max([s.values.max(axis=0, initial=0.0) for s in sections], axis=0).reshape(-1)
     dt = M / tnodes
-    integrals, totals, tops = _node_tables(fam, f, dt, tnodes)
+    top = math.frexp(fam.totals.max())[1]
+    e = max(0, top + fam.K.bit_length() + tnodes.bit_length() - 1020)
+    integrals, sums = _node_tables(fam, f, dt, tnodes, 2.0**-e)
     with np.errstate(over="ignore"):
-        lhs = totals / fam.K * dt
-    redo = (M > 0) & ~np.isfinite(lhs)
-    if redo.any():  # one more pass, over L_j / max L for the overflowed components
-        tops = np.where(redo, tops, 1.0)
-        sums = _node_tables(fam, f, dt, tnodes, tops)[1]
-        lhs[redo] = sums[redo] / fam.K / tnodes * M[redo] * tops[redo]
+        lhs = sums / fam.K * dt * 2.0**e
     reports = [FubiniReport(float(lhs[i]) if largest > 0 else 0.0,
                             float(_mean(integrals[:, i])), tnodes)
                for i, largest in enumerate(M.tolist())]

@@ -206,6 +206,34 @@ def test_fubini_tnodes_message_names_the_range():
         fubini_check(FAM, f, tnodes=99)
 
 
+# node counts: the call on K
+NODE_COUNTS = {
+    "SectionFamily.homothetic K": lambda n: SectionFamily.homothetic(Distortion.identity(), K=n),
+    "SectionFamily.from_y_intervals K": lambda n: SectionFamily.from_y_intervals(
+        BLOCKS, [(0.0, 0.5), (0.5, 1.0)], K=n),
+    "ProductSet.full K": ProductSet.full,
+    "ProductSet.empty K": ProductSet.empty,
+    "ProductSet.single K": lambda n: ProductSet.single(n, 0),
+    "ProductStepFunction.uniform K": lambda n: ProductStepFunction.uniform(
+        StepFunction.constant(1.0), n),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NODE_COUNTS))
+def test_node_counts_must_be_positive_integers(site):
+    assert NODE_COUNTS[site](np.int64(2)).K == 2
+    for bad in (0, -1, 2.5, "3", True, None):
+        with pytest.raises(StructuralError, match=r"K must be an integer of at least 1 \(got "):
+            NODE_COUNTS[site](bad)
+
+
+def test_vector_sections_share_one_number_of_components():
+    # scalar beside vector sections is a row of test_product's REFUSALS
+    sections = (StepFunction.constant([1.0, 2.0]), StepFunction.constant([1.0, 2.0, 3.0]))
+    with pytest.raises(StructuralError, match=r"sections of mixed value shapes: \(2,\), \(3,\)"):
+        ProductStepFunction(sections)
+
+
 def test_max_intervals_must_allow_one_draw():
     rng = np.random.default_rng(0)
     assert random_interval_set(rng, max_intervals=0, allow_empty=True).is_empty

@@ -347,6 +347,20 @@ class TestFubiniCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["deviation"] <= 1e-9
 
+    def test_sections_of_mixed_components_are_one_error_line(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        io.dump_json({"K": 2, "mode": "homothetic", "distortion": {"kind": "identity"}}, str(fam))
+        fn = tmp_path / "fn.json"
+        io.dump_json({"kind": "sections",
+                      "sections": [{"cells": [[0, 1]], "values": [[1.0, 2.0]]},
+                                   {"cells": [[0, 1]], "values": [[1.0, 2.0, 3.0]]}]}, str(fn))
+        code = main(["fubini-check", "--config", str(fam), "--function", str(fn)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: product function: sections of mixed value shapes: (2,), (3,)\n")
+
     def test_tolerance_zero_is_accepted(self, tmp_path, capsys):
         # NaN, infinite and negative tolerances are NON_FINITE cases
         files, args = fubini(family_text())

@@ -20,7 +20,7 @@ from test_choquet import (
     whole_block_keys,
 )
 
-from choquet_lab import io
+from choquet_lab import io, product
 from choquet_lab.choquet import StepFunction, choquet, comonotone_pair, random_step_function
 from choquet_lab.errors import StructuralError, UnsupportedFamilyError
 from choquet_lab.intervals import IntervalSet, random_interval_set
@@ -200,7 +200,7 @@ REFUSALS = {
     "scalar and vector sections": (
         lambda: ProductStepFunction(
             (StepFunction.constant(1.0), StepFunction.constant([1.0, 2.0]))),
-        StructuralError, "mixed scalar/vector sections"),
+        StructuralError, r"sections of mixed value shapes: \(\), \(2,\)"),
     "level above 1": (
         lambda: product_set_from_levels(identity_family(K=2), [0.5, 1.5]),
         StructuralError, r"levels must lie in \[0,1\]"),
@@ -435,6 +435,56 @@ class TestFubini:
             res = range_realize(identity_family(K=3), [1.7e308] * 3, [1e308])
         assert res.feasible and res.deviation <= REALIZE_TOL
         assert res.levels.tolist() == [1e308 / 1.7e308] * 3
+
+    def test_an_overflowing_sum_takes_one_kernel_pass(self, monkeypatch):
+        # The counts are scaled by a power of two fixed before the pass, so
+        # the fixture above whose plain sum overflows makes one kernel call
+        # per chunk, as integrate_product does: 3 chunks of one node each.
+        calls = []
+        kernel = product._choquet_block
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(product, "_choquet_block", counted)
+        monkeypatch.setattr(product, "_CHUNK", 2)
+        big = SectionFamily.homothetic(Distortion.identity(), K=3, scales=[1e308] * 3,
+                                       normalized=False)
+        g = ProductStepFunction.uniform(StepFunction.on_grid([1.7, 1.0]), 3)
+        rep = fubini_check(big, g, tnodes=1000)
+        assert rep.lhs == pytest.approx(1.35e308, rel=1e-3)
+        assert calls == [1, 1, 1]
+        integrate_product(big, g)
+        assert calls == [1] * 6
+
+    @pytest.mark.parametrize("kind", ["identity", "power", "pwl"])
+    def test_rescaling_by_a_power_of_two_is_exact(self, kind):
+        # Scaling every node measure by 2**k scales both sides by exactly
+        # 2**k wherever the result is finite: past the float maximum of the
+        # plain quadrature sum too, with up to 2**40 t-nodes.
+        rng = np.random.default_rng(31)
+        finite = 0
+        for _ in range(40):
+            K = int(rng.integers(1, 6))
+            g = {"identity": Distortion.identity(),
+                 "power": Distortion.power(float(rng.uniform(0.3, 3.0))),
+                 "pwl": Distortion.piecewise_linear(fubini_grid_knots(int(rng.integers(99))))}[kind]
+            scales = rng.uniform(0.5, 2.0, K)
+            tnodes = int(rng.integers(100, 2**40, endpoint=True))
+            f = ProductStepFunction(tuple(
+                StepFunction.on_grid(rng.uniform(0.0, 2.0, int(rng.integers(1, 20))))
+                for _ in range(K)))
+            base = fubini_check(SectionFamily.homothetic(g, K, scales=scales, normalized=False),
+                                f, tnodes)
+            for k in (900, 1000, 1015):
+                fam = SectionFamily.homothetic(g, K, scales=scales * 2.0**k, normalized=False)
+                rep = fubini_check(fam, f, tnodes)
+                for got, want in ((rep.lhs, base.lhs), (rep.rhs, base.rhs)):
+                    if np.isfinite(got):
+                        finite += k == 1015
+                        assert got == want * 2.0**k
+        assert finite >= 20
 
     def test_an_overflowed_column_leaves_the_finite_columns_bits(self):
         # The rescaled mean of [0.3, 0.1, 0.2] is 0.19999999999999998; the
@@ -920,6 +970,39 @@ class TestNodeIntegralsAreChoquet:
                          validate=False) for _ in range(40)))
         want = np.array([choquet(s, mu) for s, mu in zip(f.sections, fam.measures)])
         assert _node_tables(fam, f)[0].tobytes() == want.reshape(40, -1).tobytes()
+
+
+class TestConstantSections:
+    """Every constant section shares one partition object, so a sectional
+    function is one kernel block per measure shape, walked in chunks, and
+    each node integral is still ``choquet`` of its section."""
+
+    @pytest.mark.parametrize("dims", [0, 3])
+    @pytest.mark.parametrize("kind", ["scaled homothetic", "sectioned", "heterogeneous"])
+    def test_a_sectional_function_is_one_block_per_measure_shape(self, kind, dims, monkeypatch):
+        blocks, calls = [], []
+        chunks, kernel = product._chunks, product._choquet_block
+
+        def counted_chunks(fam, f, dims, nodes):
+            blocks.append(len(nodes))
+            return chunks(fam, f, dims, nodes)
+
+        def counted_kernel(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(product, "_chunks", counted_chunks)
+        monkeypatch.setattr(product, "_choquet_block", counted_kernel)
+        monkeypatch.setattr(product, "_CHUNK", 2**5)
+        rng = np.random.default_rng(31)
+        fam = chunked_family(rng, kind, 100)
+        f = ProductStepFunction.sectional(rng.uniform(0.0, 2.0, (100, dims) if dims else 100))
+        integrals = _node_tables(fam, f)[0]
+        assert sorted(blocks) == sorted(len(nodes) for nodes, _ in fam._groups)
+        per = 2**5 // max(dims, 1)  # nodes per chunk
+        assert len(calls) == sum(-(-n // per) for n in blocks)
+        want = np.array([choquet(s, mu) for s, mu in zip(f.sections, fam.measures)])
+        assert integrals.tobytes() == want.reshape(100, -1).tobytes()
 
 
 def fubini_grid_knots(seed):
