@@ -526,7 +526,7 @@ def sample_excess_points(
 @dataclass(frozen=True)
 class PriceSearchResult:
     price: np.ndarray | None
-    margin: float  # min_j p . z_j over the sample cloud at the LP's price
+    margin: float  # min_j p . z_j over the sample cloud at the price find_price chose
     samples_used: int
     violations: list[ExcessSample] = field(default_factory=list)
 
@@ -544,20 +544,40 @@ class PriceSearchResult:
         }
 
 
-def find_price(
-    eco: Economy, f, samples: int = 200, seed: int = 42
-) -> PriceSearchResult:
-    """Supporting price for the excess cloud: p >= 0 on the simplex with
-    p . z >= -1e-9 for every sampled z; failure carries the violating samples."""
-    cloud = sample_excess_points(eco, f, samples, seed)
-    Zall = np.array([smp.z for smp in cloud])
-    if not Zall.size or np.max(np.abs(Zall)) <= 1e-12:
-        raise StructuralError("degenerate sample cloud: all excess points vanish")
-    keep = np.max(np.abs(Zall), axis=1) > 1e-12  # z = 0 constrains nothing
-    Z = Zall[keep]
-    cloud = [smp for smp, k in zip(cloud, keep) if k]
+def _envelope_price(Z: np.ndarray) -> np.ndarray:
+    """p = (q, 1 - q) with q maximizing the lower envelope F(q) = min_j
+    z_j . (q, 1 - q) of the lines g_j(q) = z_j2 + (z_j1 - z_j2) q over
+    [0, 1]; see :func:`find_price`."""
+    Z = np.ldexp(Z, -np.frexp(np.max(np.abs(Z)))[1])  # exact; |z| < 1, so no slope overflows
+    s = Z[:, 0] - Z[:, 1]
+    slope, cut = s.tolist(), Z[:, 1].tolist()
+    hull, starts = [], []  # the envelope's lines on [0, 1] and where each becomes lowest
+    for j in np.argsort(-s).tolist():
+        x = 0.0
+        while hull:
+            # where line j falls below the last line, clipped to [0, 1]; a
+            # parallel line (rise = 0) is either below it everywhere or nowhere
+            drop, rise = cut[j] - cut[hull[-1]], slope[hull[-1]] - slope[j]
+            x = 0.0 if drop <= 0 else 1.0 if drop >= rise else drop / rise
+            if x > starts[-1]:
+                break
+            hull.pop()
+            starts.pop()
+        hull.append(j)
+        starts.append(x)
+    for i, j in enumerate(hull):
+        if slope[j] <= 0:  # F stops rising here
+            end = starts[i + 1] if i + 1 < len(hull) else 1.0
+            q = starts[i] if slope[j] < 0 else 0.5 * (starts[i] + end)
+            break
+    else:
+        q = 1.0
+    return np.array([q, 1.0 - q])
+
+
+def _lp_price(Z: np.ndarray) -> np.ndarray:
+    """The price of the LP max t s.t. Z p >= t, sum p = 1, p >= 0."""
     m, n = Z.shape
-    # max t  s.t.  Z p >= t, sum p = 1, p >= 0
     c = np.zeros(n + 1)
     c[-1] = -1.0
     A_ub = np.hstack([-Z, np.ones((m, 1))])
@@ -576,8 +596,50 @@ def find_price(
     if res.status != 0:
         raise StructuralError(f"price LP failed: {res.message}")
     p = np.clip(res.x[:n], 0.0, None)
-    p = p / p.sum()
-    # the LP's own t carries its feasibility tolerance; decide at p itself
+    # the LP's own t carries its feasibility tolerance; the caller decides at p itself
+    return p / p.sum()
+
+
+def find_price(
+    eco: Economy, f, samples: int = 200, seed: int = 42
+) -> PriceSearchResult:
+    """Supporting price for the excess cloud: p >= 0 on the simplex with
+    p . z >= -1e-9 for every sampled z; failure carries the violating samples.
+
+    p maximizes the margin min_j p . z_j over the simplex.  One good has the
+    one price p = (1,).  Two goods have one free variable, p = (q, 1 - q),
+    and the margin is the lower envelope F of the lines g_j(q) = z_j2 +
+    (z_j1 - z_j2) q, concave and piecewise linear; its maximum is a break
+    point, found in closed form without scipy: the lines sorted by
+    decreasing slope, one monotone pass that builds F on [0, 1] (a line
+    above F drops out, so of parallel lines only the lowest stays), and q
+    the first point where F's slope turns non-positive (q = 1 if it never
+    does).  Tie rule: where F's maximum is a flat piece [a, b], q is
+    its midpoint (a + b) / 2, so a cloud of lines that are all flat is
+    priced (1/2, 1/2).  Three or more goods solve the LP max t s.t. Z p >=
+    t, sum p = 1, p >= 0 with HiGHS.
+
+    Rounding, with u = 2^-53 and M = max |z|: the cloud is first scaled by
+    a power of two to M < 1, which is exact.  Rounding a slope moves its
+    line by at most 2uM on [0, 1], so the envelope of the rounded lines is
+    within 2uM of F; a break point x = d / r of two rounded lines is rounded
+    by at most 3u relative, which leaves the two lines within 6uM of each
+    other at x; and p . z is evaluated within 3uM.  So the returned margin
+    is at least the best margin on the cloud, less 16uM.  For every number
+    of goods the decision is taken at p itself.
+    """
+    cloud = sample_excess_points(eco, f, samples, seed)
+    Zall = np.array([smp.z for smp in cloud])
+    if not Zall.size or np.max(np.abs(Zall)) <= 1e-12:
+        raise StructuralError("degenerate sample cloud: all excess points vanish")
+    keep = np.max(np.abs(Zall), axis=1) > 1e-12  # z = 0 constrains nothing
+    Z = Zall[keep]
+    cloud = [smp for smp, k in zip(cloud, keep) if k]
+    m, n = Z.shape
+    if n <= 2:
+        p = np.ones(1) if n == 1 else _envelope_price(Z)
+    else:
+        p = _lp_price(Z)
     gaps = Z @ p
     margin = float(gaps.min())
     if margin >= -PRICE_TOL:

@@ -16,6 +16,7 @@ exactly by :func:`measure_properties`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ class Distortion:
                 b <= a for a, b in zip(ys, ys[1:])
             ):
                 raise StructuralError("pwl knots must be strictly increasing")
+            if not math.isfinite(float(self.scale) * ys[-1]):
+                raise StructuralError("g(1), the scale times the last knot's value, overflows")
             object.__setattr__(self, "knots", tuple(zip(xs, ys)))
             object.__setattr__(self, "_xs", np.array(xs))
             object.__setattr__(self, "_ys", np.array(ys))
@@ -155,7 +158,10 @@ class FuzzyMeasure:
                 covered += blk.lebesgue
             if abs(covered - 1.0) > ALGEBRA_TOL:
                 raise StructuralError("blocks must cover [0,1)")
-            object.__setattr__(self, "total", float(sum(self.weights)))
+            total = float(sum(self.weights))
+            if not math.isfinite(total):
+                raise StructuralError("the weights' sum, the measure of [0,1), overflows")
+            object.__setattr__(self, "total", total)
         else:
             raise StructuralError(f"unknown measure mode {self.mode!r}")
 

@@ -97,9 +97,12 @@ class SectionFamily:
     def sectioned(blocks, node_weights, normalized: bool = True) -> "SectionFamily":
         blocks = tuple(blocks)
         W = _array(node_weights, "node_weights", (None, len(blocks)))
-        sums = W.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            sums = W.sum(axis=1, keepdims=True)
         if not np.all(sums > 0):
             raise StructuralError("node_weights must have positive row sums")
+        if not np.isfinite(sums).all():
+            raise StructuralError("a row sum of node_weights, the measure of [0,1), overflows")
         if normalized:
             # as in homothetic: a row already normalized to the tolerance
             # __post_init__ checks is kept, so an io round trip moves no weight

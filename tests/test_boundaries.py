@@ -227,6 +227,24 @@ def test_node_counts_must_be_positive_integers(site):
             NODE_COUNTS[site](bad)
 
 
+# measures whose total, g(1) or the weights' sum, exceeds the float range
+OVERFLOWING = {
+    "pwl distortion": lambda: FuzzyMeasure.distorted(
+        Distortion.piecewise_linear([[0, 0], [0.5, 0.9], [1, 1.2]], scale=1.7e308)),
+    "sectioned weights": lambda: FuzzyMeasure.sectioned(BLOCKS, [1.7e308, 1.7e308]),
+    "sectioned node_weights": lambda: SectionFamily.sectioned(BLOCKS, [[1.0, 1.0], [1.7e308] * 2]),
+    "homothetic scales": lambda: SectionFamily.homothetic(
+        Distortion.piecewise_linear([[0, 0], [0.5, 0.9], [1, 1.2]]), 3, scales=[1.7e308] * 3,
+        normalized=False),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVERFLOWING))
+def test_a_measure_whose_total_overflows_is_structural(site):
+    with pytest.raises(StructuralError, match=r"the measure of \[0,1\)|g\(1\)"):
+        OVERFLOWING[site]()
+
+
 def test_vector_sections_share_one_number_of_components():
     # scalar beside vector sections is a row of test_product's REFUSALS
     sections = (StepFunction.constant([1.0, 2.0]), StepFunction.constant([1.0, 2.0, 3.0]))

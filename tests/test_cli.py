@@ -240,6 +240,32 @@ def test_non_finite_family_weights_are_exit_1(weights, tmp_path, capsys):
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
+# Finite numbers whose measure of [0,1) overflows: a pwl g(1), a measure's
+# weights, a family row's weights
+OVERFLOWING_TOTALS = {
+    "pwl g(1)": ('{"mode": "distorted", "distortion": {"kind": "pwl", '
+                 '"knots": [[0, 0], [0.5, 0.9], [1, 1.2]], "scale": 1.7e308}}', GOOD_FUNCTION),
+    "measure weights": (
+        '{"mode": "sectioned", ' + BLOCKS + ', "weights": [1.7e308, 1.7e308]}', GOOD_FUNCTION),
+    "family weights": fubini('{"K": 3, "mode": "sectioned", ' + BLOCKS
+                             + ', "weights": [[1.7e308, 1.7e308]], "normalized": false}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_TOTALS))
+def test_an_overflowing_total_is_one_error_line(case, tmp_path, capsys):
+    files, args = OVERFLOWING_TOTALS[case]
+    if isinstance(files, str):  # an integrate case: (measure text, function text)
+        files, args = {"measure.json": files, "function.json": args}, INTEGRATE
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main([str(tmp_path / a) if a in files else a for a in args])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert "overflows" in captured.err
+
+
 def test_vector_function_integrates_per_component(tmp_path, capsys):
     measure, function = tmp_path / "measure.json", tmp_path / "function.json"
     measure.write_text(GOOD_MEASURE)  # mu(A) = lebesgue(A)^2
@@ -444,7 +470,8 @@ def test_fubini_report_near_the_float_maximum_is_strict_json(tmp_path, capsys):
 
 
 # Commands that solve no LP import no scipy, and a sectioned integral does not
-# import numpy.ma; each runs in a fresh interpreter.
+# import numpy.ma; each runs in a fresh interpreter.  A price search over two
+# goods takes its price in closed form; over three it solves an LP.
 LIGHT_COMMANDS = {
     "range-demo scalar": ({}, ["range-demo", "--target", "0.4"], ("scipy",)),
     "range-demo scalar out of range": ({}, ["range-demo", "--target", "1.5"], ("scipy",)),
@@ -457,26 +484,43 @@ LIGHT_COMMANDS = {
         {"measure.json": GOOD_MEASURE},
         ["check-measure", "--measure", "measure.json", "--trials", "20"], ("scipy",)),
     "economy-check walras with a price": (*walras(), ("scipy",)),
+    "economy-check walras, two goods, price searched": (
+        {"economy.json": economy_text()}, WALRAS, ("scipy",)),
+    "demo cobb-douglas": ({}, ["demo", "--scenario", "cobb-douglas", "--K", "20"], ("scipy",)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(LIGHT_COMMANDS))
-def test_light_commands_skip_heavy_imports(case, tmp_path):
-    files, args, absent = LIGHT_COMMANDS[case]
+def imported_in_a_fresh_interpreter(files, args, modules, tmp_path):
+    """Run the command in a new interpreter; its exit code and which of the
+    modules it imported."""
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in args]
     script = ("import sys\n"
               "from choquet_lab.cli import main\n"
               f"code = main({argv!r})\n"
-              f"print(code, [m for m in {list(absent)!r} if m in sys.modules])\n")
+              f"print(code, [m for m in {list(modules)!r} if m in sys.modules])\n")
     src = str(Path(choquet_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
     code, imported = proc.stdout.splitlines()[-1].split(" ", 1)
+    return code, imported
+
+
+@pytest.mark.parametrize("case", sorted(LIGHT_COMMANDS))
+def test_light_commands_skip_heavy_imports(case, tmp_path):
+    code, imported = imported_in_a_fresh_interpreter(*LIGHT_COMMANDS[case], tmp_path)
     assert code in ("0", "2") and imported == "[]"
+
+
+def test_a_three_good_price_search_solves_its_lp(tmp_path):
+    economy = economy_text("[[1.0, 1.0, 1.0]]",
+                           '"kind": "cobb_douglas", "exponents": [[0.25, 0.25, 0.5]]')
+    code, imported = imported_in_a_fresh_interpreter(
+        {"economy.json": economy.replace('"n": 2', '"n": 3')}, WALRAS, ("scipy",), tmp_path)
+    assert code in ("0", "2") and imported == "['scipy']"
 
 
 class TestEconomyCheck:
@@ -829,7 +873,7 @@ PINNED_REPORTS = {
     "split large-core endowment":
         (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
     "split walras found allocation":
-        (2, "177277834d2846109f59279b38961d20dc42fd37495695044c8506c5a0b11f78"),
+        (2, "ee654e137bf3cf53c4dbe1bb241456bd05698e70690bb03a8dd44ae5a0027e91"),
     "split walras found endowment":
         (2, "e142a780be0a443fd480545fb75a86cb7a52340e3dd054800971c7ef8003d894"),
     "split walras price0 allocation":

@@ -46,6 +46,7 @@ from choquet_lab.economy import (
     search_improvement,
     sectionalize,
     verify_improvement,
+    _envelope_price,
     _price_grid,
     _screen_sectionals,
     _sectional_candidates,
@@ -475,14 +476,15 @@ class TestFindPrice:
 
     @pytest.mark.parametrize("seed", [1689472368, 1218864899, 1531525505])
     def test_a_found_price_supports_its_cloud(self, cd_economy, equilibrium, seed):
-        # At HiGHS' default feasibility tolerance, 1e-7, the LP's t called
-        # these clouds supported at prices with min p . z < -PRICE_TOL, which
-        # check_walras then rejected at most nodes
+        # Solved as an LP at HiGHS' default feasibility tolerance, 1e-7,
+        # these clouds were called supported at prices with min p . z <
+        # -PRICE_TOL, which check_walras then rejected at most nodes; two
+        # goods now take the envelope's exact maximizer, the equilibrium price
         res = find_price(cd_economy, equilibrium, samples=200, seed=seed)
         Z = np.array([smp.z for smp in sample_excess_points(cd_economy, equilibrium, 200, seed)])
         assert res.found and res.margin >= -economy.PRICE_TOL
         assert np.min(Z @ res.price) >= -economy.PRICE_TOL
-        assert np.max(np.abs(res.price - 0.5)) <= 1e-12
+        assert res.price.tolist() == [0.5, 0.5]
         assert check_walras(cd_economy, equilibrium, res.price).verdict
 
     def test_single_good_economy(self):
@@ -859,6 +861,99 @@ ECONOMY_DRAWS = dict(
 )
 
 
+def lp_margin(Z) -> float:
+    """min_j p . z_j at the price of the LP max t s.t. Z p >= t, sum p = 1,
+    p >= 0, solved by scipy's HiGHS: the oracle of the two-good closed form."""
+    from scipy.optimize import linprog
+
+    m, n = Z.shape
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([-Z, np.ones((m, 1))]),
+                  b_ub=np.zeros(m), A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(0.0, 1.0)] * n + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    p = np.clip(res.x[:n], 0.0, None)
+    return float(np.min(Z @ (p / p.sum())))
+
+
+def envelope_bound(Z) -> float:
+    """find_price's rounding bound on the closed form's margin: 16 u max |z|."""
+    return 16 * 2.0**-53 * float(np.max(np.abs(Z)))
+
+
+@st.composite
+def raw_clouds(draw):
+    """Two-good clouds of small integers times a power of two, shaped to the
+    envelope's edge cases: parallel lines, all slopes rising or falling, one
+    row, and a flat optimum (the line z = (c, c) lowest on an interval)."""
+    kind = draw(st.sampled_from(["any", "parallel", "rising", "falling", "single", "flat"]))
+    m = 1 if kind == "single" else draw(st.integers(2, 12))
+    Z = np.array(draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                               min_size=m, max_size=m)), dtype=float)
+    if kind == "parallel":
+        Z[:, 0] = Z[:, 1] + (Z[0, 0] - Z[0, 1])
+    elif kind == "rising":
+        Z[:, 0] = Z[:, 1] + np.abs(Z[:, 0]) + 1
+    elif kind == "falling":
+        Z[:, 1] = Z[:, 0] + np.abs(Z[:, 1]) + 1
+    elif kind == "flat":
+        c = Z[0, 0]
+        Z[0] = c
+        Z[1:] = c + np.abs(Z[1:])
+        Z[1, 0] = c - 1 - draw(st.integers(0, 3))  # dips below c towards q = 1
+        Z[-1, 1] = min(Z[-1, 1], c - 1)  # and, if it is another row, towards q = 0
+    return np.ldexp(Z, draw(st.integers(-30, 30)))
+
+
+class TestEnvelopePrice:
+    """The two-good closed form against an LP oracle: its margin is at most
+    the rounding bound below the oracle's, and it prices every cloud the
+    oracle prices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(Z=raw_clouds() | st.lists(
+        st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=1, max_size=12
+    ).map(lambda rows: np.array(rows, dtype=float)))
+    def test_raw_clouds(self, Z):
+        if not np.abs(Z).max() > 0:
+            return
+        p = _envelope_price(Z)
+        assert p[0] >= 0 and p[1] >= 0 and p.sum() == 1
+        margin, oracle = float(np.min(Z @ p)), lp_margin(Z)
+        assert margin >= oracle - envelope_bound(Z)
+        assert margin >= -economy.PRICE_TOL or oracle < -economy.PRICE_TOL
+        # scaled by 2^k to max |z| in [2^1023, 2^1024), where z_1 - z_2 can
+        # overflow, the cloud keeps its price bit for bit
+        huge = np.ldexp(Z, 1024 - np.frexp(np.max(np.abs(Z)))[1])
+        np.testing.assert_array_equal(_envelope_price(huge), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**{**ECONOMY_DRAWS, "n": st.just(2)}, at_endowment=st.booleans())
+    def test_random_economies(self, seed, pref_kind, fam_kind, K, n, at_endowment):
+        rng = np.random.default_rng(seed)
+        eco = random_economy(rng, pref_kind, fam_kind, K, n)
+        f = eco.endowment if at_endowment else rng.uniform(0.3, 2.0, size=(K, n))
+        Z = np.array([smp.z for smp in sample_excess_points(eco, f, samples=30, seed=seed)])
+        Z = Z[np.max(np.abs(Z), axis=1) > 1e-12]
+        if not len(Z):
+            with pytest.raises(StructuralError, match="degenerate"):
+                find_price(eco, f, samples=30, seed=seed)
+            return
+        res = find_price(eco, f, samples=30, seed=seed)
+        oracle = lp_margin(Z)
+        assert res.margin >= oracle - envelope_bound(Z)
+        assert res.found or oracle < -economy.PRICE_TOL
+
+    def test_one_and_two_goods_solve_no_lp(self, cd_economy, equilibrium, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("one or two goods are priced in closed form")
+
+        monkeypatch.setattr(economy, "linprog", no_lp)
+        fam = SectionFamily.homothetic(Distortion.identity(), K=5)
+        eco = Economy(fam, np.ones((5, 1)), Preferences("linear", 1, weights=np.ones((5, 1))))
+        assert find_price(eco, eco.endowment, samples=20, seed=1).price.tolist() == [1.0]
+        assert find_price(cd_economy, equilibrium, samples=20, seed=1).found
+
+
 class TestArrayPathsAgainstScalar:
     @settings(max_examples=80, deadline=None)
     @given(**ECONOMY_DRAWS)
@@ -1164,8 +1259,8 @@ class TestImprovementScreen:
 PINNED_CLOUD_SIZE = 1801
 PINNED_LABELS_SHA256 = "abb31d6eb7876f21822a1829700accb51919ae791a588e1df07c3195e51bb005"
 PINNED_SAMPLES_USED = 1799
-PINNED_PRICE = [0.49999999999999317, 0.5000000000000069]
-PINNED_MARGIN = 1.0047536304324951e-12
+PINNED_PRICE = [0.5, 0.5]
+PINNED_MARGIN = 1.0048897478021068e-12
 PINNED_CLOUD = {  # sum of node measures, sum of z, intervals over all coalitions
     7: (11008.26341621938, [1147.5950417053173, 2331.5634779806783], 21158),
     42: (11631.611571688643, [1626.0268836065356, 1060.0647069891581], 22476),
@@ -1197,8 +1292,8 @@ class TestPinnedOutputs:
     def test_price(self, cd_economy, equilibrium, seed):
         res = find_price(cd_economy, equilibrium, samples=200, seed=seed)
         assert res.samples_used == PINNED_SAMPLES_USED
-        assert res.price == pytest.approx(PINNED_PRICE, abs=1e-12)
-        assert res.margin == pytest.approx(PINNED_MARGIN, abs=1e-12)
+        assert res.price.tolist() == PINNED_PRICE
+        assert res.margin == PINNED_MARGIN
 
     @pytest.mark.parametrize("mode,budget", [("improve", 500), ("strongly_improve", 100)])
     def test_exhausted_reports(self, cd_economy, equilibrium, seed, mode, budget):
