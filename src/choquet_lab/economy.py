@@ -28,13 +28,13 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
 from .choquet import StepFunction, choquet_restricted, indicator_pair
 from .errors import InvalidPriceError, StructuralError, _array, _count, _floats
-from .intervals import _cut_ends, _draw_cuts, _from_ends
+from .intervals import _draw_ends, _from_ends
 from .lp import linprog
 from .measures import _pow, measure_properties
 from .product import (
@@ -407,52 +407,52 @@ def _excess(eco: Economy, s: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _coalition(fam: SectionFamily, draw) -> ProductSet:
-    """The coalition drawn as K levels (its level set) or as K cut arrays."""
+    """The coalition drawn as K levels (its level set) or as the (lo, hi)
+    rows, each (K, pieces), of its sections' intervals."""
     if isinstance(draw, np.ndarray):
         return product_set_from_levels(fam, draw)
-    return ProductSet(tuple(_from_ends(a, b) for a, b in zip(*_cut_ends(draw))))
+    return ProductSet(tuple(_from_ends(a, b) for a, b in zip(*draw)))
 
 
 def _coalition_measures(fam: SectionFamily, draws) -> np.ndarray:
     """Node measures (C, K) of the coalitions :func:`_coalition` builds from
     ``draws``, from their sections' end points; each distinct level's chain
     is walked once."""
-    K = fam.K
-    W = np.empty((len(draws), K))
+    W = np.empty((len(draws), fam.K))
     levels = np.array([isinstance(d, np.ndarray) for d in draws], dtype=bool)
     if levels.any():
         tau = np.array([d for d, level in zip(draws, levels) if level])
         ts, back = np.unique(tau, return_inverse=True)
         W[levels] = _node_measures(fam, *(a[back.reshape(tau.shape)] for a in _chain_ends(fam, ts)))
     if not levels.all():
-        ends = _cut_ends([c for d, level in zip(draws, levels) if not level for c in d])
-        W[~levels] = _node_measures(fam, *(a.reshape(-1, K, a.shape[-1]) for a in ends))
+        ends = [d for d, level in zip(draws, levels) if not level]
+        W[~levels] = _node_measures(fam, *(np.array(a) for a in zip(*ends)))
     return W
+
+
+def _section_draws(rng, K: int, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``count`` coalitions of K random section unions, as (lo, hi) rows."""
+    lo, hi = _draw_ends(rng, count * K)
+    return [(lo[i : i + K], hi[i : i + K]) for i in range(0, count * K, K)]
 
 
 def _draw_cloud(rng, K: int, n: int, samples: int):
     """The random draws of :func:`sample_excess_points`, in stream order and
     raw: per sample its coalition (as K levels, 1 on X and on a single node,
-    or as K cut arrays); per row (node k of sample i at row i K + k) the axis
-    and the nudge; the shifted rows and their shifts."""
-    integers, random = rng.integers, rng.random
-    draws, axes, nudges, shifted, shifts = [], [], [], [], []
-    for i in range(samples):
-        kind = int(integers(4))
-        for row in range(i * K, (i + 1) * K):
-            axes.append(integers(n))
-            nudges.append(random())
-            if random() < 0.5:
-                shifted.append(row)
-                shifts.append(random(n))
-        if kind == 1:
-            draws.append(random(K))
-        elif kind == 2:
-            draws.append([_draw_cuts(rng, allow_empty=True) for _ in range(K)])
-        else:
-            draws.append(np.ones(K) if kind == 0 else (np.arange(K) == integers(K)) * 1.0)
-    shifts = np.array(shifts).reshape(len(shifted), n)
-    return draws, np.array(axes, dtype=np.intp), np.array(nudges), shifted, shifts
+    or as (lo, hi) section rows); per row (node k of sample i at row i K + k)
+    the axis and the nudge; the shifted rows and their shifts."""
+    kinds = rng.integers(4, size=samples)
+    axes = rng.integers(n, size=(samples, K))
+    nudges = rng.random((samples, K))
+    shifted = np.flatnonzero(rng.random((samples, K)) < 0.5)
+    shifts = rng.random((shifted.size, n))
+    count = np.bincount(kinds, minlength=4)
+    levels = rng.random((count[1], K))
+    sections = _section_draws(rng, K, count[2])
+    nodes = rng.integers(K, size=count[3])
+    parts = (repeat(np.ones(K)), iter(levels), iter(sections), iter(np.eye(K)[nodes]))
+    draws = [next(parts[kind]) for kind in kinds.tolist()]
+    return draws, axes.ravel(), nudges.ravel(), shifted, shifts
 
 
 def sample_excess_points(
@@ -465,18 +465,19 @@ def sample_excess_points(
     full space, then two-sided boundary nudges of f at every node; the
     remainder is seeded-random.
 
-    The stream is made by these calls, in this order, per random sample: one
-    ``rng.integers(4)`` for the coalition kind; per node, ``rng.integers(n)``
-    for the axis, ``rng.random()`` for the nudge in [-0.5, 1), ``rng.random()``
-    for the coin and, on heads, ``rng.random(n)`` for a shift in [0, 0.5)^n;
-    then the coalition's draws (``rng.random(K)`` levels, K
-    :func:`random_interval_set` draws, or ``rng.integers(K)`` for a node).
-    numpy defines ``rng.uniform(lo, hi)`` as lo + (hi - lo) * u for the next
-    double u, so the raw doubles are kept and mapped once as arrays; the
-    values and the generator state are those of the ``uniform`` calls.  The
-    integer draws stay scalar and in place: they take 32-bit halves of the
-    generator's 64-bit words, so batching or moving them would change every
-    later draw.
+    The stream is made by these fixed-shape draws, in this order, for S
+    random samples of K nodes: ``rng.integers(4, size=S)`` coalition kinds;
+    ``rng.integers(n, size=(S, K))`` axes; ``rng.random((S, K))`` nudges,
+    mapped to -0.5 + 1.5 u in [-0.5, 1); ``rng.random((S, K))`` coins, heads
+    below 0.5; ``rng.random((heads, n))`` shifts, mapped to 0.5 u in
+    [0, 0.5)^n, for the heads in row order; then the coalitions of each kind
+    in sample order: ``rng.random((S_1, K))`` levels, the S_2 K section
+    unions of :func:`intervals._draw_ends`, and ``rng.integers(K, size=S_3)``
+    single nodes (kind 0 is X and draws nothing).  numpy defines
+    ``rng.uniform(lo, hi)`` as lo + (hi - lo) * u for the next double u, so
+    the mapped values are those ``rng.uniform`` would draw.  How many values
+    are drawn depends on (S, K, n) and the values themselves, never on the
+    economy's preferences or measures.
 
     The rest is built after the draws, as arrays: every selection in one
     :meth:`Preferences.contour_rows` call, every node measure from section
@@ -492,11 +493,10 @@ def sample_excess_points(
     rows, ok = eco.prefs.contour_rows(
         np.tile(f, (nprobe + samples, 1)),
         np.concatenate([np.repeat(np.arange(nprobe) // 8, K), axes]),
-        # rng.uniform(-0.5, 1.0) per node
         np.concatenate([np.repeat(np.tile(signed, n), K), -0.5 + 1.5 * nudges]),
     )
-    # rng.uniform(0, 0.5, n) per shift, which keeps a shifted row inside the contour set
-    rows[nprobe * K + np.array(shifted, dtype=np.intp)] += 0.5 * shifts
+    # a shift in [0, 0.5)^n keeps a shifted row inside the contour set
+    rows[nprobe * K + shifted] += 0.5 * shifts
 
     # Boundary nudges of f, in (node, axis, delta, sign) order, each over its
     # single node: every other node has w = 0 and adds a signed zero to the
@@ -865,8 +865,7 @@ def search_improvement(
     rng = np.random.default_rng(seed)
     sectionals = list(_sectional_candidates(eco, DEMAND_GRID))
     draws = list(_block_levels(eco, rng, budget // 5))
-    for _ in range(min(20, budget // 10)):
-        draws.append([_draw_cuts(rng, allow_empty=True) for _ in range(eco.K)])
+    draws += _section_draws(rng, eco.K, min(20, budget // 10))
     W = _coalition_measures(eco.fam, draws)
 
     G = np.array([g for g, _ in sectionals])  # (P, K, n)

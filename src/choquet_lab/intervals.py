@@ -163,22 +163,38 @@ def random_interval_set(
     bits: int = GRID_BITS,
     allow_empty: bool = False,
 ) -> IntervalSet:
-    """Random union of up to ``max_intervals`` disjoint dyadic intervals."""
+    """Random union of up to ``max_intervals`` disjoint dyadic intervals:
+    ``rng.integers`` for the number of intervals, then ``rng.choice`` for
+    their distinct end points in units of 2**-bits."""
     _count(max_intervals, "max_intervals", 0 if allow_empty else 1)
-    lo, hi = _cut_ends([_draw_cuts(rng, max_intervals, bits, allow_empty)], bits)
-    return _from_ends(lo[0], hi[0])
-
-
-_NO_CUTS = np.empty(0, dtype=np.int64)
-
-
-def _draw_cuts(rng, max_intervals: int = 4, bits: int = GRID_BITS, allow_empty: bool = False):
-    """The draws of :func:`random_interval_set`: its end points in units of
-    2**-bits, distinct and unsorted, two per interval."""
     npieces = int(rng.integers(0 if allow_empty else 1, max_intervals + 1))
     if npieces == 0:
-        return _NO_CUTS
-    return rng.choice((1 << bits) + 1, size=2 * npieces, replace=False)
+        return _EMPTY
+    ends = np.sort(rng.choice((1 << bits) + 1, size=2 * npieces, replace=False)) / float(1 << bits)
+    return _from_ends(ends[0::2], ends[1::2])
+
+
+def _draw_ends(rng: np.random.Generator, count: int, bits: int = GRID_BITS):
+    """(lo, hi), each (count, 4): ``count`` random unions of 0 to 4 disjoint
+    dyadic intervals [lo, hi), left to right, padded with [0, 0).
+
+    Fixed-shape draws, in this order: ``rng.integers(5, size=count)`` piece
+    counts, then ``rng.integers(2**bits + 1, size=(count, 8))`` end points
+    in units of 2**-bits, of which a row with c pieces uses its first 2 c.
+    Rows whose used end points repeat draw their eight again, as one
+    ``(rows, 8)`` draw per round, until every row's are distinct, as
+    :func:`random_interval_set`'s are; bits >= 3 leaves room for eight."""
+    npieces = rng.integers(5, size=count)
+    used = np.arange(8) < 2 * npieces[:, None]
+    ends = np.empty((count, 8))
+    redo = np.arange(count)
+    while redo.size:
+        drawn = rng.integers((1 << bits) + 1, size=(redo.size, 8))
+        ends[redo] = np.sort(np.where(used[redo], drawn, np.inf), axis=1)  # the padding sorts last
+        rows = ends[redo]
+        redo = redo[np.any(rows[:, 1:] == rows[:, :-1], axis=1, where=rows[:, 1:] < np.inf)]
+    ends = np.where(ends < np.inf, ends / float(1 << bits), 0.0)
+    return ends[:, 0::2], ends[:, 1::2]
 
 
 def _from_ends(lo: np.ndarray, hi: np.ndarray) -> IntervalSet:
@@ -202,17 +218,6 @@ def _lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Total length of the pieces [lo, hi) in the last axis, added left to
     right as IntervalSet adds them; a piece with hi <= lo adds nothing."""
     return np.add.accumulate(np.where(lo < hi, hi - lo, 0.0), axis=-1)[..., -1]
-
-
-def _cut_ends(draws, bits: int = GRID_BITS) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi), each (len(draws), pieces): the intervals [lo, hi) of each
-    :func:`_draw_cuts` draw, left to right, padded with [0, 0)."""
-    sizes = np.array([cuts.size for cuts in draws], dtype=np.intp)
-    ends = np.full((len(draws), max(2, sizes.max(initial=0))), np.inf)
-    ends[np.arange(ends.shape[1]) < sizes[:, None]] = np.concatenate([_NO_CUTS, *draws])
-    ends.sort(axis=1)  # the padding sorts last
-    ends = np.where(ends < np.inf, ends / float(1 << bits), 0.0)
-    return ends[:, 0::2], ends[:, 1::2]
 
 
 def _prefix_ends(base: IntervalSet, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -270,8 +270,8 @@ def _subadditivity_peak(g: Distortion) -> tuple[float, float] | None:
     """The (a, c) maximizing g(c) - g(a) - g(c - a) over 0 <= a <= c <= 1,
     that is g(a + b) - g(a) - g(b) over a, b >= 0, a + b <= 1, evaluated as
     mu evaluates A = [0, a), B = [a, c) and A ∪ B = [0, c); None when the
-    maximum is 0 (for pwl g, within ALGEBRA_TOL * max(1, g(1)), the rounding
-    of g's values).
+    maximum is 0 (for pwl g, within ALGEBRA_TOL * g(1), the rounding of g's
+    values, relative to their scale).
 
     For concave g the maximum is 0, at a = 0.  A power g with alpha > 1 is
     convex: g(a) + g(1 - a) is convex and symmetric, so the maximum is at
@@ -291,14 +291,14 @@ def _subadditivity_peak(g: Distortion) -> tuple[float, float] | None:
     a, c = a[keep], c[keep]
     gap = g(c) - (g(a) + g(c - a))
     i = int(np.argmax(gap))
-    return (float(a[i]), float(c[i])) if gap[i] > ALGEBRA_TOL * max(1.0, g(1.0)) else None
+    return (float(a[i]), float(c[i])) if gap[i] > ALGEBRA_TOL * g(1.0) else None
 
 
 def _kinks(g: Distortion) -> np.ndarray:
     """Per inner knot of a pwl g, does the slope rise there by more than its
-    rounding: s_i > s_{i-1} + 1e-12 max(1, s_i)."""
+    rounding: s_i > s_{i-1} + 1e-12 |s_i|."""
     slopes = np.diff(g._ys) / np.diff(g._xs)
-    return slopes[1:] > slopes[:-1] + 1e-12 * np.maximum(1.0, slopes[1:])
+    return slopes[1:] > slopes[:-1] + 1e-12 * np.abs(slopes[1:])
 
 
 def _concavity_kink(g: Distortion) -> tuple[float, float]:

@@ -589,6 +589,10 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     the LP's optimum is max(0, -T, T - a), one level T/a on every node
     realizes any T in [0, a], and d = +1 (T > a) or d = -1 (T < 0)
     separates the rest, d * T > mean(max(0, d * u)).
+
+    A direction d is reported only when it separates, d . target > h(d) =
+    mean_k max(0, d . u_k), the support function of the reachable set;
+    otherwise ``separating_direction`` is None.
     """
     if not fam.convex_type:
         raise UnsupportedFamilyError("range realization needs a convex-type family")
@@ -627,5 +631,6 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     b2 = np.zeros(K)
     bounds2 = [(-1.0, 1.0)] * n + [(0.0, None)] * K
     res2 = linprog(c2, A_ub=A2, b_ub=b2, bounds=bounds2, method="highs")
-    direction = res2.x[:n] if res2.status == 0 else None
-    return RangeResult(False, None, None, None, None, direction)
+    d = res2.x[:n] if res2.status == 0 else np.zeros(n)
+    separates = d @ target > _mean(np.maximum(0.0, U @ d))  # d . target > h(d)
+    return RangeResult(False, None, None, None, None, d if separates else None)

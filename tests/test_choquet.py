@@ -23,7 +23,7 @@ from choquet_lab.choquet import (
     superlevel_set,
 )
 from choquet_lab.errors import StructuralError
-from choquet_lab.intervals import IntervalSet, _ends, _lengths
+from choquet_lab.intervals import IntervalSet, _ends, _lengths, random_interval_set
 from choquet_lab.measures import Distortion, FuzzyMeasure, _block_lengths, _masses
 
 EXACT_TOL = 1e-9  # integral identities that hold exactly up to float rounding
@@ -97,6 +97,45 @@ class TestChoquetExamples:
                     random_step_function(rng), 1.0
                 )
                 assert choquet(StepFunction.indicator(B), mu) == pytest.approx(mu(B))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["identity", "pwl", "sectioned", "power", "power 0.5|1|2"]),
+    )
+    def test_an_indicator_integrates_to_the_measure_of_its_set(self, seed, kind):
+        # choquet(1_A, mu) = g(|A|) (or mu's block masses) is mu(A) bit for
+        # bit where both take g by the same arithmetic: identity, pwl,
+        # sectioned, and power alpha in {0.5, 1, 2}, where numpy's array
+        # power is a square root, a copy or a square.  Other powers take g
+        # by array power in the kernel and by libm's pow in mu.  Both are
+        # faithfully rounded, so each is one of the two floats next to the
+        # exact |A|^alpha and they differ by at most 1 ulp.  Times the scale
+        # that is less than 2 ulp of the exact product, and rounding each
+        # product moves it by at most half an ulp: less than 3 ulp, so at
+        # most 2, apart.
+        rng = np.random.default_rng(seed)
+        scale = float(rng.uniform(0.25, 3.0))
+        if kind == "sectioned":
+            nblocks = int(rng.integers(1, 5))
+            mu = FuzzyMeasure.sectioned(random_blocks(rng, nblocks), rng.uniform(0.1, 2.0, nblocks))
+        elif kind == "power":
+            mu = FuzzyMeasure.distorted(Distortion.power(float(rng.uniform(0.2, 3.0)), scale=scale))
+        elif kind == "power 0.5|1|2":
+            alpha = float(rng.choice([0.5, 1.0, 2.0]))
+            mu = FuzzyMeasure.distorted(Distortion.power(alpha, scale=scale))
+        else:
+            g = random_distortion(rng)
+            while g.kind != kind:
+                g = random_distortion(rng)
+            mu = FuzzyMeasure.distorted(g)
+        for _ in range(30):
+            A = random_interval_set(rng, allow_empty=True)
+            got, want = choquet(StepFunction.indicator(A), mu), mu(A)
+            if kind == "power":
+                assert abs(got - want) <= 2 * np.spacing(max(got, want)), (A, got, want)
+            else:
+                assert got == want, (A, got, want)
 
     def test_constant(self):
         for mu in (sq(), FuzzyMeasure.lebesgue()):

@@ -788,9 +788,9 @@ PINNED_REPORTS = {
     "cobb_douglas large-core endowment":
         (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
     "cobb_douglas walras found allocation":
-        (0, "0b7981240453f8362dfcd68d03c53342be82faac466d75d8447c126ba24ea607"),
+        (0, "960564316436bbbd91da6f96008e6a5bcaf59cf9b1ecb0dc5e259048f3453a8e"),
     "cobb_douglas walras found endowment":
-        (2, "7e00b7cfa706c0fa0571cf021ba49f9e7da61aa24c5fd6203d0d9d72dafcd08b"),
+        (2, "28b49cef1d323dca2b6e12b34eb5bb0cbc908cebc5feed5499025977e0a0e862"),
     "cobb_douglas walras price0 allocation":
         (0, "df0f139e604333db9775c5a061bdba33821f70fcaa989ab7bf0226fd8e035312"),
     "cobb_douglas walras price0 endowment":
@@ -799,7 +799,7 @@ PINNED_REPORTS = {
         (2, "33efced519da0e6d7d3521a94d1bc96e0de44cc6256b5a752d61e05f097ec494"),
     "cobb_douglas walras price1 endowment":
         (2, "401bf256d539e165c292f0d84f0f6ac10770c6cb6911d4704d2d847f26873ce3"),
-    "demo cobb-douglas": (0, "fb36d047392152dda642fa0d402a921ea594cf76608206198ae78829d78606ca"),
+    "demo cobb-douglas": (0, "b66817aa184a1413efff6083e9254479f6d30f8270c49afa79e60939858a2a7f"),
     "demo dominance-split":
         (2, "ac9b19bd025a59b390c7b23cc88a348db19280a62303be5b70178e17e66b7db2"),
     "dominance core allocation":
@@ -812,9 +812,9 @@ PINNED_REPORTS = {
     "dominance large-core endowment":
         (0, "60e85995583a787765fc07c86e7119ba414826b8c2bb8309893ef4c5aba305bc"),
     "dominance walras found allocation":
-        (2, "435995517ad11651eae506630f61f0cd167c10f9633a0f2ab4173c31f4cd0db4"),
+        (2, "7c263c9244ee86ee24ae6ea2123bed23491147cc3673f17ddbd327f56539b349"),
     "dominance walras found endowment":
-        (2, "e2a3546def5de39afbef3cdfbf5613d91c0d271faa32499b136dfdda7bfdfc3e"),
+        (2, "5a255b30d129e14c970e70e725d565fe427146fffce170aadfad3ced70b9abc4"),
     "dominance walras price0 allocation":
         (2, "d6f752a4c686c68860ab1f90ff0d8fd68df0e42b526f2c59454acaf630633bda"),
     "dominance walras price0 endowment":
@@ -832,9 +832,9 @@ PINNED_REPORTS = {
     "full large-core endowment":
         (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
     "full walras found allocation":
-        (2, "cd47b030f3dd2d6f4117b5721099d7887b8ff5b1c8a4ecf309293572c7200b95"),
+        (2, "90730c3c1ca12ebb837425dded878f1a42b11bd7d8e0c6ba1f45cec00a7f6018"),
     "full walras found endowment":
-        (0, "a1990b88b8f23dc24e557137e030dbbb0ac2350e21ff2bd11f4f97dc2c1ca69e"),
+        (0, "80302d7bc8075ed70095e93944921400a0a5b718875bd1cd95966a3e587608da"),
     "full walras price0 allocation":
         (2, "122f6277dc64c5efa2d9a2fcecfb4606b1c204b3429637749ca9e9bcee6d2c1c"),
     "full walras price0 endowment":
@@ -852,9 +852,9 @@ PINNED_REPORTS = {
     "linear large-core endowment":
         (0, "60e85995583a787765fc07c86e7119ba414826b8c2bb8309893ef4c5aba305bc"),
     "linear walras found allocation":
-        (2, "83e7f7a360a610caf0def3472f19636032d5032e593c228ff619dba63043aab0"),
+        (2, "b69fbc367f0201714e2fa3206ca59e11a0dd8692d01abf6b58b78ae0612ef0f0"),
     "linear walras found endowment":
-        (2, "c55d543872d26a7e065e6b12540481992343383df8c912b1b9309d709ead0264"),
+        (2, "944c40b20257b7fdb7b92992ea8f7f6a1d34dc5d0b6571d17bb9aab165a61ebc"),
     "linear walras price0 allocation":
         (2, "05636267cb826baab604dc90c7219c7de014457d77c4e23f44699aadd2459b33"),
     "linear walras price0 endowment":
@@ -873,9 +873,9 @@ PINNED_REPORTS = {
     "split large-core endowment":
         (0, "38ea5b642e9acf5a4bc9a6a3b04985914f8aaf0f7d40892b2ada8e4bd79e77f0"),
     "split walras found allocation":
-        (2, "ee654e137bf3cf53c4dbe1bb241456bd05698e70690bb03a8dd44ae5a0027e91"),
+        (2, "cf58ef74af089eef3384a6371590ce8bd193c97039ff9d93180f3be7fcfb2341"),
     "split walras found endowment":
-        (2, "e142a780be0a443fd480545fb75a86cb7a52340e3dd054800971c7ef8003d894"),
+        (2, "4ca27978854c4dd873c0e9da7d12f7f023c35a4fa3a27093fabad3e09d63cd59"),
     "split walras price0 allocation":
         (2, "980d018ceccd4826def5942c4a3220a4a4b18b7339712312b5430a145f43366f"),
     "split walras price0 endowment":

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_lab.errors import StructuralError
-from choquet_lab.intervals import IntervalSet, random_interval_set, uniform_partition
+from choquet_lab.intervals import IntervalSet, _draw_ends, random_interval_set, uniform_partition
 
 
 def test_basic_construction_and_measure():
@@ -173,3 +173,41 @@ def test_random_sets_keep_their_draws(seed):
             expected = ()
         assert s.intervals == expected
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bits", [3, 20])
+def test_drawn_ends_are_sorted_distinct_dyadic_unions(bits):
+    # each row is a union of 0 to 4 intervals [lo, hi) whose end points are
+    # distinct multiples of 2**-bits in [0, 1], left to right, then [0, 0)
+    lo, hi = _draw_ends(np.random.default_rng(bits), 2000, bits)
+    assert lo.shape == hi.shape == (2000, 4)
+    pieces = np.count_nonzero(lo < hi, axis=1)
+    assert set(pieces.tolist()) == {0, 1, 2, 3, 4}
+    padding = np.arange(4) >= pieces[:, None]
+    assert np.all(lo[padding] == 0.0) and np.all(hi[padding] == 0.0)
+    ends = np.stack([lo, hi], axis=-1).reshape(2000, 8)
+    assert np.all((ends >= 0.0) & (ends <= 1.0))
+    assert np.all(np.ldexp(ends, bits) == np.round(np.ldexp(ends, bits)))
+    for row, count in zip(ends, pieces.tolist()):
+        assert np.all(np.diff(row[: 2 * count]) > 0)
+
+
+def test_rows_with_a_repeated_end_point_are_drawn_again():
+    # on the 9 points of bits = 3 repeats are common: the piece counts are
+    # drawn first and kept, a row whose first draw is distinct keeps it, and
+    # the others draw again, which moves the generator further
+    ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+    lo, hi = _draw_ends(ours, 500, bits=3)
+    pieces = ref.integers(5, size=500)
+    first = ref.integers(9, size=(500, 8))
+    ends = np.ldexp(np.stack([lo, hi], axis=-1).reshape(500, 8), 3)
+    again = 0
+    for row, count, drawn in zip(ends, pieces.tolist(), first):
+        assert np.count_nonzero(row[0::2] < row[1::2]) == count
+        used = np.sort(drawn[: 2 * count])
+        if np.all(np.diff(used) > 0):
+            assert row[: 2 * count].tolist() == used.tolist()
+        else:
+            again += 1
+    assert again > 100
+    assert ours.bit_generator.state != ref.bit_generator.state

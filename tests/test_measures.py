@@ -20,6 +20,8 @@ from choquet_lab.measures import (
 NOT_SUBADDITIVE_KNOTS = [(0, 0), (0.9, 0.9), (0.95, 0.951), (1, 1)]
 # subadditive, yet the slope rises at 0.6, so mu is not submodular
 SUBADDITIVE_NOT_CONCAVE_KNOTS = [(0, 0), (0.5, 0.7), (0.6, 0.72), (0.7, 0.8), (1, 1)]
+# neither subadditive nor submodular, with g(1) near 2
+NEITHER_KNOTS = [(0, 0), (0.2433, 0.5520), (0.3771, 0.8414), (0.4686, 1.0490), (1, 1.9755)]
 
 
 def sq():
@@ -258,6 +260,38 @@ class TestPropertyChecks:
         report = measure_properties(mu)
         assert mu.is_subadditive and report.subadditive and not report.submodular
         assert_witness_verifies(mu, report.witness)
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-9, 1e-12])
+    def test_decisions_do_not_depend_on_the_scale_of_g(self, factor):
+        # the gap and the slope rise are compared relative to g(1) and to the
+        # slope, with no floor at 1, so a small g keeps its verdicts
+        mu = pwl_measure([(x, factor * y) for x, y in NEITHER_KNOTS])
+        report = measure_properties(mu)
+        assert not (mu.is_subadditive or mu.is_submodular)
+        assert not (report.subadditive or report.submodular)
+        assert report.witness["property"] == "subadditive"
+        assert report.witness["lhs"] > report.witness["rhs"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inner=st.lists(st.floats(0.01, 0.99), max_size=5, unique=True),
+        rises=st.lists(st.floats(1e-3, 10.0), min_size=6, max_size=6),
+        k=st.integers(-60, 60),
+    )
+    def test_scaling_by_a_power_of_two_keeps_every_verdict(self, inner, rises, k):
+        # y -> 2^k y is exact, and so is every value g takes, every slope
+        # and every gap: the decisions and witnesses must follow it exactly
+        xs = [0.0, *sorted(inner), 1.0]
+        ys = np.cumsum([0.0, *rises[: len(xs) - 1]])
+        base = measure_properties(pwl_measure(list(zip(xs, ys))))
+        scaled = measure_properties(pwl_measure(list(zip(xs, np.ldexp(ys, k)))))
+        assert (scaled.subadditive, scaled.submodular) == (base.subadditive, base.submodular)
+        assert (scaled.witness is None) == (base.witness is None)
+        if base.witness is not None:
+            assert {**scaled.witness, "lhs": None, "rhs": None} == {
+                **base.witness, "lhs": None, "rhs": None}
+            assert (scaled.witness["lhs"], scaled.witness["rhs"]) == (
+                math.ldexp(base.witness["lhs"], k), math.ldexp(base.witness["rhs"], k))
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -666,6 +666,32 @@ class TestRangeRealize:
         support = np.mean(np.maximum(0.0, np.ones(20) * d[0]))
         assert d[0] * 1.5 > support + 1e-9
 
+    def test_a_direction_that_does_not_separate_is_not_reported(self, monkeypatch):
+        # the realization LP is made to fail, so a target inside the zonotope
+        # reaches the separation LP, whose optimum d . T - h(d) is then 0:
+        # no direction separates, and none is reported
+        fam = square_family(K=10)
+        phi = np.column_stack([np.linspace(0.1, 1.0, 10), np.linspace(1.0, 0.1, 10)])
+        U = phi * fam.totals[:, None]
+        inside = integrate_sectional_over(fam, phi, product_set_from_levels(fam, np.full(10, 0.5)))
+        solve, solved = product.linprog, []
+
+        def first_fails(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            solved.append(res.status)
+            if len(solved) == 1:
+                res = type(res)(res, status=2)
+            return res
+
+        monkeypatch.setattr(product, "linprog", first_fails)
+        res = range_realize(fam, phi, inside)
+        assert solved == [0, 0]
+        assert not res.feasible and res.separating_direction is None
+        # outside it the LP's direction separates and is reported
+        outside = 2 * U.mean(axis=0)
+        d = range_realize(fam, phi, outside).separating_direction
+        assert d is not None and d @ outside > np.mean(np.maximum(0.0, U @ d))
+
     def test_roundtrip_random_levels(self):
         rng = np.random.default_rng(6)
         fam = square_family(K=40)
