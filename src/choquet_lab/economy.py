@@ -28,7 +28,7 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -288,10 +288,12 @@ def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
     p, for every node k: (ok, violators), with a NaN row where a node has no
     violator (it is maximal or over budget).
 
-    Cobb-Douglas compares against its demand.  Linear utility w . x peaks
-    over the budget set at the corner e_i * wealth / p_i, i = argmax w / p;
-    the violator is the point of that axis halfway in utility between the
-    bundle and the corner.  When some p_i = 0, bundle + e_i costs no more.
+    Cobb-Douglas compares against its demand d.  Linear utility w . x peaks
+    over the budget set at the corner e_i * wealth / p_i, i = argmax w / p.
+    The violator lies halfway in utility between the bundle and d (d times
+    (1 + u(F[k]) / u(d)) / 2, as u is homogeneous of degree 1) or the corner,
+    so rounding cannot push it over the budget.  When some p_i = 0,
+    bundle + e_i costs no more.
     Coordinate dominance on J has an affordable strictly preferred bundle iff
     sum_{j in J} p_j b_j < wealth: raise the J-coordinates by half the slack
     per unit of their price and drop the others.  Such a violator is kept
@@ -303,8 +305,9 @@ def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
     inside = ~(_row_dot(p, F) > wealth + DEMAND_TOL)  # f(a) must lie in its budget set
     if prefs.kind == "cobb_douglas":
         if p.min() > 0:
-            cand = prefs.demand_rows(p, wealth)
-            ok = inside & (np.max(np.abs(F - cand), axis=1) <= DEMAND_TOL)
+            d = prefs.demand_rows(p, wealth)
+            ok = inside & (np.max(np.abs(F - d), axis=1) <= DEMAND_TOL)
+            cand = d * (0.5 * (1.0 + prefs.utilities(F) / prefs.utilities(d)))[:, None]
         else:  # a free good makes Cobb-Douglas demand unbounded
             worse = F.copy()
             worse[:, np.argmin(p)] += 1.0 + np.max(eco.endowment)
@@ -321,8 +324,6 @@ def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
             rows = np.arange(K)
             i = np.argmax(prefs.weights / p, axis=1)
             cand = np.zeros((K, n))
-            # halfway in utility between the bundle and the best corner, so
-            # rounding cannot push the violator over the budget
             cand[rows, i] = 0.5 * (wealth / p[i] + prefs.utilities(F) / prefs.weights[rows, i])
         slack = inside
     else:
@@ -406,53 +407,45 @@ def _excess(eco: Economy, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.mean((s - eco.endowment) * w[..., None], axis=-2)
 
 
-def _coalition(fam: SectionFamily, draw) -> ProductSet:
-    """The coalition drawn as K levels (its level set) or as the (lo, hi)
-    rows, each (K, pieces), of its sections' intervals."""
-    if isinstance(draw, np.ndarray):
-        return product_set_from_levels(fam, draw)
-    return ProductSet(tuple(_from_ends(a, b) for a, b in zip(*draw)))
+def _coalition(lo: np.ndarray, hi: np.ndarray) -> ProductSet:
+    """The coalition whose section k is the pieces [lo[k], hi[k])."""
+    return ProductSet(tuple(_from_ends(a, b) for a, b in zip(lo, hi)))
 
 
-def _coalition_measures(fam: SectionFamily, draws) -> np.ndarray:
-    """Node measures (C, K) of the coalitions :func:`_coalition` builds from
-    ``draws``, from their sections' end points; each distinct level's chain
-    is walked once."""
-    W = np.empty((len(draws), fam.K))
-    levels = np.array([isinstance(d, np.ndarray) for d in draws], dtype=bool)
-    if levels.any():
-        tau = np.array([d for d, level in zip(draws, levels) if level])
-        ts, back = np.unique(tau, return_inverse=True)
-        W[levels] = _node_measures(fam, *(a[back.reshape(tau.shape)] for a in _chain_ends(fam, ts)))
-    if not levels.all():
-        ends = [d for d, level in zip(draws, levels) if not level]
-        W[~levels] = _node_measures(fam, *(np.array(a) for a in zip(*ends)))
-    return W
+def _level_ends(fam: SectionFamily, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) rows (C, K, pieces) of the level sets of the profiles tau
+    (C, K), as :func:`product_set_from_levels` builds them."""
+    ts, back = np.unique(tau, return_inverse=True)
+    return tuple(a[back.reshape(tau.shape)] for a in _chain_ends(fam, ts))
 
 
-def _section_draws(rng, K: int, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``count`` coalitions of K random section unions, as (lo, hi) rows."""
-    lo, hi = _draw_ends(rng, count * K)
-    return [(lo[i : i + K], hi[i : i + K]) for i in range(0, count * K, K)]
+def _measured(fam: SectionFamily, parts) -> tuple[np.ndarray, list]:
+    """Node measures (C, K) and (lo, hi) rows (K, pieces) of the coalitions
+    in ``parts``, pairs of (lo, hi) rows, K per coalition, each at its width."""
+    parts = [[a.reshape(-1, fam.K, a.shape[-1]) for a in part] for part in parts]
+    W = np.concatenate([_node_measures(fam, lo, hi) for lo, hi in parts])
+    return W, [rows for lo, hi in parts for rows in zip(lo, hi)]
 
 
-def _draw_cloud(rng, K: int, n: int, samples: int):
-    """The random draws of :func:`sample_excess_points`, in stream order and
-    raw: per sample its coalition (as K levels, 1 on X and on a single node,
-    or as (lo, hi) section rows); per row (node k of sample i at row i K + k)
-    the axis and the nudge; the shifted rows and their shifts."""
+def _draw_cloud(rng, fam: SectionFamily, n: int, samples: int):
+    """The draws of :func:`sample_excess_points`: the coalitions' (lo, hi)
+    rows in two parts, the level sets (kinds 0, 1, 3) and the section unions,
+    with each sample's ``place`` in them; per row (node k of sample i at row
+    i K + k) the axis and the nudge; the shifted rows and their shifts."""
+    K = fam.K
     kinds = rng.integers(4, size=samples)
     axes = rng.integers(n, size=(samples, K))
     nudges = rng.random((samples, K))
     shifted = np.flatnonzero(rng.random((samples, K)) < 0.5)
     shifts = rng.random((shifted.size, n))
     count = np.bincount(kinds, minlength=4)
-    levels = rng.random((count[1], K))
-    sections = _section_draws(rng, K, count[2])
-    nodes = rng.integers(K, size=count[3])
-    parts = (repeat(np.ones(K)), iter(levels), iter(sections), iter(np.eye(K)[nodes]))
-    draws = [next(parts[kind]) for kind in kinds.tolist()]
-    return draws, axes.ravel(), nudges.ravel(), shifted, shifts
+    tau = np.ones((samples, K))
+    tau[kinds == 1] = rng.random((count[1], K))
+    sections = _draw_ends(rng, count[2] * K)
+    tau[kinds == 3] = np.eye(K)[rng.integers(K, size=count[3])]
+    parts = (_level_ends(fam, tau[kinds != 2]), sections)
+    place = np.argsort(np.argsort(kinds == 2, kind="stable"))  # the inverse permutation
+    return parts, place, axes.ravel(), nudges.ravel(), shifted, shifts
 
 
 def sample_excess_points(
@@ -479,14 +472,18 @@ def sample_excess_points(
     are drawn depends on (S, K, n) and the values themselves, never on the
     economy's preferences or measures.
 
-    The rest is built after the draws, as arrays: every selection in one
-    :meth:`Preferences.contour_rows` call, every node measure from section
-    end points (:func:`product._node_measures`) and every z as one mean.
+    Every coalition is held as the (lo, hi) rows (K, pieces) of its
+    sections' intervals: a level set's chains (:func:`product._chain_ends`)
+    or a section union's drawn ends; ``coalition`` is built from them when
+    read.  The rest is built after the draws, as arrays: every selection in
+    one :meth:`Preferences.contour_rows` call, every node measure from the
+    rows (:func:`product._node_measures`) and every z as one mean.
     """
     f, samples, seed = _allocation(eco, f), _count(samples, "samples", 0), _count(seed, "seed", 0)
     K, n, fam = eco.K, eco.n, eco.fam
-    draws, axes, nudges, shifted, shifts = _draw_cloud(np.random.default_rng(seed), K, n, samples)
-    w_full, w_empty = _coalition_measures(fam, [np.ones(K), np.zeros(K)])
+    rng = np.random.default_rng(seed)
+    parts, place, axes, nudges, shifted, shifts = _draw_cloud(rng, fam, n, samples)
+    w_full, w_empty = _node_measures(fam, *_level_ends(fam, np.array([np.ones(K), np.zeros(K)])))
 
     signed = np.ravel([(d, -d) for d in (2e-4, 2e-3, 2e-2, 0.2)])
     nprobe = 8 * n  # boundary nudges, one block of K rows per (axis, delta, sign)
@@ -504,9 +501,9 @@ def sample_excess_points(
     # w_k > 0) as is.
     P = rows[: nprobe * K].reshape(nprobe, K, n)
     nodes, blocks = np.nonzero((ok[: nprobe * K].reshape(nprobe, K) & ~(P.min(axis=2) < 0)).T)
+    W, ends = _measured(fam, parts)
     W = np.concatenate([[w_full] * (n + 1), [w_empty, w_full],
-                        np.where(np.arange(K) == nodes[:, None], w_full, w_empty),
-                        _coalition_measures(fam, draws)])
+                        np.where(np.arange(K) == nodes[:, None], w_full, w_empty), W[place]])
     S = np.concatenate([f + np.eye(n)[:, None, :], [f + 1.0, f, f],
                         np.broadcast_to(f, (len(nodes), K, n)),
                         rows[nprobe * K :].reshape(-1, K, n)])
@@ -519,7 +516,7 @@ def sample_excess_points(
     full = partial(ProductSet.full, K)
     makers = [full] * (n + 1) + [partial(ProductSet.empty, K), full]
     makers += [partial(ProductSet.single, K, k) for k in nodes.tolist()]
-    makers += [partial(_coalition, fam, draw) for draw in draws]
+    makers += [partial(_coalition, *ends[j]) for j in place.tolist()]
     return [ExcessSample(*sample) for sample in zip(Z, S, W, labels + ["random"] * samples, makers)]
 
 
@@ -767,20 +764,19 @@ class ExhaustedReport:
 def _block_levels(eco: Economy, rng, budget: int) -> np.ndarray:
     """Level profiles (C, K) of the level-set coalitions: tau quantized to
     {0, 1/LEVELS, .., 1} on YBLOCKS y-blocks of nodes, X itself first, then
-    ``budget`` random profiles that are not all 0."""
+    ``budget`` random ones that are not all 0: one ``rng.integers(0, LEVELS +
+    1, size=(budget, YBLOCKS))``, its all-zero rows drawn again per round."""
     levels, yblocks = LEVELS, YBLOCKS
     rows = [np.full(yblocks, l / levels) for l in (levels, *range(1, levels))]
     rows += [b * (l / levels) for b in np.eye(yblocks) for l in range(1, levels + 1)]
     rows += list(1.0 - np.eye(yblocks))
-    count = 0
-    while count < budget:
-        bl = rng.integers(0, levels + 1, size=yblocks) / levels
-        if bl.max() == 0:
-            continue
-        rows.append(bl)
-        count += 1
+    drawn = rng.integers(0, levels + 1, size=(budget, yblocks))
+    redo = np.flatnonzero(drawn.max(axis=1) == 0)
+    while redo.size:
+        drawn[redo] = rng.integers(0, levels + 1, size=(redo.size, yblocks))
+        redo = redo[drawn[redo].max(axis=1) == 0]
     edges = np.linspace(0, eco.K, yblocks + 1).astype(int)
-    return np.array(rows)[:, np.repeat(np.arange(yblocks), np.diff(edges))]
+    return np.vstack([*rows, drawn / levels])[:, np.repeat(np.arange(yblocks), np.diff(edges))]
 
 
 def _price_grid(n: int, resolution: int):
@@ -848,6 +844,10 @@ def search_improvement(
     ``improve`` is a budgeted search of level-set and random coalitions and
     the endowment and demand candidates: the first pair in search order that
     :func:`verify_improvement` accepts, or exhaustion, evidence not proof.
+    Its stream: the budget // 5 level profiles of :func:`_block_levels`,
+    then the min(20, budget // 10) K section unions of
+    :func:`intervals._draw_ends`; every coalition is held as (lo, hi) rows,
+    as in :func:`sample_excess_points`.
     """
     if mode not in ("improve", "strongly_improve"):
         raise StructuralError(f"unknown improvement mode {mode!r}")
@@ -864,9 +864,8 @@ def search_improvement(
 
     rng = np.random.default_rng(seed)
     sectionals = list(_sectional_candidates(eco, DEMAND_GRID))
-    draws = list(_block_levels(eco, rng, budget // 5))
-    draws += _section_draws(rng, eco.K, min(20, budget // 10))
-    W = _coalition_measures(eco.fam, draws)
+    levels = _level_ends(eco.fam, _block_levels(eco, rng, budget // 5))  # drawn first
+    W, ends = _measured(eco.fam, (levels, _draw_ends(rng, min(20, budget // 10) * eco.K)))
 
     G = np.array([g for g, _ in sectionals])  # (P, K, n)
     passed = _screen_sectionals(eco, G, eco.prefs.strict_rows(G, f), W)
@@ -874,12 +873,12 @@ def search_improvement(
     for c in active:  # a coalition is built only for a candidate it screens in
         for j in np.flatnonzero(passed[c]):
             g, src = sectionals[j]
-            S = _coalition(eco.fam, draws[c])
+            S = _coalition(*ends[c])
             witness = ImprovementWitness(mode, S, ProductStepFunction.sectional(g), src)
             ok, _ = verify_improvement(eco, f, witness)
             if ok:
                 return witness
-    return ExhaustedReport(mode, len(draws), len(sectionals), len(active) * len(sectionals))
+    return ExhaustedReport(mode, len(ends), len(sectionals), len(active) * len(sectionals))
 
 
 def sectionalize(eco: Economy, s: ProductStepFunction, A: ProductSet) -> np.ndarray:
@@ -1068,14 +1067,13 @@ class OrderViolationWitness:
 
 
 def condition_c2_witness(fam: SectionFamily, f, g) -> OrderViolationWitness | None:
-    """If f > g somewhere on the grid, exhibit a single-node coalition whose
-    integrals violate integral-of-f <= integral-of-g; None when f <= g."""
+    """The first single-node coalition whose integrals, as computed, violate
+    integral-of-f <= integral-of-g; None when none does (so when f <= g)."""
     K = fam.K
     f, g = _array(f, "f", (K,)), _array(g, "g", (K,))
-    for k in range(K):
-        if f[k] > g[k] + 1e-12:
-            H = ProductSet.single(K, k)
-            lhs = integrate_sectional_over(fam, f, H)
-            rhs = integrate_sectional_over(fam, g, H)
-            return OrderViolationWitness(k, H, float(lhs), float(rhs))
+    for k in np.flatnonzero(f > g).tolist():
+        H = ProductSet.single(K, k)
+        lhs, rhs = integrate_sectional_over(fam, f, H), integrate_sectional_over(fam, g, H)
+        if lhs > rhs:
+            return OrderViolationWitness(k, H, lhs, rhs)
     return None

@@ -101,19 +101,25 @@ class TestChoquetExamples:
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["identity", "pwl", "sectioned", "power", "power 0.5|1|2"]),
+        kind=st.sampled_from(["identity", "pwl", "sectioned", "power", "power 0.5", "power 1|2"]),
     )
     def test_an_indicator_integrates_to_the_measure_of_its_set(self, seed, kind):
         # choquet(1_A, mu) = g(|A|) (or mu's block masses) is mu(A) bit for
         # bit where both take g by the same arithmetic: identity, pwl,
-        # sectioned, and power alpha in {0.5, 1, 2}, where numpy's array
-        # power is a square root, a copy or a square.  Other powers take g
-        # by array power in the kernel and by libm's pow in mu.  Both are
-        # faithfully rounded, so each is one of the two floats next to the
-        # exact |A|^alpha and they differ by at most 1 ulp.  Times the scale
-        # that is less than 2 ulp of the exact product, and rounding each
-        # product moves it by at most half an ulp: less than 3 ulp, so at
-        # most 2, apart.
+        # sectioned, and power alpha in {1, 2}.  For alpha = 1 numpy's array
+        # power is a copy.  For alpha = 2 it is the square x * x against
+        # libm's pow(x, 2) in mu, which is not always x * x (on an x86-64
+        # glibc 2.36 host they differed in about 1,700 of 2e6 uniform
+        # draws); they agree here only because the sets' lengths are dyadic
+        # with at most 20 bits, so both squares are exact.  Other powers,
+        # alpha = 0.5 among them (numpy's square root against libm's
+        # pow(x, 0.5): about 1,700 of the same draws differ), take g by array
+        # power in the kernel and by libm's pow in mu.  Both are faithfully
+        # rounded, so each is one of the two floats next to the exact
+        # |A|^alpha and they differ by at most 1 ulp.  Times the scale that
+        # is less than 2 ulp of the exact product, and rounding each product
+        # moves it by at most half an ulp: less than 3 ulp, so at most 2,
+        # apart.
         rng = np.random.default_rng(seed)
         scale = float(rng.uniform(0.25, 3.0))
         if kind == "sectioned":
@@ -121,8 +127,8 @@ class TestChoquetExamples:
             mu = FuzzyMeasure.sectioned(random_blocks(rng, nblocks), rng.uniform(0.1, 2.0, nblocks))
         elif kind == "power":
             mu = FuzzyMeasure.distorted(Distortion.power(float(rng.uniform(0.2, 3.0)), scale=scale))
-        elif kind == "power 0.5|1|2":
-            alpha = float(rng.choice([0.5, 1.0, 2.0]))
+        elif kind.startswith("power"):
+            alpha = 0.5 if kind == "power 0.5" else float(rng.choice([1.0, 2.0]))
             mu = FuzzyMeasure.distorted(Distortion.power(alpha, scale=scale))
         else:
             g = random_distortion(rng)
@@ -132,7 +138,7 @@ class TestChoquetExamples:
         for _ in range(30):
             A = random_interval_set(rng, allow_empty=True)
             got, want = choquet(StepFunction.indicator(A), mu), mu(A)
-            if kind == "power":
+            if kind in ("power", "power 0.5"):
                 assert abs(got - want) <= 2 * np.spacing(max(got, want)), (A, got, want)
             else:
                 assert got == want, (A, got, want)

@@ -794,7 +794,7 @@ PINNED_REPORTS = {
     "cobb_douglas walras price0 allocation":
         (0, "df0f139e604333db9775c5a061bdba33821f70fcaa989ab7bf0226fd8e035312"),
     "cobb_douglas walras price0 endowment":
-        (2, "d3ef621246d604bcf345b10acf315b040afe6d0f584b5386b83a72a305816ad7"),
+        (2, "656b6499ee764374a5fdb9898e0f2afc80fd11faf2cbfe08bdb67c77a2538db1"),
     "cobb_douglas walras price1 allocation":
         (2, "33efced519da0e6d7d3521a94d1bc96e0de44cc6256b5a752d61e05f097ec494"),
     "cobb_douglas walras price1 endowment":

@@ -1,4 +1,6 @@
 import hashlib
+import operator
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from choquet_lab.fixtures import (
     identity_family,
     split_dominance_economy,
 )
-from choquet_lab.intervals import IntervalSet, random_interval_set
+from choquet_lab.intervals import IntervalSet, _draw_ends, random_interval_set
 from choquet_lab.measures import Distortion, FuzzyMeasure
 from choquet_lab.product import (
     ProductSet,
@@ -178,7 +180,10 @@ def maximal_reference(eco, p, f, k):
     if prefs.kind == "cobb_douglas":
         if p.min() > 0:
             d = prefs.exponents[k] * wealth / p
-            return (True, None) if np.max(np.abs(bundle - d)) <= economy.DEMAND_TOL else (False, d)
+            if np.max(np.abs(bundle - d)) <= economy.DEMAND_TOL:
+                return True, None
+            u = [np.prod(np.maximum(x, 0.0) ** prefs.exponents[k]) for x in (bundle, d)]
+            return False, d * (0.5 * (1.0 + u[0] / u[1]))  # halfway in utility
         if bundle.min() > 0:
             worse = bundle.copy()
             worse[np.argmin(p)] += 1.0 + np.max(eco.endowment)
@@ -395,6 +400,28 @@ class TestMaximality:
         assert not ok
         assert prefers(eco.prefs, 0, violator, eco.endowment[0])
         assert budget_check(eco, [0.3, 0.7], violator, 0)
+
+    def test_cobb_douglas_violators_are_within_budget_exactly(self):
+        # The demand rounds over the budget at about half of these nodes, by
+        # up to a few 1e-16 relative; the violator halfway in utility between
+        # the bundle and the demand costs less than the wealth in exact
+        # rational arithmetic, and is strictly preferred.
+        checked = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            K, n = int(rng.integers(1, 9)), int(rng.integers(2, 4))
+            eco = random_economy(rng, "cobb_douglas", "identity", K, n)
+            p = normalize_price(rng.dirichlet(np.ones(n)))
+            f = eco.endowment * rng.uniform(0.3, 1.0, size=(K, 1))
+            for k in range(K):
+                ok, v = is_maximal_in_budget(eco, p, f, k)
+                assert not ok and v is not None
+                cost = sum(map(operator.mul, map(Fraction, p), map(Fraction, v)))
+                wealth = sum(map(operator.mul, map(Fraction, p), map(Fraction, eco.endowment[k])))
+                assert cost < wealth, (seed, k, float(cost / wealth - 1))
+                assert prefers(eco.prefs, k, v, f[k])
+                checked += 1
+        assert checked > 150
 
     def test_dominance_miss_of_the_budget_grid(self):
         # A 200-point grid over the budget face found no violator here:
@@ -804,6 +831,28 @@ class TestIntegralConditions:
         g = np.full(20, 0.7)
         assert condition_c2_witness(fam, f, g) is None
 
+    def test_c2_witness_at_a_tiny_scale(self):
+        # f > g at node 0 by 1e-13: an absolute tolerance of 1e-12 missed it
+        w = condition_c2_witness(identity_family(2), [2e-13, 0.0], [1e-13, 0.0])
+        assert w is not None and w.node == 0
+        assert w.lhs > w.rhs
+        # f > g, but both integrals round to 0: no violation as computed
+        assert condition_c2_witness(identity_family(2), [5e-324, 0.0], [0.0, 0.0]) is None
+
+    @pytest.mark.parametrize("power", [-60, -30, 30, 60])
+    def test_c2_witness_scales_by_powers_of_two(self, power):
+        fam = SectionFamily.homothetic(Distortion.identity(), K=20)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            g = rng.uniform(0.5, 2.0, size=20)
+            f = g - rng.uniform(0.0, 0.3, size=20)
+            k = int(rng.integers(20))
+            f[k] = g[k] + rng.uniform(0.1, 1.0)
+            w = condition_c2_witness(fam, f, g)
+            scaled = condition_c2_witness(fam, np.ldexp(f, power), np.ldexp(g, power))
+            assert scaled.node == w.node
+            assert (scaled.lhs, scaled.rhs) == (np.ldexp(w.lhs, power), np.ldexp(w.rhs, power))
+
     def test_c2_takes_scalar_sectional_functions(self):
         # the witness compares one number per node
         with pytest.raises(StructuralError, match=r"f must be \(4,\)"):
@@ -1153,14 +1202,19 @@ class TestArrayPathsAgainstScalar:
 def unscreened_improve(eco, f, budget: int, seed: int) -> dict:
     """The report of ``search_improvement(eco, f, "improve", budget, seed)``
     without its screen: the same draws and candidates, and every pair of an
-    active coalition handed to ``verify_improvement`` in search order."""
+    active coalition handed to ``verify_improvement`` in search order.  The
+    level sets are built by ``product_set_from_levels`` and the section
+    unions one IntervalSet per node, not from the search's end rows."""
     rng = np.random.default_rng(seed)
     sectionals = list(_sectional_candidates(eco, economy.DEMAND_GRID))
-    draws = list(economy._block_levels(eco, rng, budget // 5))
-    draws += economy._section_draws(rng, eco.K, min(20, budget // 10))
+    coalitions = [product_set_from_levels(eco.fam, levels)
+                  for levels in economy._block_levels(eco, rng, budget // 5)]
+    lo, hi = _draw_ends(rng, min(20, budget // 10) * eco.K)
+    pieces = [IntervalSet([(a, b) for a, b in zip(*row) if a < b])
+              for row in zip(lo.tolist(), hi.tolist())]
+    coalitions += [ProductSet(tuple(pieces[i : i + eco.K])) for i in range(0, len(pieces), eco.K)]
     active = 0
-    for draw in draws:
-        S = economy._coalition(eco.fam, draw)
+    for S in coalitions:
         if not np.any(section_measures(eco.fam, S) > 0):
             continue
         active += 1
@@ -1168,7 +1222,7 @@ def unscreened_improve(eco, f, budget: int, seed: int) -> dict:
             witness = ImprovementWitness("improve", S, ProductStepFunction.sectional(g), src)
             if verify_improvement(eco, f, witness)[0]:
                 return witness.to_dict()
-    return ExhaustedReport("improve", len(draws), len(sectionals),
+    return ExhaustedReport("improve", len(coalitions), len(sectionals),
                            active * len(sectionals)).to_dict()
 
 
@@ -1444,6 +1498,50 @@ def test_uniform_draws_are_affine_maps_of_random():
         assert shifts.tobytes() == (0.5 * b.random((37, 3))).tobytes()
         assert levels.tobytes() == b.random((5, 100)).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def per_row_block_levels(rng, budget: int) -> np.ndarray:
+    """The random block profiles of ``economy._block_levels`` drawn one
+    generator call per row, an all-zero row drawn again at once."""
+    rows = []
+    while len(rows) < budget:
+        row = rng.integers(0, economy.LEVELS + 1, size=economy.YBLOCKS)
+        if row.max() > 0:
+            rows.append(row / economy.LEVELS)
+    return np.array(rows).reshape(budget, economy.YBLOCKS)
+
+
+def test_block_levels_draw_the_per_row_stream():
+    # one (budget, YBLOCKS) draw gives the per-row loop's rows and generator
+    # state, unless the loop meets an all-zero row (probability 5^-8 a row);
+    # with K = YBLOCKS each y-block is one node
+    eco = cobb_douglas_economy(K=economy.YBLOCKS)[0]
+    fixed = len(economy._block_levels(eco, np.random.default_rng(0), 0))
+    for seed in range(300):
+        for budget in (0, 1, 7, 100):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = economy._block_levels(eco, a, budget)
+            assert got[fixed:].tobytes() == per_row_block_levels(b, budget).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_block_levels_draw_only_the_all_zero_rows_again():
+    class Stub:  # hands out the given draws and records each call
+        def __init__(self, *draws):
+            self.draws, self.calls = list(draws), []
+
+        def integers(self, low, high, size):
+            self.calls.append((low, high, size))
+            return self.draws.pop(0)
+
+    first = np.arange(32).reshape(4, 8) % 5
+    first[2] = 0
+    rng = Stub(first.copy(), np.zeros((1, 8), dtype=int), np.full((1, 8), 3))
+    eco = cobb_douglas_economy(K=economy.YBLOCKS)[0]
+    got = economy._block_levels(eco, rng, 4)[-4:]
+    assert rng.calls == [(0, 5, (4, 8)), (0, 5, (1, 8)), (0, 5, (1, 8))] and not rng.draws
+    first[2] = 3
+    assert got.tobytes() == (first / 4).tobytes()
 
 
 def test_the_stream_does_not_depend_on_the_preferences(monkeypatch):
