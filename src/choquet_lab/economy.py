@@ -286,7 +286,8 @@ def budget_check(eco: Economy, p, bundle, k: int) -> bool:
 def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
     """Is F[k] preference-maximal in its budget set at the normalized price
     p, for every node k: (ok, violators), with a NaN row where a node has no
-    violator (it is maximal or over budget).
+    confirmed violator (it is maximal, over budget, or its candidate fails
+    the confirmation below).
 
     Cobb-Douglas compares against its demand d.  Linear utility w . x peaks
     over the budget set at the corner e_i * wealth / p_i, i = argmax w / p.
@@ -296,13 +297,17 @@ def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
     bundle + e_i costs no more.
     Coordinate dominance on J has an affordable strictly preferred bundle iff
     sum_{j in J} p_j b_j < wealth: raise the J-coordinates by half the slack
-    per unit of their price and drop the others.  Such a violator is kept
-    only where ``strict_rows`` and :func:`budget_check`'s test (with its
-    second normalization of p) confirm it.
+    per unit of their price and drop the others.  Every family's violator
+    is kept only where ``strict_rows`` and :func:`budget_check`'s test (with
+    its second normalization of p) confirm it.  Cobb-Douglas keeps its own
+    rule for ok (F[k] within DEMAND_TOL of d), so a node can fail it with no
+    confirmed violator; for the other families a node is ok unless it is
+    over budget or has one.
     """
     prefs, K, n = eco.prefs, eco.K, eco.n
     wealth = eco.wealth(p)
     inside = ~(_row_dot(p, F) > wealth + DEMAND_TOL)  # f(a) must lie in its budget set
+    ok = None  # the confirmed violators decide, except for Cobb-Douglas
     if prefs.kind == "cobb_douglas":
         if p.min() > 0:
             d = prefs.demand_rows(p, wealth)
@@ -314,8 +319,8 @@ def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
             interior = wealth[:, None] / (2.0 * n * max(p.max(), 1e-12))
             cand = np.where(F.min(axis=1, keepdims=True) > 0, worse, interior)
             ok = np.zeros(K, dtype=bool)
-        return ok, np.where((inside & ~ok)[:, None], cand, np.nan)
-    if prefs.kind == "linear":
+        slack = inside & ~ok
+    elif prefs.kind == "linear":
         free = np.flatnonzero(p == 0)
         if free.size:
             cand = F.copy()
@@ -335,13 +340,13 @@ def _budget_rows(eco: Economy, p: np.ndarray, F: np.ndarray):
         slack = inside & (spent < wealth)
     q = normalize_price(p)
     bad = slack & prefs.strict_rows(cand, F) & (_row_dot(q, cand) <= eco.wealth(q) + BUDGET_TOL)
-    return inside & ~bad, np.where(bad[:, None], cand, np.nan)
+    return inside & ~bad if ok is None else ok, np.where(bad[:, None], cand, np.nan)
 
 
 def is_maximal_in_budget(eco: Economy, p, f, k: int) -> tuple[bool, np.ndarray | None]:
     """Is f(y_k) preference-maximal in the budget set at node k?  Row k of
     :func:`check_walras`'s decision: (True, None), or False and a violator
-    (None when f(y_k) is over budget)."""
+    (None when f(y_k) is over budget or no violator is confirmed)."""
     ok, violators = _budget_rows(eco, _price(eco, p), _allocation(eco, f))
     k = _count(k, "node", 0, eco.K - 1)
     violator = violators[k]

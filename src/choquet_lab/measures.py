@@ -158,7 +158,7 @@ class FuzzyMeasure:
                 covered += blk.lebesgue
             if abs(covered - 1.0) > ALGEBRA_TOL:
                 raise StructuralError("blocks must cover [0,1)")
-            total = float(sum(self.weights))
+            total = self.measure(IntervalSet.full())
             if not math.isfinite(total):
                 raise StructuralError("the weights' sum, the measure of [0,1), overflows")
             object.__setattr__(self, "total", total)

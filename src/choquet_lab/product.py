@@ -583,16 +583,18 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
 
     The candidate integrals are (1/K) sum_k tau_k * u_k with tau_k in [0,1]
     and u_k = phi(y_k) * mu_k(X), and any feasible tau is turned into an
-    actual set via the uniform chain.  A vector target decides feasibility
-    with a small box-constrained LP in the levels tau_k.  A scalar target T
-    (phi >= 0) needs none: the candidates fill [0, a] with a = mean(u), so
-    the LP's optimum is max(0, -T, T - a), one level T/a on every node
-    realizes any T in [0, a], and d = +1 (T > a) or d = -1 (T < 0)
-    separates the rest, d * T > mean(max(0, d * u)).
+    actual set via the uniform chain.  A vector target is decided by one LP,
+    min s with |U^T tau / K - target| <= s: s* is the l-infinity distance of
+    the target from the reachable zonotope Z.  Its multipliers solve the dual,
+    max d . target - h(d) over |d|_1 <= 1 with h(d) = mean_k max(0, d . u_k)
+    Z's support function: d is l1-normalized and d . target - h(d) = s*.
+    A scalar target T (phi >= 0) needs no LP: the candidates fill [0, a]
+    with a = mean(u), so the LP's optimum is max(0, -T, T - a), one level
+    T/a on every node realizes any T in [0, a], and d = +1 (T > a) or
+    d = -1 (T < 0) separates the rest, d * T > mean(max(0, d * u)).
 
-    A direction d is reported only when it separates, d . target > h(d) =
-    mean_k max(0, d . u_k), the support function of the reachable set;
-    otherwise ``separating_direction`` is None.
+    A direction d is reported only when it separates, d . target > h(d);
+    otherwise, or when the LP fails, ``separating_direction`` is None.
     """
     if not fam.convex_type:
         raise UnsupportedFamilyError("range realization needs a convex-type family")
@@ -619,18 +621,12 @@ def range_realize(fam: SectionFamily, phi, target) -> RangeResult:
     b_ub = np.concatenate([target, -target])
     bounds = [(0.0, 1.0)] * K + [(0.0, None)]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status == 0 and res.fun <= 1e-8:
+    if res.status != 0:  # no optimum, no multipliers
+        return RangeResult(False, None, None, None, None, None)
+    if res.fun <= 1e-8:
         result = _realize_levels(fam, phi, np.clip(res.x[:K], 0.0, 1.0), target)
         if result.feasible:
             return result
-
-    # infeasible: find d with d.target > sup_{H} d.integral = (1/K) sum max(0, d.u_k)
-    #   max d.target - (1/K) sum_k m_k   s.t. m_k >= 0, m_k >= d.u_k, |d| <= 1
-    c2 = np.concatenate([-target, np.full(K, 1.0 / K)])
-    A2 = np.hstack([U, -np.eye(K)])  # d.u_k - m_k <= 0
-    b2 = np.zeros(K)
-    bounds2 = [(-1.0, 1.0)] * n + [(0.0, None)] * K
-    res2 = linprog(c2, A_ub=A2, b_ub=b2, bounds=bounds2, method="highs")
-    d = res2.x[:n] if res2.status == 0 else np.zeros(n)
+    d = res.ineqlin.marginals[:n] - res.ineqlin.marginals[n:]  # the dual's direction
     separates = d @ target > _mean(np.maximum(0.0, U @ d))  # d . target > h(d)
     return RangeResult(False, None, None, None, None, d if separates else None)

@@ -438,12 +438,12 @@ class TestRangeDemo:
         assert capsys.readouterr().err.startswith("error:")
 
     # SHA-256 digests of vector-target reports on the default family (K =
-    # 100, phi = 1), which the two HiGHS LPs decide: one target in range and
-    # two out of range.
+    # 100, phi = 1), each decided by one HiGHS LP: one target in range and
+    # two out of range, whose direction (0.5, -0.5) is the LP's dual.
     @pytest.mark.parametrize("target, code, digest", [
         ("0.3,0.3", 0, "ae79e939d483d7d74ea1f0368b87fd9129c12101f628681b619617132e65817a"),
-        ("0.8,-0.2", 2, "39703d4eed39edef159e80f1216df0f860bc7e7264076902b608ee90b53f67a9"),
-        ("1.2,0.5", 2, "cebca56f81d1c707c11b5464f1f3438ba732b3d5ceb88af9457ca6012a6796c9"),
+        ("0.8,-0.2", 2, "b11b0703f58ee4d279209565a1a8ec62403a06d21f21c2fa3d57023c07f53008"),
+        ("1.2,0.5", 2, "ea28fc12731bc16b0c2f3623b7ef4b7ad1bee86e66e71c8ab524439cc0c77726"),
     ])
     def test_vector_target_reports_are_pinned(self, capsys, target, code, digest):
         assert main(["range-demo", "--target", target]) == code

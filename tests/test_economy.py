@@ -177,19 +177,19 @@ def maximal_reference(eco, p, f, k):
     wealth = float(p @ eco.endowment[k])
     if p @ bundle > wealth + economy.DEMAND_TOL:
         return False, None
-    if prefs.kind == "cobb_douglas":
+    if prefs.kind == "cobb_douglas":  # not maximal unless F is the demand
         if p.min() > 0:
             d = prefs.exponents[k] * wealth / p
             if np.max(np.abs(bundle - d)) <= economy.DEMAND_TOL:
                 return True, None
             u = [np.prod(np.maximum(x, 0.0) ** prefs.exponents[k]) for x in (bundle, d)]
-            return False, d * (0.5 * (1.0 + u[0] / u[1]))  # halfway in utility
-        if bundle.min() > 0:
-            worse = bundle.copy()
-            worse[np.argmin(p)] += 1.0 + np.max(eco.endowment)
-            return False, worse
-        return False, np.full(eco.n, wealth / (2.0 * eco.n * max(p.max(), 1e-12)))
-    if prefs.kind == "linear":
+            cand = d * (0.5 * (1.0 + u[0] / u[1]))  # halfway in utility
+        elif bundle.min() > 0:
+            cand = bundle.copy()
+            cand[np.argmin(p)] += 1.0 + np.max(eco.endowment)
+        else:
+            cand = np.full(eco.n, wealth / (2.0 * eco.n * max(p.max(), 1e-12)))
+    elif prefs.kind == "linear":
         free = np.flatnonzero(p == 0)
         w = prefs.weights[k]
         if free.size:
@@ -210,7 +210,7 @@ def maximal_reference(eco, p, f, k):
     q = normalize_price(p)
     if prefers(prefs, k, cand, bundle) and q @ cand <= q @ eco.endowment[k] + economy.BUDGET_TOL:
         return False, cand
-    return True, None
+    return prefs.kind != "cobb_douglas", None
 
 
 class TestValidation:
@@ -422,6 +422,19 @@ class TestMaximality:
                 assert prefers(eco.prefs, k, v, f[k])
                 checked += 1
         assert checked > 150
+
+    def test_an_unconfirmed_cobb_douglas_violator_is_not_reported(self):
+        # F is within DEMAND_TOL of the budget but more than DEMAND_TOL from
+        # the demand (1, 1), so it is not maximal; the halfway bundle
+        # 1.00000045 (1, 1) is neither strictly preferred to F nor affordable
+        fam = SectionFamily.homothetic(Distortion.identity(), K=1)
+        prefs = Preferences("cobb_douglas", 2, exponents=[[0.5, 0.5]])
+        eco = Economy(fam, [[1.0, 1.0]], prefs)
+        f = 1.0000009 * np.ones((1, 2)) + [[2e-6, -2e-6]]
+        assert is_maximal_in_budget(eco, [0.5, 0.5], f, 0) == (False, None)
+        rep = check_walras(eco, f, [0.5, 0.5])
+        assert rep.first_violation == {"node": 0, "violator": None}
+        assert not rep.verdict
 
     def test_dominance_miss_of_the_budget_grid(self):
         # A 200-point grid over the budget face found no violator here:

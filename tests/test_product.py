@@ -86,6 +86,13 @@ class TestSectionFamily:
         # first node is supported on the first block only
         assert fam.measures[0](IntervalSet([(0.5, 1.0)])) == 0.0
 
+    def test_a_sectioned_familys_totals_are_its_node_measures_of_x(self):
+        # the totals are range_realize's generators u_k: each is mu_k(X)
+        rng = np.random.default_rng(35)
+        for K in range(1, 40):
+            fam = sectioned_family(rng, K)
+            assert section_measures(fam, ProductSet.full(K)).tobytes() == fam.totals.tobytes()
+
     def test_heterogeneous_family(self):
         measures = [
             FuzzyMeasure.distorted(Distortion.power(1.0 + k / 10)) for k in range(10)
@@ -642,6 +649,14 @@ class TestLevelSets:
                     assert mu(sec) == pytest.approx(lvl * mu.total, abs=1e-9)
 
 
+def two_good_case():
+    """Ten nodes trading one good against the other along y, and the top
+    corner of their zonotope, mean_k u_k."""
+    fam = square_family(K=10)
+    phi = np.column_stack([np.linspace(0.1, 1.0, 10), np.linspace(1.0, 0.1, 10)])
+    return fam, phi, (phi * fam.totals[:, None]).mean(axis=0)
+
+
 class TestRangeRealize:
     def test_scalar_target(self):
         fam = square_family(K=50)
@@ -666,31 +681,84 @@ class TestRangeRealize:
         support = np.mean(np.maximum(0.0, np.ones(20) * d[0]))
         assert d[0] * 1.5 > support + 1e-9
 
-    def test_a_direction_that_does_not_separate_is_not_reported(self, monkeypatch):
-        # the realization LP is made to fail, so a target inside the zonotope
-        # reaches the separation LP, whose optimum d . T - h(d) is then 0:
-        # no direction separates, and none is reported
-        fam = square_family(K=10)
-        phi = np.column_stack([np.linspace(0.1, 1.0, 10), np.linspace(1.0, 0.1, 10)])
-        U = phi * fam.totals[:, None]
-        inside = integrate_sectional_over(fam, phi, product_set_from_levels(fam, np.full(10, 0.5)))
-        solve, solved = product.linprog, []
+    @pytest.mark.parametrize("tamper", ["failed", "negated dual"])
+    def test_no_direction_without_a_separating_dual(self, monkeypatch, tamper):
+        # a failed LP has no multipliers; negated ones give -d with
+        # -d . T < 0 <= h(-d)
+        fam, phi, top = two_good_case()
+        assert range_realize(fam, phi, 2 * top).separating_direction is not None
+        solve = product.linprog
 
-        def first_fails(*args, **kwargs):
+        def tampered(*args, **kwargs):
             res = solve(*args, **kwargs)
-            solved.append(res.status)
-            if len(solved) == 1:
-                res = type(res)(res, status=2)
-            return res
+            if tamper == "failed":
+                return type(res)(res, status=2)
+            duals = type(res.ineqlin)(res.ineqlin, marginals=-res.ineqlin.marginals)
+            return type(res)(res, ineqlin=duals)
 
-        monkeypatch.setattr(product, "linprog", first_fails)
-        res = range_realize(fam, phi, inside)
-        assert solved == [0, 0]
+        monkeypatch.setattr(product, "linprog", tampered)
+        res = range_realize(fam, phi, 2 * top)
         assert not res.feasible and res.separating_direction is None
-        # outside it the LP's direction separates and is reported
-        outside = 2 * U.mean(axis=0)
-        d = range_realize(fam, phi, outside).separating_direction
-        assert d is not None and d @ outside > np.mean(np.maximum(0.0, U @ d))
+
+    @pytest.mark.parametrize("where", ["inside", "boundary", "outside"])
+    def test_a_vector_target_solves_one_lp(self, monkeypatch, where):
+        fam, phi, top = two_good_case()
+        target = {"inside": 0.5 * top, "boundary": top, "outside": 2 * top}[where]
+        solve, calls = product.linprog, []
+        monkeypatch.setattr(product, "linprog",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        res = range_realize(fam, phi, target)
+        assert len(calls) == 1
+        assert res.feasible == (where != "outside")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["square", "sectioned"]),
+        K=st.integers(2, 60),
+        n=st.integers(2, 4),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+        parallel=st.booleans(),
+        where=st.sampled_from(["inside", "outside", "near boundary", "on boundary"]),
+    )
+    def test_vector_target_agrees_with_the_separation_lp(
+            self, seed, kind, K, n, scale, parallel, where):
+        """The one LP's dual direction against the separation LP that
+        decided vector targets before, max d . T - h(d) over |d|_inf <= 1,
+        solved here with scipy's HiGHS."""
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        fam = square_family(K) if kind == "square" else sectioned_family(rng, K)
+        phi = scale * rng.uniform(0.0, 1.0, size=(K, n))
+        if parallel:
+            phi = scale * np.outer(rng.uniform(0.0, 1.0, K), rng.uniform(0.1, 1.0, n))
+        U = phi * fam.totals[:, None]
+        z = rng.normal(size=n)  # the support point of Z in direction z
+        face = U[U @ z > 0].sum(axis=0) / K
+        T = {
+            "inside": U.T @ rng.uniform(0.0, 1.0, K) / K,
+            "outside": face + scale * rng.uniform(0.01, 1.0) * z,
+            "near boundary": face + scale * rng.uniform(-1e-5, 1e-5) * z,
+            "on boundary": face + scale * rng.uniform(-1e-7, 1e-7) * z,
+        }[where]
+        res = range_realize(fam, phi, T)
+
+        separation = linprog(np.concatenate([-T, np.full(K, 1.0 / K)]),
+                             A_ub=np.hstack([U, -np.eye(K)]), b_ub=np.zeros(K),
+                             bounds=[(-1.0, 1.0)] * n + [(0.0, None)] * K, method="highs")
+        assert separation.status == 0
+        d_ref = separation.x[:n]
+        ref_separates = d_ref @ T > np.mean(np.maximum(0.0, U @ d_ref))
+        if abs(separation.fun) > 1e-6 * max(1.0, scale):  # outside the tolerance band
+            assert (res.separating_direction is not None) == ref_separates
+        d = res.separating_direction
+        if d is not None:
+            assert not res.feasible
+            assert d @ T > np.mean(np.maximum(0.0, U @ d))
+            assert np.abs(d).sum() <= 1 + 1e-12
+        if res.feasible:
+            assert res.deviation <= REALIZE_TOL * max(1.0, float(np.max(np.abs(T))))
 
     def test_roundtrip_random_levels(self):
         rng = np.random.default_rng(6)
