@@ -7,21 +7,20 @@ v_{n+1} = 0, the sorted-threshold sum
     sum_j (v_j - v_{j+1}) * mu(first j cells)
 
 is exact; a run of equal values only adds zero drops.  Every measure here is
-mu(A) = G(sum of per-cell keys over the cells of A).  A distorted measure
-has the cell lengths as keys and its distortion as G.  A sectioned one has
-the cell masses sum_i w_i |cell ∩ E_i| / |E_i| as keys and G = identity.
-So one private kernel, :func:`_choquet_block`, integrates a
+mu(A) = g(nu(A)) with nu(A) the sum of per-cell keys over the cells of A:
+the cell masses sum_i w_i |cell ∩ E_i| / |E_i|, which are the cell lengths
+for g∘λ.  So one private kernel, :func:`_choquet_block`, integrates a
 (rows x cells) array of functions that share one partition: one integer
 sort per row of keys that pack each value's bits with its cell index (redone
 by a stable argsort when a row has equal or nearly equal values, so the
 order is always the stable one), one cumulative sum of the keys and one
-vectorised G.  It returns the integrals together with the threshold table.
+vectorised g.  It returns the integrals together with the threshold table.
 Its keys come from :func:`_keys`, which takes them from the cell overlaps
 that :func:`_overlaps` reads off the partition's padded end points
 (``intervals._ends``, kept per partition object by :func:`_cell_ends`): the
-lengths of ``intervals._lengths``, or the block overlaps |cell ∩ E_i| of
-``measures._block_lengths``, which ``measures._masses`` turns into masses
-block by block, as the scalar mu adds them, once per distinct weight row.
+block overlaps |cell ∩ E_i| of ``measures._block_lengths``, which
+``measures._masses`` turns into masses block by block, as the scalar mu
+adds them, once per distinct weight row.
 So no superlevel set is ever built, and every step sees one row
 at a time: a row's keys, integral and table do not depend on the rows
 beside it.  :func:`choquet` runs the kernel with one row per component;
@@ -40,10 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, _array, _count
-from .intervals import IntervalSet, _ends, _lengths, uniform_partition
-from .measures import FuzzyMeasure, _block_lengths, _masses, measure_properties
-
-_WHOLE = (IntervalSet.full(),)  # the one-cell partition of every constant
+from .intervals import IntervalSet, _ends, uniform_partition
+from .measures import _WHOLE, FuzzyMeasure, _block_lengths, _masses, measure_properties
 
 
 @dataclass(frozen=True)
@@ -203,13 +200,9 @@ def _cell_ends(cells) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _overlaps(mu: FuzzyMeasure, cells) -> np.ndarray:
-    """What the keys of rows of ``mu``'s shape are made of, from the end
-    points of the partition ``cells`` (:func:`_cell_ends`): the cell lengths
-    (cells,) of :func:`intervals._lengths` for a distorted shape, the block
-    overlaps |cell ∩ E_i| (cells, blocks) of :func:`measures._block_lengths`
-    for a sectioned one."""
-    lo, hi = _cell_ends(cells)
-    return _lengths(lo, hi) if mu.mode == "distorted" else _block_lengths(lo, hi, mu.blocks)
+    """The overlaps |cell ∩ E_i| (cells, blocks) of ``mu``'s blocks, the stuff
+    of the keys of rows of ``mu``'s shape, from :func:`_cell_ends`."""
+    return _block_lengths(*_cell_ends(cells), mu.blocks)
 
 
 def _keys(measures, overlaps: np.ndarray):
@@ -217,23 +210,21 @@ def _keys(measures, overlaps: np.ndarray):
     per row, all of one shape, on cells with the :func:`_overlaps`
     ``overlaps``: the entry to :func:`_choquet_block`.
 
-    Distorted rows share the cell lengths as keys, and row r's levels are
-    its scale times the shape's base.  Sectioned rows have keys (rows,
-    cells), the masses of :func:`measures._masses`, each the scalar mu of
-    its cell, and no level map; they are taken once per distinct weight row
-    and indexed back to the rows.  A key depends on its own row's measure
-    alone, so a caller takes the keys of each chunk of rows from the
-    overlaps of their block, and every row keeps its bits whatever the chunk
-    or block around it.
+    The keys are the masses nu of the cells (:func:`measures._masses`),
+    taken once per distinct weight row: rows that share one weight row
+    share one key row (cells,), else the rows are indexed back (rows,
+    cells).  Row r's levels are its scale times the shape's base g.  A key
+    depends on its own row's measure alone, so a caller takes the keys of
+    each chunk of rows from the overlaps of their block, and every row keeps
+    its bits whatever the chunk or block around it.
     """
     first = measures[0]
-    if first.mode == "distorted":
-        scales = np.array([[mu.distortion.scale] for mu in measures])
-        return overlaps, lambda cum: scales * first.distortion._base(cum)
     distinct: dict[tuple, int] = {}
     rows = [distinct.setdefault(mu.weights, len(distinct)) for mu in measures]
-    weights = np.array(list(distinct))
-    return _masses(overlaps, weights[:, None, :], first.blocks)[rows], None
+    masses = _masses(overlaps, np.array(list(distinct))[:, None, :], first.blocks)
+    scales = np.array([[mu.distortion.scale] for mu in measures])
+    keys = masses[0] if len(distinct) == 1 else masses[rows]
+    return keys, lambda cum: scales * first.distortion._base(cum)
 
 
 def _choquet_block(values: np.ndarray, keys: np.ndarray, levels):

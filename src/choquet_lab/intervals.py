@@ -106,6 +106,8 @@ class IntervalSet:
         return IntervalSet(out)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
+        if other is _FULL:  # A ∩ X = A, as the g∘λ measures' one block meets every set
+            return self
         out = []
         i = j = 0
         mine, theirs = self.intervals, other.intervals

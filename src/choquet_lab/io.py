@@ -165,7 +165,7 @@ def _block_pair(blk: IntervalSet) -> list[float]:
 
 
 def measure_to_json(mu: FuzzyMeasure) -> dict:
-    if mu.mode == "distorted":
+    if mu._on_lebesgue:  # g∘λ; any other measure is additive
         return {"mode": "distorted", "distortion": distortion_to_json(mu.distortion)}
     return {
         "mode": "sectioned",

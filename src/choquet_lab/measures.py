@@ -1,17 +1,17 @@
-"""Fuzzy measures on [0,1]: distorted Lebesgue and sectioned-additive modes.
+"""Fuzzy measures on [0,1], all of one form, the distorted probability g∘ν
+(Denneberg 1994, ch. 2): mu(A) = g(nu(A)) with
+nu(A) = sum_i w_i * lebesgue(A ∩ E_i) / lebesgue(E_i), for a strictly
+increasing distortion g with g(0) = 0, a block partition E_1..E_r of [0,1)
+and weights w_i >= 0 (not all zero).  Two cases, each with its constructor,
+cover everything the rest of the library needs: ``distorted(g)`` is g on the
+one block [0,1) with weight 1, so nu = λ; ``sectioned(blocks, w)`` has the
+unit identity g, so mu = nu is additive, hence submodular with equality.
 
-Two constructive modes cover everything the rest of the library needs:
-
-* ``distorted``:   mu(A) = g(lebesgue(A)) for a strictly increasing
-  distortion g with g(0) = 0;
-* ``sectioned``:   mu(A) = sum_i w_i * lebesgue(A ∩ E_i) / lebesgue(E_i)
-  for a block partition E_1..E_r of [0,1) and weights w_i >= 0 (not all
-  zero).  This mode is additive, hence submodular with equality.
-
-Both modes are filtering: every set A of positive measure carries a nested
-chain A_t with mu(A_t) = t * mu(A), realized by left prefixes.  Whether a
+Both are filtering: every set A of positive measure carries a nested chain
+A_t with mu(A_t) = t * mu(A), realized by left prefixes.  Whether a
 measure is subadditive or submodular depends on g alone and is decided
-exactly by :func:`measure_properties`.
+exactly by :func:`measure_properties`.  The JSON schemas keep one tag per
+case (``distorted``, ``sectioned``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import DegenerateSetError, StructuralError, _array, _scalar
 from .intervals import IntervalSet, _from_ends, _lengths, _prefix_ends
 
 ALGEBRA_TOL = 1e-12
+_WHOLE = (IntervalSet.full(),)  # [0,1) in one piece: g∘λ's one block, a constant's one cell
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,9 @@ class Distortion:
         return self.kind == "identity" or not _kinks(self).any()
 
 
+_UNIT = Distortion.identity()  # g(s) = s
+
+
 def _pow(x, e) -> np.ndarray:
     """x ** e for x > 0 or e > 0, entry by entry by libm's scalar pow, which
     numpy's array power can differ from in the last bit; an overflow gives
@@ -127,75 +131,78 @@ def _pow(x, e) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FuzzyMeasure:
-    """Monotone set function on IntervalSets, vanishing on the empty set."""
+    """mu(A) = g(sum_i w_i |A ∩ E_i| / |E_i|), monotone and null on the empty
+    set: the unit identity g on any blocks, or any g on the one block [0,1)."""
 
-    mode: str  # "distorted" | "sectioned"
-    distortion: Distortion | None = None
-    blocks: tuple[IntervalSet, ...] | None = None
-    weights: tuple[float, ...] | None = None
+    distortion: Distortion
+    blocks: tuple[IntervalSet, ...]
+    weights: tuple[float, ...]
     total: float = field(init=False)
 
     def __post_init__(self):
-        if self.mode == "distorted":
-            if self.distortion is None:
-                raise StructuralError("distorted measure needs a distortion")
-            object.__setattr__(self, "total", self.distortion(1.0))
-        elif self.mode == "sectioned":
-            if not self.blocks:
-                raise StructuralError("sectioned measure needs blocks")
-            w = _array(self.weights, "weights", (len(self.blocks),))
-            if not w.any():
-                raise StructuralError("weights need at least one positive entry")
-            object.__setattr__(self, "weights", tuple(w.tolist()))
-            cover = IntervalSet.empty()
-            covered = 0.0
-            for blk in self.blocks:
-                if blk.is_empty:
-                    raise StructuralError("empty block")
-                if not cover.intersection(blk).is_empty:
-                    raise StructuralError("blocks must be pairwise disjoint")
-                cover = cover.union(blk)
-                covered += blk.lebesgue
-            if abs(covered - 1.0) > ALGEBRA_TOL:
-                raise StructuralError("blocks must cover [0,1)")
-            total = self.measure(IntervalSet.full())
-            if not math.isfinite(total):
-                raise StructuralError("the weights' sum, the measure of [0,1), overflows")
-            object.__setattr__(self, "total", total)
-        else:
-            raise StructuralError(f"unknown measure mode {self.mode!r}")
+        if not isinstance(self.distortion, Distortion):
+            raise StructuralError(f"g must be a Distortion (got {self.distortion!r})")
+        blocks = tuple(self.blocks) if np.iterable(self.blocks) else ()
+        if not blocks or not all(isinstance(blk, IntervalSet) for blk in blocks):
+            raise StructuralError(f"blocks must be IntervalSets (got {self.blocks!r})")
+        w = _array(self.weights, "weights", (len(blocks),))
+        if not w.any():
+            raise StructuralError("weights need at least one positive entry")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "weights", tuple(w.tolist()))
+        cover = IntervalSet.empty()
+        for blk in blocks:
+            if blk.is_empty:
+                raise StructuralError("empty block")
+            if not cover.intersection(blk).is_empty:
+                raise StructuralError("blocks must be pairwise disjoint")
+            cover = cover.union(blk)
+        if abs(cover.lebesgue - 1.0) > ALGEBRA_TOL:
+            raise StructuralError("blocks must cover [0,1)")
+        if not (self.distortion == _UNIT or self._on_lebesgue):
+            raise StructuralError("a g other than the unit identity needs the one block [0,1)")
+        total = self.measure(IntervalSet.full())
+        if not math.isfinite(total):
+            raise StructuralError("the measure of [0,1) overflows")
+        object.__setattr__(self, "total", total)
 
     @staticmethod
     def distorted(g: Distortion) -> "FuzzyMeasure":
-        return FuzzyMeasure("distorted", distortion=g)
+        return FuzzyMeasure(g, _WHOLE, (1.0,))
 
     @staticmethod
     def sectioned(blocks, weights) -> "FuzzyMeasure":
-        return FuzzyMeasure("sectioned", blocks=tuple(blocks), weights=weights)
+        return FuzzyMeasure(_UNIT, blocks, weights)
 
     @staticmethod
     def lebesgue() -> "FuzzyMeasure":
-        return FuzzyMeasure.distorted(Distortion.identity())
+        return FuzzyMeasure.distorted(_UNIT)
 
-    def measure(self, A: IntervalSet) -> float:
-        if self.mode == "distorted":
-            return self.distortion(A.lebesgue)
+    @property
+    def _on_lebesgue(self) -> bool:  # nu is λ: the one block [0,1) with weight 1
+        return self.weights == (1.0,) and self.blocks == _WHOLE
+
+    def _mass(self, A: IntervalSet) -> float:
+        """nu(A), the terms added block by block, w_i = 0 skipped."""
         out = 0.0
         for blk, w in zip(self.blocks, self.weights):
             if w > 0:
                 out += w * A.intersection(blk).lebesgue / blk.lebesgue
         return out
 
+    def measure(self, A: IntervalSet) -> float:
+        return self.distortion(self._mass(A))
+
     __call__ = measure
 
     @property
     def is_subadditive(self) -> bool:
-        return self.mode == "sectioned" or _subadditivity_peak(self.distortion) is None
+        return _subadditivity_peak(self.distortion) is None
 
     @property
     def is_submodular(self) -> bool:
-        # additive across blocks, hence modular; concave distortions are submodular
-        return self.mode == "sectioned" or self.distortion.is_concave
+        # nu is additive, so g∘nu is submodular when g is concave
+        return self.distortion.is_concave
 
 
 @dataclass(frozen=True)
@@ -220,21 +227,25 @@ def filtering_family(mu: FuzzyMeasure, A: IntervalSet) -> FilteringFamily:
 def _chain_ends(mu: FuzzyMeasure, base: IntervalSet, levels) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), each levels.shape + (pieces,): the pieces [lo, hi) of the
     chain A_t of ``mu`` on ``base`` at every level t, padded with [0, 0).
-    A_t is empty for t <= 0 and all of base for t >= 1; in between, a
-    distorted mu takes the left prefix of base of length g^{-1}(t g(|base|))
-    and a sectioned one the left prefix of length t |base ∩ E_i| of every
-    base ∩ E_i, block by block (base itself follows as the last pieces, so
-    A_1 is base even where the blocks leave a gap)."""
+    A_t is empty for t <= 0 and all of base for t >= 1; in between, the left
+    prefix of length u |p_i| / nu(base), u = g^{-1}(t g(nu(base))), of every
+    cut p_i = base ∩ E_i (t |p_i| under the unit identity g).  One block
+    takes its prefix of base; more blocks are followed by base itself, so
+    A_1 is base even where the blocks leave a gap."""
     t = np.asarray(levels, dtype=float)
     inner = (t > 0.0) & (t < 1.0)
     whole = np.where(t >= 1.0, base.lebesgue, 0.0)
-    if mu.mode == "distorted":
-        g = mu.distortion
-        length = g.inverse(np.clip(t, 0.0, 1.0) * g(base.lebesgue))
-        parts = [(base, np.where(inner, length, whole))]
+    g, cuts = mu.distortion, [base.intersection(blk) for blk in mu.blocks]
+    if g == _UNIT:
+        lengths = [t * p.lebesgue for p in cuts]
     else:
-        cuts = [base.intersection(blk) for blk in mu.blocks]
-        parts = [(p, np.where(inner, t * p.lebesgue, 0.0)) for p in cuts] + [(base, whole)]
+        nu = mu._mass(base)
+        u = g.inverse(np.clip(t, 0.0, 1.0) * g(nu))
+        lengths = [u * (p.lebesgue / nu if nu > 0 else 0.0) for p in cuts]
+    if len(cuts) == 1:
+        parts = [(base, np.where(inner, lengths[0], whole))]
+    else:
+        parts = [(p, np.where(inner, s, 0.0)) for p, s in zip(cuts, lengths)] + [(base, whole)]
     ends = [_prefix_ends(p, length) for p, length in parts]
     return tuple(np.concatenate(e, axis=-1) for e in zip(*ends))
 
@@ -252,12 +263,12 @@ def _block_lengths(lo: np.ndarray, hi: np.ndarray, blocks) -> np.ndarray:
 
 
 def _masses(parts: np.ndarray, weights: np.ndarray, blocks) -> np.ndarray:
-    """sum_i w_i |A ∩ E_i| / |E_i|, the masses of sectioned measures on the
-    blocks ``blocks``, from the overlaps ``parts`` (..., blocks) of
+    """nu(A) = sum_i w_i |A ∩ E_i| / |E_i| of measures on the blocks
+    ``blocks``, from the overlaps ``parts`` (..., blocks) of
     :func:`_block_lengths` and the weights (..., blocks) broadcast against
     them, one row of weights per measure.  The terms are added block by
     block and w_i = 0 is skipped, as :meth:`FuzzyMeasure.measure` adds them,
-    so a mass has the bits of the scalar mu of its set, whatever else the
+    so a mass has the bits of the scalar nu of its set, whatever else the
     arrays hold."""
     total = np.zeros(np.broadcast_shapes(parts.shape, weights.shape)[:-1])
     for i, blk in enumerate(blocks):
@@ -353,9 +364,9 @@ def measure_properties(mu: FuzzyMeasure) -> MeasurePropertyReport:
     """Decide whether mu is monotone, subadditive and submodular.
 
     Every measure here is monotone: a distortion is strictly increasing with
-    g(0) = 0 and sectioned weights are >= 0.  A sectioned measure is
-    additive.  On the non-atomic [0,1], mu = g∘λ is submodular iff g is
-    concave, and subadditive iff g(a + b) <= g(a) + g(b) whenever
+    g(0) = 0 and weights are >= 0.  Under the unit identity g, mu = nu is
+    additive; any other g runs on nu = λ.  On the non-atomic [0,1],
+    mu = g∘λ is submodular iff g is concave, and subadditive iff g(a + b) <= g(a) + g(b) whenever
     a + b <= 1 (Denneberg 1994, ch. 2); submodularity implies subadditivity.
     A violated property carries an interval pair (A, B) that mu re-checks:
     the peak of :func:`_subadditivity_peak` when subadditivity fails, else

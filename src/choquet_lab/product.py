@@ -23,9 +23,9 @@ import numpy as np
 
 from .choquet import StepFunction, _choquet_block, _keys, _overlaps
 from .errors import StructuralError, UnsupportedFamilyError, _array, _count
-from .intervals import IntervalSet, _ends, _from_ends, _lengths
+from .intervals import IntervalSet, _ends, _from_ends
 from .lp import linprog
-from .measures import Distortion, FuzzyMeasure, _block_lengths, _masses, _pow
+from .measures import _UNIT, Distortion, FuzzyMeasure, _block_lengths, _masses, _pow
 from .measures import _chain_ends as _measure_chain_ends
 
 DEFAULT_K = 100
@@ -41,8 +41,8 @@ class SectionFamily:
     mode: str  # "homothetic" | "sectioned" | "heterogeneous"
     measures: tuple[FuzzyMeasure, ...]
     normalized: bool = False
-    # (node indices, first node's measure) per measure shape: a distortion's
-    # (kind, alpha, knots), its scale aside, or a block partition by value
+    # (node indices, first node's measure) per measure shape: g's (kind,
+    # alpha, knots), its scale aside, and the block partition by value
     _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,18 +50,18 @@ class SectionFamily:
             raise StructuralError(f"unknown family mode {self.mode!r}")
         if not self.measures:
             raise StructuralError("need at least one y-node")
-        if self.normalized:
-            for mu in self.measures:
-                if abs(mu.total - 1.0) > 1e-12:
-                    raise StructuralError("normalized family needs mu_y(X) = 1 at every node")
         groups: dict[object, list[int]] = {}
         for k, mu in enumerate(self.measures):
+            if not isinstance(mu, FuzzyMeasure):
+                raise StructuralError(f"a node's measure must be a FuzzyMeasure (got {mu!r})")
             g = mu.distortion
-            key = (g.kind, g.alpha, g.knots) if mu.mode == "distorted" else mu.blocks
-            groups.setdefault(key, []).append(k)
-        shape = {"homothetic": "distorted", "sectioned": "sectioned"}.get(self.mode)
-        if shape and (len(groups) > 1 or self.measures[0].mode != shape):
-            raise StructuralError(f"a {self.mode} family needs one {shape} measure shape")
+            groups.setdefault((g.kind, g.alpha, g.knots, mu.blocks), []).append(k)
+        if self.normalized and any(abs(mu.total - 1.0) > 1e-12 for mu in self.measures):
+            raise StructuralError("normalized family needs mu_y(X) = 1 at every node")
+        shape = {"homothetic": ("distorted", lambda mu: mu._on_lebesgue),
+                 "sectioned": ("sectioned", lambda mu: mu.distortion == _UNIT)}.get(self.mode)
+        if shape and (len(groups) > 1 or not all(map(shape[1], self.measures))):
+            raise StructuralError(f"a {self.mode} family needs one {shape[0]} measure shape")
         object.__setattr__(self, "_groups", tuple(
             (np.array(nodes), self.measures[nodes[0]]) for nodes in groups.values()))
 
@@ -77,14 +77,12 @@ class SectionFamily:
         K = _count(K, "K")
         if normalized and scales is not None:
             raise StructuralError("normalized homothetic families cannot carry free scales")
-        if normalized:
-            # A distortion already normalized to the tolerance __post_init__
-            # checks is kept, so normalizing twice (as an io round trip
-            # does) changes no scale.
-            if abs(distortion(1.0) - 1.0) > 1e-12:
-                distortion = replace(distortion, scale=distortion.scale / distortion(1.0))
-            measures = (FuzzyMeasure.distorted(distortion),) * K
-        elif scales is None:
+        # A distortion already normalized to the tolerance __post_init__
+        # checks is kept, so normalizing twice (as an io round trip does)
+        # changes no scale.
+        if normalized and abs(distortion(1.0) - 1.0) > 1e-12:
+            distortion = replace(distortion, scale=distortion.scale / distortion(1.0))
+        if scales is None:
             measures = (FuzzyMeasure.distorted(distortion),) * K
         else:
             measures = tuple(
@@ -132,9 +130,9 @@ class SectionFamily:
 
     @staticmethod
     def heterogeneous(measures) -> "SectionFamily":
-        measures = tuple(measures)
-        normalized = all(abs(mu.total - 1.0) <= 1e-12 for mu in measures)
-        return SectionFamily("heterogeneous", measures, normalized)
+        measures = tuple(measures)  # a node that is no measure is refused by __post_init__
+        return SectionFamily("heterogeneous", measures, all(
+            isinstance(mu, FuzzyMeasure) and abs(mu.total - 1.0) <= 1e-12 for mu in measures))
 
     # -- queries ----------------------------------------------------------
 
@@ -266,21 +264,18 @@ def _node_measures(fam: SectionFamily, lo: np.ndarray, hi: np.ndarray) -> np.nda
     """mu_k(H_k) for sections given as pieces [lo, hi) (..., K, pieces),
     padded with [0, 0): bit for bit the scalar mu of the sets they make,
     when the pieces are the sets' intervals left to right (within each
-    block, for a sectioned measure).  As mu does, g takes the length, and
-    a sectioned measure's mass is :func:`measures._masses` of the overlaps
-    from :func:`measures._block_lengths`.  Each of the family's measure
-    shapes is one pass, with every node's own scale or weights."""
+    block).  As mu does, g takes nu, the :func:`measures._masses` of the
+    overlaps from :func:`measures._block_lengths`, a power g by scalar pow.
+    Each of the family's measure shapes is one pass, with every node's own
+    weights and scale."""
     out = np.empty(lo.shape[:-1])
     for nodes, mu in fam._groups:
         idx = nodes if len(nodes) < fam.K else slice(None)
-        a, b = lo[..., idx, :], hi[..., idx, :]
-        if mu.mode == "distorted":  # scale * base, a power base by scalar pow, as mu takes it
-            g, length = mu.distortion, _lengths(a, b)
-            base = _pow(length, g.alpha) if g.kind == "power" else g._base(length)
-            out[..., idx] = np.array([fam.measures[k].distortion.scale for k in nodes]) * base
-            continue
-        weights = np.array([fam.measures[k].weights for k in nodes])
-        out[..., idx] = _masses(_block_lengths(a, b, mu.blocks), weights, mu.blocks)
+        members = [fam.measures[k] for k in nodes]
+        parts = _block_lengths(lo[..., idx, :], hi[..., idx, :], mu.blocks)
+        nu, g = _masses(parts, np.array([m.weights for m in members]), mu.blocks), mu.distortion
+        base = _pow(nu, g.alpha) if g.kind == "power" else g._base(nu)
+        out[..., idx] = np.array([m.distortion.scale for m in members]) * base
     return out
 
 

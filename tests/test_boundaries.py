@@ -245,6 +245,23 @@ def test_a_measure_whose_total_overflows_is_structural(site):
         OVERFLOWING[site]()
 
 
+# a measure's parts and a family's nodes of the wrong type
+WRONG_TYPES = {
+    "a block pair": (lambda: FuzzyMeasure.sectioned([(0.0, 1.0)], [1.0]), "blocks must be"),
+    "a distortion name": (lambda: FuzzyMeasure.distorted("power"), "g must be a Distortion"),
+    "blocks not a sequence": (lambda: FuzzyMeasure.sectioned(IntervalSet.full(), [1.0]),
+                              "blocks must be"),
+    "a number as a node": (lambda: SectionFamily.heterogeneous([1.0]), "must be a FuzzyMeasure"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(WRONG_TYPES))
+def test_a_part_of_the_wrong_type_is_structural(site):
+    build, message = WRONG_TYPES[site]
+    with pytest.raises(StructuralError, match=message):
+        build()
+
+
 def test_vector_sections_share_one_number_of_components():
     # scalar beside vector sections is a row of test_product's REFUSALS
     sections = (StepFunction.constant([1.0, 2.0]), StepFunction.constant([1.0, 2.0, 3.0]))

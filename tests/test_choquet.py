@@ -388,12 +388,14 @@ class TestPropertyChecks:
 
 
 def reference_table(f, mu):
-    """Threshold table by the per-cell object path: mu(cell) per cell and
-    mu.distortion per distinct level.  Returns u (ascending distinct values)
-    and S with S[k] = mu([f >= u_k]) and S[len(u)] = 0."""
+    """Threshold table by the per-cell object path: for g∘λ (the one block
+    [0,1) with weight 1) lengths per cell and mu.distortion per distinct
+    level, for an additive mu (any other) mu(cell) per cell.  Returns u
+    (ascending distinct values) and S with S[k] = mu([f >= u_k]) and
+    S[len(u)] = 0."""
     if f.values.size == 0:
         return np.zeros(0), np.zeros(1)
-    distorted = mu.mode == "distorted"
+    distorted = on_lebesgue(mu)
     keys = np.array([c.lebesgue if distorted else mu(c) for c in f.cells])
     order = np.argsort(-f.values, kind="stable")
     sv = f.values[order]
@@ -401,6 +403,11 @@ def reference_table(f, mu):
     ends = np.nonzero(np.diff(sv, append=sv[-1] - 1.0))[0]
     levels = [mu.distortion(x) for x in ck[ends]] if distorted else ck[ends]
     return sv[ends][::-1].copy(), np.append(np.asarray(levels)[::-1], 0.0)
+
+
+def on_lebesgue(mu):
+    """The measure's form, read from its fields: g∘λ, else additive."""
+    return mu.blocks == (IntervalSet.full(),) and mu.weights == (1.0,)
 
 
 def reference_choquet(f, mu):
@@ -616,12 +623,12 @@ class TestPackedSortKeys:
 
 def whole_block_keys(measures, cells):
     """Keys and level map of a block as one pass over all of its rows takes
-    them: lengths and scale * base for distorted rows; for sectioned rows,
-    the weights times the block fractions of every cell, added block by
-    block over the whole (rows, cells) array."""
+    them: lengths and scale * base for g∘λ rows; for additive rows, the
+    weights times the block fractions of every cell, added block by block
+    over the whole (rows, cells) array."""
     lo, hi = _ends(cells)
     first = measures[0]
-    if first.mode == "distorted":
+    if on_lebesgue(first):
         scales = np.array([[mu.distortion.scale] for mu in measures])
         return _lengths(lo, hi), lambda cum: scales * first.distortion._base(cum)
     parts = _block_lengths(lo, hi, first.blocks)
@@ -687,7 +694,7 @@ class TestChunkedBlock:
         cells = random_cells(rng, 900)
         measures = block_measures(rng, "sectioned", 70)
         keys, levels = _keys(measures, _overlaps(measures[0], cells))
-        assert levels is None and keys.shape == (70, 900)
+        assert keys.shape == (70, 900) and levels(keys).tobytes() == keys.tobytes()
         for r, c in zip(rng.integers(0, 70, 100), rng.integers(0, 900, 100)):
             assert keys[r, c] == measures[r](cells[c])
 

@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquet_lab.errors import DegenerateSetError, StructuralError
-from choquet_lab.intervals import IntervalSet, random_interval_set
+from choquet_lab.intervals import IntervalSet, _prefix_ends, random_interval_set
 from choquet_lab.measures import (
     ALGEBRA_TOL,
     Distortion,
     FuzzyMeasure,
+    _chain_ends,
     filtering_family,
     _pow,
     measure_properties,
 )
+from test_choquet import on_lebesgue, random_blocks
 
 # g(a + b) > g(a) + g(b) at a = 0.9, b = 0.05, so mu is not subadditive
 NOT_SUBADDITIVE_KNOTS = [(0, 0), (0.9, 0.9), (0.95, 0.951), (1, 1)]
@@ -152,8 +154,14 @@ class TestMeasure:
             )
         with pytest.raises(StructuralError, match="empty block"):
             FuzzyMeasure.sectioned([IntervalSet.empty(), IntervalSet.full()], [1.0, 1.0])
-        with pytest.raises(StructuralError, match="distorted measure needs a distortion"):
-            FuzzyMeasure("distorted")
+        # one measure form: a g other than the unit identity runs on λ alone
+        halves = [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])]
+        with pytest.raises(StructuralError, match="needs the one block"):
+            FuzzyMeasure(Distortion.power(2.0), halves, [1.0, 1.0])
+        with pytest.raises(StructuralError, match="needs the one block"):
+            FuzzyMeasure(Distortion.identity(2.0), [IntervalSet.full()], [3.0])
+        with pytest.raises(StructuralError, match="g must be a Distortion"):
+            FuzzyMeasure("distorted", [IntervalSet.full()], [1.0])
 
     def test_zero_weight_blocks_allowed(self):
         mu = FuzzyMeasure.sectioned(
@@ -376,3 +384,66 @@ class TestChainIncrements:
         expected = (np.sqrt(0.75) - np.sqrt(0.25)) ** 2
         assert fam.mu(inc2) == pytest.approx(expected, abs=1e-12)
         assert abs(expected - 0.5) > 0.3  # the identity genuinely fails here
+
+
+def two_form_chain_ends(mu, base, levels):
+    """The chain ends as they were taken when a measure was one of two
+    forms, read here from its fields: for g∘λ (the one block [0,1) with
+    weight 1) the left prefix of base of length g^{-1}(t g(|base|)); for an
+    additive measure (any other) the left prefix of length t |base ∩ E_i| of
+    every cut, then base itself for t >= 1."""
+    t = np.asarray(levels, dtype=float)
+    inner = (t > 0.0) & (t < 1.0)
+    whole = np.where(t >= 1.0, base.lebesgue, 0.0)
+    if on_lebesgue(mu):
+        g = mu.distortion
+        length = g.inverse(np.clip(t, 0.0, 1.0) * g(base.lebesgue))
+        parts = [(base, np.where(inner, length, whole))]
+    else:
+        cuts = [base.intersection(blk) for blk in mu.blocks]
+        parts = [(p, np.where(inner, t * p.lebesgue, 0.0)) for p in cuts] + [(base, whole)]
+    ends = [_prefix_ends(p, length) for p, length in parts]
+    return tuple(np.concatenate(e, axis=-1) for e in zip(*ends))
+
+
+def pieces(lo, hi):
+    """The non-empty pieces of every level, as (lo, hi) bytes."""
+    keep = lo < hi
+    return [(a[k].tobytes(), b[k].tobytes()) for a, b, k in zip(lo, hi, keep)]
+
+
+CHAIN_KINDS = ["power", "pwl", "identity", "scaled identity", "sectioned"]
+
+
+class TestChainAgainstTwoForms:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(CHAIN_KINDS), seed=st.integers(0, 2**32 - 1),
+           base_kind=st.sampled_from(["random", "full", "empty"]))
+    def test_one_formula_keeps_the_bits_of_the_two_forms(self, kind, seed, base_kind):
+        rng = np.random.default_rng(seed)
+        scale = float(rng.uniform(0.25, 3.0))
+        if kind == "power":
+            mu = FuzzyMeasure.distorted(Distortion.power(float(rng.uniform(0.1, 4.0)), scale))
+        elif kind == "pwl":
+            xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]])
+            ys = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, 4))])
+            mu = FuzzyMeasure.distorted(Distortion.piecewise_linear(zip(xs, ys), scale))
+        elif kind == "identity":
+            mu = FuzzyMeasure.lebesgue()
+        elif kind == "scaled identity":
+            mu = FuzzyMeasure.distorted(Distortion.identity(scale))
+        else:
+            nblocks = int(rng.integers(1, 5))
+            weights = rng.uniform(0.0, 2.0, nblocks) * (rng.random(nblocks) < 0.8)
+            weights[rng.integers(nblocks)] += 0.5
+            mu = FuzzyMeasure.sectioned(random_blocks(rng, nblocks), weights)
+        base = {"random": lambda: random_interval_set(rng), "full": IntervalSet.full,
+                "empty": IntervalSet.empty}[base_kind]()
+        levels = np.concatenate([[0.0, 1.0, -0.2, 1.5], rng.uniform(0.0, 1.0, 12)])
+        got, want = _chain_ends(mu, base, levels), two_form_chain_ends(mu, base, levels)
+        assert pieces(*got) == pieces(*want)
+        if got[0].shape == want[0].shape:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        else:  # one additive block: its cut and base as one prefix, not two
+            assert len(mu.blocks) == 1 and mu.weights != (1.0,)

@@ -107,8 +107,10 @@ class TestSectionFamily:
     @pytest.mark.parametrize("mode, measures", [
         ("homothetic", (FuzzyMeasure.distorted(Distortion.power(2.0)),
                         FuzzyMeasure.distorted(Distortion.power(0.5)))),
-        ("sectioned", (FuzzyMeasure.lebesgue(),)),
-    ], ids=["two distortion shapes", "a distorted node"])
+        ("sectioned", (FuzzyMeasure.distorted(Distortion.power(2.0)),)),
+        ("homothetic", (FuzzyMeasure.sectioned([IntervalSet([(0.0, 0.5)]),
+                                                IntervalSet([(0.5, 1.0)])], [0.5, 0.5]),)),
+    ], ids=["two distortion shapes", "a distorted node", "a sectioned node"])
     def test_measures_must_have_the_one_shape_of_the_mode(self, mode, measures):
         # The shared chain X_t needs one measure shape at every node.  Accepted
         # as homothetic, the power pair made range_realize call the feasible
@@ -116,6 +118,11 @@ class TestSectionFamily:
         with pytest.raises(StructuralError, match=f"a {mode} family needs one"):
             SectionFamily(mode, measures, True)
         assert not SectionFamily.heterogeneous(measures).convex_type
+
+    def test_lebesgue_nodes_make_either_convex_family(self):
+        # λ is g∘λ under the unit identity and additive on the one block [0,1)
+        for mode in ("homothetic", "sectioned"):
+            assert SectionFamily(mode, (FuzzyMeasure.lebesgue(),) * 2, True).convex_type
 
     def test_nodes_are_grouped_by_shape_once(self):
         blocks = [IntervalSet([(0.0, 0.5)]), IntervalSet([(0.5, 1.0)])]
